@@ -51,6 +51,9 @@ __all__ = [
 
 DEFAULT_BATCH = 2000
 
+# rows per block of the window reduction: one block's arrays stay in cache
+_ROW_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class LevelTrace:
@@ -115,8 +118,10 @@ def estimate_generalized_constant(
     samples = np.empty(n_reps)
     pos = 0
     for bidx, size in _batches(n_reps, batch_size):
-        field = sampler.sample(rng.substream(bidx).generator(), size)
-        w = math.sqrt(2.0) * field - var - drift
+        w = sampler.sample(rng.substream(bidx).generator(), size)
+        w *= math.sqrt(2.0)
+        w -= var
+        w -= drift
         samples[pos : pos + size] = np.exp(apply_functional(gamma, w, grid_ndim=grid.dim))
         pos += size
     return Estimate.from_samples(
@@ -154,8 +159,10 @@ def estimate_joint_constant(
     samples = np.empty(n_reps)
     pos = 0
     for bidx, size in _batches(n_reps, batch_size):
-        field = sampler.sample(rng.substream(bidx).generator(), size)
-        w = math.sqrt(2.0) * field - var - drift
+        w = sampler.sample(rng.substream(bidx).generator(), size)
+        w *= math.sqrt(2.0)
+        w -= var
+        w -= drift
         vals = np.stack(
             [apply_functional(g, w, grid_ndim=grid.dim) for g in gammas]
         ).min(axis=0)
@@ -174,19 +181,39 @@ def _window_ratio_sums(w: np.ndarray, n: int) -> np.ndarray:
     ``w`` has shape (batch, 2n+1); window j covers indices [j, j+n],
     j = 0..n.  Every window contains the center index n, where w = 0 by
     construction, so normalizing by the row maximum cannot produce empty
-    (all-underflow) windows.
+    (all-underflow) windows.  The same fact gives the window maxima in two
+    running passes:
+
+        max e[j..j+n] = max(max e[j..n], max e[n..j+n]),
+
+    a suffix maximum over the left half and a prefix maximum over the right
+    half.  Rows are reduced in blocks of ``_ROW_BLOCK`` so that one block's
+    work arrays stay in cache.
     """
     batch, m = w.shape
     if m != 2 * n + 1:
         raise ModelError("window identity expects a grid of 2n+1 points")
-    e = np.exp(w - w.max(axis=1, keepdims=True))
-    cs = np.concatenate([np.zeros((batch, 1)), np.cumsum(e, axis=1)], axis=1)
-    sums = cs[:, n + 1 :] - cs[:, : n + 1]
-    size = n + 1
-    h1 = size // 2
-    centered = maximum_filter1d(e, size=size, axis=1, mode="nearest")
-    maxes = centered[:, h1 : h1 + n + 1]
-    return (maxes / sums).sum(axis=1)
+    rows = min(batch, _ROW_BLOCK)
+    e = np.empty((rows, m))
+    maxes = np.empty((rows, n + 1))
+    sums = np.empty((rows, n + 1))
+    out = np.empty(batch)
+    for lo in range(0, batch, rows):
+        wb = w[lo : lo + rows]
+        k = wb.shape[0]
+        eb, mb, sb = e[:k], maxes[:k], sums[:k]
+        np.subtract(wb, wb.max(axis=1, keepdims=True), out=eb)
+        np.exp(eb, out=eb)
+        np.maximum.accumulate(eb[:, n:], axis=1, out=mb)
+        np.maximum.accumulate(eb[:, n::-1], axis=1, out=sb)
+        np.maximum(mb, sb[:, ::-1], out=mb)
+        # window sums from the running sum c: c[j+n] - c[j-1], with c[-1] = 0
+        np.cumsum(eb, axis=1, out=eb)
+        sb[:, 0] = eb[:, n]
+        np.subtract(eb[:, n + 1 :], eb[:, :n], out=sb[:, 1:])
+        np.divide(mb, sb, out=mb)
+        out[lo : lo + k] = mb.sum(axis=1)
+    return out
 
 
 def window_sup_levels(
@@ -234,8 +261,9 @@ def window_sup_levels(
     out = [[np.empty(n_reps) for _ in range(refine)] for _ in s_levels]
     pos = 0
     for bidx, size in _batches(n_reps, batch_size):
-        field = sampler.sample(rng.substream(bidx).generator(), size)
-        w = math.sqrt(2.0) * field - var
+        w = sampler.sample(rng.substream(bidx).generator(), size)
+        w *= math.sqrt(2.0)
+        w -= var
         for si, n in enumerate(counts):
             center = w[:, n_max - n : n_max + n + 1]
             for lv in range(refine):

@@ -187,14 +187,23 @@ class _CirculantNoise:
         """(size, n_incr) stationary increments with the target covariance."""
         m = self.m
         half = m // 2
-        z_re = rng.standard_normal((size, half + 1))
-        z_im = rng.standard_normal((size, half - 1))
+        root_m = math.sqrt(m)
         spec = np.empty((size, half + 1), dtype=complex)
-        spec[:, 0] = z_re[:, 0] * self._sqrt_lam[0] * math.sqrt(m)
-        spec[:, half] = z_re[:, half] * self._sqrt_lam[half] * math.sqrt(m)
+        # (real, imag) float pairs of the spectrum, written in place
+        parts = spec.view(np.float64).reshape(size, half + 1, 2)
         mid = self._sqrt_lam[1:half] * math.sqrt(m / 2.0)
-        spec[:, 1:half] = (z_re[:, 1:half] + 1j * z_im) * mid
-        noise = np.fft.irfft(spec, n=m, axis=1) * math.sqrt(m)
+        z = rng.standard_normal((size, half + 1))
+        parts[:, 0, 0] = z[:, 0] * self._sqrt_lam[0] * root_m
+        parts[:, half, 0] = z[:, half] * self._sqrt_lam[half] * root_m
+        np.multiply(z[:, 1:half], mid, out=parts[:, 1:half, 0])
+        del z
+        z = rng.standard_normal((size, half - 1))
+        np.multiply(z, mid, out=parts[:, 1:half, 1])
+        del z
+        parts[:, 0, 1] = 0.0
+        parts[:, half, 1] = 0.0
+        noise = np.fft.irfft(spec, n=m, axis=1)
+        noise *= root_m
         return noise[:, : self.n_incr]
 
 
@@ -221,11 +230,12 @@ class FbmSampler:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         incr = self._noise.sample(rng, size)
-        path = np.concatenate(
-            [np.zeros((size, 1)), np.cumsum(incr, axis=1)], axis=1
-        )
+        path = np.empty((size, self.n_points))
+        path[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=path[:, 1:])
         # recenter so that the value at the origin (index n_left) is 0
-        return path - path[:, self.n_left : self.n_left + 1]
+        path -= path[:, self.n_left : self.n_left + 1].copy()
+        return path
 
     def grid_values(self) -> np.ndarray:
         return np.arange(-self.n_left, self.n_right + 1) * self.step
@@ -301,13 +311,20 @@ class LimitFieldSampler:
         ]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, *self.grid.shape))
-        for k, (comp, sampler) in enumerate(self._samplers):
-            w = sampler.sample(rng, size) * math.sqrt(comp.scale)
+        full = (size, *self.grid.shape)
+        out = None
+        for comp, sampler in self._samplers:
+            w = sampler.sample(rng, size)
+            w *= math.sqrt(comp.scale)
             shape = [size] + [1] * self.grid.dim
             shape[1 + comp.axis] = self.grid.shape[comp.axis]
-            out += w.reshape(shape)
-        return out
+            w = w.reshape(shape)
+            if out is None:
+                # the first component is assigned rather than added to zeros
+                out = w if w.shape == full else np.broadcast_to(w, full).copy()
+            else:
+                out += w
+        return np.zeros(full) if out is None else out
 
     def variance(self) -> np.ndarray:
         """Analytic Var eta on the grid, shaped grid.shape."""

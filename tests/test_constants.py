@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.ndimage import maximum_filter1d
 from scipy.stats import norm
 
 from gexr.covmodels import (
@@ -24,6 +25,7 @@ from gexr.covmodels import (
     VarianceFunction,
 )
 from gexr.constants import (
+    _window_ratio_sums,
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
     estimate_joint_constant,
@@ -148,6 +150,46 @@ def test_window_validation():
         # refinement needs step-halving divisibility
         window_sup_levels(
             LimitFieldSpec.fbm(1.0), [1.5], 0.5, 10, RngStream(1), refine=3
+        )
+
+
+def _reference_window_ratio_sums(w, n):
+    """Sliding-filter form of the window reduction: the oracle for bit identity."""
+    batch = w.shape[0]
+    e = np.exp(w - w.max(axis=1, keepdims=True))
+    cs = np.concatenate([np.zeros((batch, 1)), np.cumsum(e, axis=1)], axis=1)
+    sums = cs[:, n + 1 :] - cs[:, : n + 1]
+    h1 = (n + 1) // 2
+    centered = maximum_filter1d(e, size=n + 1, axis=1, mode="nearest")
+    maxes = centered[:, h1 : h1 + n + 1]
+    return (maxes / sums).sum(axis=1)
+
+
+def _tilted_walk(batch, n, step, seed):
+    """sqrt2 B(t) - |t| on the grid of [-n step, n step], B(0) = 0."""
+    rng = np.random.default_rng(seed)
+    b = np.cumsum(rng.standard_normal((batch, 2 * n)) * math.sqrt(step), axis=1)
+    b = np.concatenate([np.zeros((batch, 1)), b], axis=1)
+    b -= b[:, n : n + 1].copy()
+    t = np.arange(-n, n + 1) * step
+    return math.sqrt(2.0) * b - np.abs(t)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 129])
+@pytest.mark.parametrize("batch", [1, 127, 128, 129, 300])
+def test_window_ratio_sums_bit_identical_to_sliding_filter(n, batch):
+    w = _tilted_walk(batch, n, 1 / 16, seed=1000 * n + batch)
+    assert np.array_equal(_window_ratio_sums(w, n), _reference_window_ratio_sums(w, n))
+
+
+@pytest.mark.parametrize("n", [2, 32, 130])
+def test_window_ratio_sums_bit_identical_on_strided_subgrids(n):
+    # refinement levels pass every-other-point views of the central sub-grids
+    w = _tilted_walk(200, 2 * n, 1 / 64, seed=n)
+    for center, m in ((w, n), (w[:, n : 3 * n + 1], n // 2)):
+        coarse = center[:, ::2]
+        assert np.array_equal(
+            _window_ratio_sums(coarse, m), _reference_window_ratio_sums(coarse, m)
         )
 
 

@@ -120,6 +120,53 @@ def test_sampler_reproducibility():
     assert np.array_equal(x, y)
 
 
+def _reference_fbm_sample(sampler, rng, size):
+    """Complex-arithmetic spectrum and concatenated path: the bit-identity oracle."""
+    noise = sampler._noise
+    m = noise.m
+    half = m // 2
+    z_re = rng.standard_normal((size, half + 1))
+    z_im = rng.standard_normal((size, half - 1))
+    spec = np.empty((size, half + 1), dtype=complex)
+    spec[:, 0] = z_re[:, 0] * noise._sqrt_lam[0] * math.sqrt(m)
+    spec[:, half] = z_re[:, half] * noise._sqrt_lam[half] * math.sqrt(m)
+    mid = noise._sqrt_lam[1:half] * math.sqrt(m / 2.0)
+    spec[:, 1:half] = (z_re[:, 1:half] + 1j * z_im) * mid
+    incr = (np.fft.irfft(spec, n=m, axis=1) * math.sqrt(m))[:, : noise.n_incr]
+    path = np.concatenate([np.zeros((size, 1)), np.cumsum(incr, axis=1)], axis=1)
+    return path - path[:, sampler.n_left : sampler.n_left + 1]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n_right,n_left", [(1, 0), (0, 1), (4, 3), (63, 0), (512, 512)])
+def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
+    sampler = FbmSampler(alpha, 1 / 64, n_right, n_left)
+    for size in (1, 7, 300):
+        stream = RngStream(17, (size,))
+        got = sampler.sample(stream.generator(), size)
+        ref = _reference_fbm_sample(sampler, stream.generator(), size)
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_limit_field_sampler_bit_identical_to_sum_over_zeros(dim):
+    comps = tuple(
+        LimitFieldComponent(axis, 0.7, 0.0, VarianceFunction.fbm(1.0 + 0.5 * axis))
+        for axis in range(dim)
+    )
+    grid = GridSpec(((-1.0, 1.0, 17),) * dim)
+    sampler = LimitFieldSampler(LimitFieldSpec(dim=dim, components=comps), grid)
+    got = sampler.sample(RngStream(5).generator(), 40)
+    rng = RngStream(5).generator()
+    ref = np.zeros((40, *grid.shape))
+    for comp, comp_sampler in sampler._samplers:
+        w = comp_sampler.sample(rng, 40) * math.sqrt(comp.scale)
+        shape = [40] + [1] * dim
+        shape[1 + comp.axis] = grid.shape[comp.axis]
+        ref += w.reshape(shape)
+    assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # covariance oracles (fixed seed, 6/sqrt(N) max-entry band)
 
