@@ -7,9 +7,14 @@ the full replication counts.  Exits nonzero if any preset ends in an
 unexpected state (the flat-correlation counterexample is expected to fail).
 The expected-verdict check is only meaningful at full replication counts;
 under a small GEXR_BUDGET the statistical verdicts are noise.
+
+The sha256 of every CSV written is printed on a line of its own, so the
+outputs of two checkouts can be compared byte for byte with
+``diff <(... | grep sha256) <(... | grep sha256)``.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -43,6 +48,12 @@ def run(argv=None) -> int:
         print(f"{name:28s} exit={code} ({elapsed:5.1f}s) {verdict}")
         if code != expected:
             bad.append(name)
+        if os.path.isdir(out_dir):
+            for fname in sorted(os.listdir(out_dir)):
+                if fname.endswith(".csv"):
+                    with open(os.path.join(out_dir, fname), "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    print(f"{'':28s} sha256 {digest}  {name}/{fname}")
         summary_path = os.path.join(out_dir, "results.json")
         if os.path.exists(summary_path):
             with open(summary_path) as fh:

@@ -47,8 +47,6 @@ EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_FAIL_STATUSES = {"fail", "no-plateau", "diverging", "not-converged", "low-confidence"}
-
 
 def _budget() -> int | None:
     raw = os.environ.get("GEXR_BUDGET")
@@ -81,7 +79,8 @@ def _config_hash(cfg: dict) -> str:
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     def fmt(x):
         if isinstance(x, float):
-            return repr(x)
+            # repr of a numpy float spells out its type under numpy >= 2
+            return repr(float(x))
         return str(x)
 
     with open(path, "w", newline="\n") as fh:

@@ -62,10 +62,7 @@ def schedule_from_config(doc: dict) -> ExtrapolationSchedule:
         kwargs["grid_steps"] = tuple(float(s) for s in doc["gridSteps"])
     if "stopRule" in doc:
         kwargs["stop_rule"] = float(doc["stopRule"])
-    try:
-        return ExtrapolationSchedule(**kwargs)
-    except ValueError as exc:
-        raise ModelError(f"invalid schedule: {exc}")
+    return ExtrapolationSchedule(**kwargs)
 
 
 def _mode_value(raw) -> float:

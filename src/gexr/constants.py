@@ -104,9 +104,10 @@ def estimate_generalized_constant(
 ) -> Estimate:
     """E[exp(Gamma(sqrt2 eta - Var eta - h))] on the given grid.
 
-    Non-finite exponential samples are excluded from the mean and counted in
-    ``meta["overflow_count"]`` (they signal a functional without the sup
-    bound, or a grid far too coarse).
+    Non-finite exponential samples enter the mean as 0 and stay in its
+    denominator (samples [1, inf, 2, nan, 3] give 1.2); their number is
+    reported in ``meta["overflow_count"]`` (they signal a functional without
+    the sup bound, or a grid far too coarse).
     """
     pts = grid.points()
     drift = np.asarray(h(pts), dtype=float).reshape(grid.shape)

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .covmodels import ModelError
+
 __all__ = ["Estimate", "ExtrapolationSchedule", "combine_stderr", "plateau_status"]
 
 MIN_BATCHES = 30
@@ -78,11 +80,11 @@ class ExtrapolationSchedule:
 
     def __post_init__(self):
         if len(self.domain_sizes) < 3 or len(self.grid_steps) < 1:
-            raise ValueError("schedule needs >= 3 domain sizes and >= 1 grid step")
+            raise ModelError("schedule needs >= 3 domain sizes and >= 1 grid step")
         if list(self.domain_sizes) != sorted(self.domain_sizes):
-            raise ValueError("domain sizes must be increasing")
+            raise ModelError("schedule domain sizes must be increasing")
         if list(self.grid_steps) != sorted(self.grid_steps, reverse=True):
-            raise ValueError("grid steps must be decreasing")
+            raise ModelError("schedule grid steps must be decreasing")
 
     @property
     def finest_step(self) -> float:

@@ -196,7 +196,7 @@ class _CirculantNoise:
         parts[:, 0, 0] = z[:, 0] * self._sqrt_lam[0] * root_m
         parts[:, half, 0] = z[:, half] * self._sqrt_lam[half] * root_m
         np.multiply(z[:, 1:half], mid, out=parts[:, 1:half, 0])
-        del z
+        del z  # free each draw before the next full-batch allocation
         z = rng.standard_normal((size, half - 1))
         np.multiply(z, mid, out=parts[:, 1:half, 1])
         del z

@@ -68,6 +68,15 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     assert run(["tail", "--config", str(path)]) == 2
 
 
+def test_decreasing_domain_sizes_is_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PRESETS["pickands-alpha-1"][1]))
+    cfg["schedule"]["domainSizes"] = [16, 8, 4, 2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["constants", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "domain sizes must be increasing" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # output files
 
@@ -90,6 +99,24 @@ def test_tail_outputs(monkeypatch, tmp_path, capsys):
     assert len(record["configHash"]) == 16
     assert {"pHat", "stderr", "psi", "ratio", "status"} <= set(record["summary"])
     assert (out / "tail.gp").exists()
+
+
+def test_audit_csv_cells_parse_as_numbers(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    code = run(["audit", "--preset", "uniform-audit-stationary", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in csvs] == ["audit.csv", "ratios.csv"]
+    for path in csvs:
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            for col, cell in zip(columns, row.split(","), strict=True):
+                if col == "pass":  # the per-level verdict is a boolean column
+                    assert cell in ("True", "False")
+                else:
+                    float(cell)
 
 
 def test_rerun_is_byte_identical(monkeypatch, tmp_path, capsys):
