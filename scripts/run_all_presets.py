@@ -48,7 +48,7 @@ def run(argv=None) -> int:
         print(f"{name:28s} exit={code} ({elapsed:5.1f}s) {verdict}")
         if code != expected:
             bad.append(name)
-        if os.path.isdir(out_dir):
+        if code in (0, 1):  # only these exits write files
             for fname in sorted(os.listdir(out_dir)):
                 if fname.endswith(".csv"):
                     with open(os.path.join(out_dir, fname), "rb") as fh:
