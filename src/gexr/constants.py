@@ -199,8 +199,8 @@ def _window_ratio_sums(w: np.ndarray, n: int) -> np.ndarray:
     maxes = np.empty((rows, n + 1))
     sums = np.empty((rows, n + 1))
     out = np.empty(batch)
-    for lo in range(0, batch, rows):
-        wb = w[lo : lo + rows]
+    for lo in range(0, batch, _ROW_BLOCK):
+        wb = w[lo : lo + _ROW_BLOCK]
         k = wb.shape[0]
         eb, mb, sb = e[:k], maxes[:k], sums[:k]
         np.subtract(wb, wb.max(axis=1, keepdims=True), out=eb)
