@@ -21,14 +21,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import constants as constmod
 from . import doublesum as dsmod
 from . import tailprob
 from .configio import (
+    doublesum_correlation_from_config,
     drift_from_config,
     eta_from_config,
     family_from_config,
@@ -37,7 +35,7 @@ from .configio import (
 )
 from .covmodels import ModelError, variance_function_from_json
 from .functionals import FunctionalSpec, functional_from_config
-from .mc import Estimate
+from .mc import Estimate, cell_map
 from .presets import list_presets, preset_config
 from .rng import RngStream
 from .simkit import SimulationError
@@ -99,10 +97,6 @@ def _write_plot(path: str, csv_name: str, title: str, x: int, y: int) -> None:
         )
 
 
-def _status_from_trace(status: str) -> str:
-    return "pass" if status == "plateau" else status
-
-
 def _apply_target(status: str, value: float, cfg: dict) -> str:
     """Tighten a passing status with the preset's declared target check."""
     if status != "pass" or "target" not in cfg:
@@ -117,102 +111,74 @@ def _apply_target(status: str, value: float, cfg: dict) -> str:
 # (filename, header, rows, plot-title, x-col, y-col)
 
 
+def _pickands_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+    eta = eta_from_config(cfg["eta"])
+    schedule = schedule_from_config(cfg["schedule"])
+    return constmod.estimate_pickands(eta, schedule, reps, rng)
+
+
+def _piterbarg_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+    eta = eta_from_config(cfg["eta"])
+    drift = drift_from_config(cfg.get("drift"))
+    schedule = schedule_from_config(cfg["schedule"])
+    return constmod.estimate_piterbarg(
+        eta, drift, schedule, reps, rng, domain=cfg.get("domain", "right")
+    )
+
+
+def _sup_inf_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+    vf = variance_function_from_json(cfg["varianceFunction"])
+    schedule = schedule_from_config(cfg["tSchedule"])
+    b, S, step = float(cfg["b"]), float(cfg["S"]), float(cfg["gridStep"])
+    return constmod.estimate_generalized_piterbarg(vf, b, S, schedule, step, reps, rng)
+
+
+def _generalized_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+    eta = eta_from_config(cfg["eta"])
+    drift = drift_from_config(cfg.get("drift"))
+    gamma = functional_from_config(cfg.get("functional", "sup"))
+    grid = grid_from_config(cfg["grid"], point_budget=_budget())
+    est = constmod.estimate_generalized_constant(eta, drift, gamma, grid, reps, rng)
+    return constmod.LevelTrace((est,), est, "plateau")
+
+
+# estimator -> (trace builder, meta keys of the level and step columns, plot
+# title); a single estimate leaves both columns blank
+_CONSTANTS = {
+    "pickands": (_pickands_trace, ("domain", "step"), "domain-growth trace"),
+    "piterbarg": (_piterbarg_trace, ("domain", "step"), "domain-growth trace"),
+    "generalized-piterbarg": (
+        _sup_inf_trace, ("horizon", "step"), "horizon-growth trace"
+    ),
+    "generalized": (_generalized_trace, (None, None), "constant estimate"),
+}
+
+
 def run_constants(cfg: dict, seed: int, workers: int):
+    """Run one constants estimator; any overflowed sample fails the run."""
     estimator = cfg.get("estimator")
     reps = _reps(cfg)
-    rng = RngStream(seed)
-    if estimator == "pickands":
-        eta = eta_from_config(cfg["eta"])
-        schedule = schedule_from_config(cfg["schedule"])
-        trace = constmod.estimate_pickands(eta, schedule, reps, rng)
-        rows = [
-            [e.meta.get("domain", ""), e.meta.get("step", ""), e.value, e.stderr, e.n_reps]
-            for e in trace.levels
-        ]
-        status = _apply_target(
-            _status_from_trace(trace.status), trace.estimate.value, cfg
-        )
-        summary = {
-            "estimate": trace.estimate.value,
-            "stderr": trace.estimate.stderr,
-            "status": status,
-        }
-        return status, summary, [
-            ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows,
-             "domain-growth trace", 1, 3)
-        ]
-    if estimator == "piterbarg":
-        eta = eta_from_config(cfg["eta"])
-        drift = drift_from_config(cfg.get("drift"))
-        schedule = schedule_from_config(cfg["schedule"])
-        trace = constmod.estimate_piterbarg(
-            eta, drift, schedule, reps, rng, domain=cfg.get("domain", "right")
-        )
-        rows = [
-            [e.meta.get("domain", ""), "", e.value, e.stderr, e.n_reps]
-            for e in trace.levels
-        ]
-        status = _apply_target(
-            _status_from_trace(trace.status), trace.estimate.value, cfg
-        )
-        summary = {
-            "estimate": trace.estimate.value,
-            "stderr": trace.estimate.stderr,
-            "status": status,
-        }
-        if "drift_warning" in trace.estimate.meta:
-            summary["warning"] = trace.estimate.meta["drift_warning"]
-        return status, summary, [
-            ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows,
-             "domain-growth trace", 1, 3)
-        ]
-    if estimator == "generalized-piterbarg":
-        vf = variance_function_from_json(cfg["varianceFunction"])
-        schedule = schedule_from_config(cfg["tSchedule"])
-        trace = constmod.estimate_generalized_piterbarg(
-            vf,
-            float(cfg["b"]),
-            float(cfg["S"]),
-            schedule,
-            float(cfg["gridStep"]),
-            reps,
-            rng,
-        )
-        rows = [
-            [e.meta.get("horizon", ""), e.meta.get("step", ""), e.value, e.stderr, e.n_reps]
-            for e in trace.levels
-        ]
-        status = _apply_target(
-            _status_from_trace(trace.status), trace.estimate.value, cfg
-        )
-        summary = {
-            "estimate": trace.estimate.value,
-            "stderr": trace.estimate.stderr,
-            "status": status,
-        }
-        return status, summary, [
-            ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows,
-             "horizon-growth trace", 1, 3)
-        ]
-    if estimator == "generalized":
-        eta = eta_from_config(cfg["eta"])
-        drift = drift_from_config(cfg.get("drift"))
-        gamma = functional_from_config(cfg.get("functional", "sup"))
-        grid = grid_from_config(cfg["grid"], point_budget=_budget())
-        est = constmod.estimate_generalized_constant(
-            eta, drift, gamma, grid, reps, rng
-        )
-        status = "fail" if est.meta.get("overflow_count") else "pass"
-        status = _apply_target(status, est.value, cfg)
-        summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
-        if est.meta.get("overflow_count"):
-            summary["overflowCount"] = est.meta["overflow_count"]
-        rows = [["", "", est.value, est.stderr, est.n_reps]]
-        return status, summary, [
-            ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows,
-             "constant estimate", 1, 3)
-        ]
-    raise ModelError(f"unknown constants estimator {estimator!r}")
+    if estimator not in _CONSTANTS:
+        raise ModelError(f"unknown constants estimator {estimator!r}")
+    build, keys, title = _CONSTANTS[estimator]
+    trace = build(cfg, reps, RngStream(seed))
+    est = trace.estimate
+    status = "pass" if trace.status == "plateau" else trace.status
+    status = _apply_target(status, est.value, cfg)
+    summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
+    if "drift_warning" in est.meta:
+        summary["warning"] = est.meta["drift_warning"]
+    overflow = max(e.meta.get("overflow_count", 0) for e in (*trace.levels, est))
+    if overflow:
+        status = summary["status"] = "fail"
+        summary["overflowCount"] = overflow
+    rows = [
+        [*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
+        for e in trace.levels
+    ]
+    return status, summary, [
+        ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows, title, 1, 3)
+    ]
 
 
 def run_tail(cfg: dict, seed: int, workers: int):
@@ -305,26 +271,8 @@ def run_audit(cfg: dict, seed: int, workers: int):
     ]
 
 
-def _doublesum_model(doc: dict):
-    kind = doc.get("kind")
-    if kind == "gaussian":
-        def corr(u, s, t):
-            d2 = ((np.atleast_2d(s)[:, None, :] - np.atleast_2d(t)[None, :, :]) ** 2).sum(-1)
-            return np.exp(-d2)
-        return corr
-    if kind == "flat":
-        rho = float(doc.get("rho", 0.9))
-        if not 0 <= rho < 1:
-            raise ModelError("flat correlation level must lie in [0, 1)")
-        def corr(u, s, t):
-            d2 = ((np.atleast_2d(s)[:, None, :] - np.atleast_2d(t)[None, :, :]) ** 2).sum(-1)
-            return np.where(d2 < 1e-24, 1.0, rho)
-        return corr
-    raise ModelError(f"unknown doublesum model {kind!r}")
-
-
 def run_doublesum(cfg: dict, seed: int, workers: int):
-    corr = _doublesum_model(cfg["model"])
+    corr = doublesum_correlation_from_config(cfg["model"])
     c1, beta = float(cfg["c1"]), float(cfg["beta"])
     ppu = int(cfg.get("pointsPerUnit", 4))
     reps = _reps(cfg)
@@ -353,11 +301,7 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
         c, u = configs[i]
         return dsmod.estimate_double_maxima(c, u, ppa[i], reps, rng.substream(i))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(_one, range(len(configs))))
-    else:
-        estimates = [_one(i) for i in range(len(configs))]
+    estimates = cell_map(_one, range(len(configs)), workers)
     report = dsmod.fit_bound_constant(configs, estimates)
     status = "pass" if report.passed else "fail"
     rows = [

@@ -1,5 +1,7 @@
 """JSON configuration parsing for models, grids, schedules, and families.
 
+It also holds the correlation models of the double-maxima runner.
+
 Every builder takes a plain dict (already json-decoded) and returns the
 corresponding model object, raising :class:`ModelError` on anything
 malformed.  The shapes accepted here are the published config schema of the
@@ -30,6 +32,7 @@ __all__ = [
     "eta_from_config",
     "drift_from_config",
     "family_from_config",
+    "doublesum_correlation_from_config",
 ]
 
 
@@ -122,10 +125,15 @@ def drift_from_config(doc: dict | None) -> DriftFunction:
 # threshold-dependent families
 
 
-def _pairwise_dist(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _sq_dist(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(N, M) squared Euclidean distances between point arrays s and t."""
     s = np.atleast_2d(np.asarray(s, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    return np.sqrt(((s[:, None, :] - t[None, :, :]) ** 2).sum(axis=-1))
+    return ((s[:, None, :] - t[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _pairwise_dist(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq_dist(s, t))
 
 
 def _stationary_family(doc: dict) -> ThresholdedFamilySpec:
@@ -268,3 +276,21 @@ def family_from_config(doc: dict) -> ThresholdedFamilySpec:
     if builder is None:
         raise ModelError(f"unknown family kind {kind!r}")
     return builder(doc)
+
+
+def doublesum_correlation_from_config(doc: dict):
+    """{"kind": "gaussian"} or {"kind": "flat", "rho": 0.9}.
+
+    Returns ``correlation(u, s, t)`` of a double-maxima configuration: the
+    Gaussian kernel exp(-|s - t|^2), or the flat model, 1 at zero distance
+    and rho elsewhere (a correlation that never decays with separation).
+    """
+    kind = doc.get("kind")
+    if kind == "gaussian":
+        return lambda u, s, t: np.exp(-_sq_dist(s, t))
+    if kind == "flat":
+        rho = float(doc.get("rho", 0.9))
+        if not 0 <= rho < 1:
+            raise ModelError("flat correlation level must lie in [0, 1)")
+        return lambda u, s, t: np.where(_sq_dist(s, t) < 1e-24, 1.0, rho)
+    raise ModelError(f"unknown doublesum model {kind!r}")

@@ -35,7 +35,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFunction
 from .functionals import FunctionalSpec, apply_functional
-from .mc import Estimate, ExtrapolationSchedule, plateau_status
+from .mc import Estimate, ExtrapolationSchedule, batches, plateau_status
 from .rng import RngStream
 from .simkit import GridSpec, LimitFieldSampler, StatIncrSampler
 
@@ -49,7 +49,8 @@ __all__ = [
     "LevelTrace",
 ]
 
-DEFAULT_BATCH = 2000
+# replications per batch; batch b draws from substream b, so this fixes the draws
+BATCH_SIZE = 2000
 
 # rows per block of the window reduction: one block's arrays stay in cache
 _ROW_BLOCK = 128
@@ -68,28 +69,13 @@ class LevelTrace:
         return self.estimate.value
 
 
-def _batches(n_reps: int, batch_size: int):
-    done = 0
-    idx = 0
-    while done < n_reps:
-        size = min(batch_size, n_reps - done)
-        yield idx, size
-        done += size
-        idx += 1
-
-
 def local_step_exponent(eta: LimitFieldSpec) -> float:
     """Rate exponent for grid-bias extrapolation: step**(min alpha0 / 2)."""
     exps = []
     for c in eta.components:
         if c.scale <= 0:
             continue
-        if c.mode == 0.0:
-            exps.append(c.base.alpha0)
-        elif math.isinf(c.mode):
-            exps.append(c.base.alpha_inf)
-        else:
-            exps.append(c.base.alpha0)
+        exps.append(c.base.alpha_inf if math.isinf(c.mode) else c.base.alpha0)
     return (min(exps) if exps else 2.0) / 2.0
 
 
@@ -100,34 +86,16 @@ def estimate_generalized_constant(
     grid: GridSpec,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
 ) -> Estimate:
     """E[exp(Gamma(sqrt2 eta - Var eta - h))] on the given grid.
 
-    Non-finite exponential samples enter the mean as 0 and stay in its
-    denominator (samples [1, inf, 2, nan, 3] give 1.2); their number is
-    reported in ``meta["overflow_count"]`` (they signal a functional without
-    the sup bound, or a grid far too coarse).
+    The one-functional case of :func:`estimate_joint_constant`.  Non-finite
+    exponential samples enter the mean as 0 and stay in its denominator
+    (samples [1, inf, 2, nan, 3] give 1.2); their number is reported in
+    ``meta["overflow_count"]`` (they signal a functional without the sup
+    bound, or a grid far too coarse).
     """
-    pts = grid.points()
-    drift = np.asarray(h(pts), dtype=float).reshape(grid.shape)
-    if eta.degenerate:
-        value = float(np.exp(apply_functional(gamma, -drift)))
-        return Estimate(value, 0.0, n_reps, {"exact": True})
-    sampler = LimitFieldSampler(eta, grid)
-    var = sampler.variance()
-    samples = np.empty(n_reps)
-    pos = 0
-    for bidx, size in _batches(n_reps, batch_size):
-        w = sampler.sample(rng.substream(bidx).generator(), size)
-        w *= math.sqrt(2.0)
-        w -= var
-        w -= drift
-        samples[pos : pos + size] = np.exp(apply_functional(gamma, w, grid_ndim=grid.dim))
-        pos += size
-    return Estimate.from_samples(
-        samples, meta={"grid_steps": grid.steps, "domain": grid.per_axis}
-    )
+    return estimate_joint_constant(eta, h, [gamma], grid, n_reps, rng)
 
 
 def estimate_joint_constant(
@@ -137,39 +105,32 @@ def estimate_joint_constant(
     grid: GridSpec,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
 ) -> Estimate:
     """Joint-functional constant: E[exp(min_i Gamma_i(sqrt2 eta - Var eta - h))].
 
     The min arises from integrating e^w against the all-functionals-exceed
-    indicator: int e^w 1{min_i Gamma_i > w} dw = exp(min_i Gamma_i).
-    Reduces exactly to ``estimate_generalized_constant`` for one functional.
+    indicator: int e^w 1{min_i Gamma_i > w} dw = exp(min_i Gamma_i).  For
+    one functional this is the generalized constant.  Non-finite samples
+    are counted as in :func:`estimate_generalized_constant`.
     """
-    if len(gammas) == 1:
-        return estimate_generalized_constant(
-            eta, h, gammas[0], grid, n_reps, rng, batch_size
-        )
     pts = grid.points()
     drift = np.asarray(h(pts), dtype=float).reshape(grid.shape)
     if eta.degenerate:
-        w = -drift
-        value = float(np.exp(min(apply_functional(g, w) for g in gammas)))
+        value = float(np.exp(min(apply_functional(g, -drift) for g in gammas)))
         return Estimate(value, 0.0, n_reps, {"exact": True})
     sampler = LimitFieldSampler(eta, grid)
     var = sampler.variance()
     samples = np.empty(n_reps)
-    pos = 0
-    for bidx, size in _batches(n_reps, batch_size):
-        w = sampler.sample(rng.substream(bidx).generator(), size)
+    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+        w = sampler.sample(gen, hi - lo)
         w *= math.sqrt(2.0)
         w -= var
         w -= drift
-        vals = np.stack(
-            [apply_functional(g, w, grid_ndim=grid.dim) for g in gammas]
-        ).min(axis=0)
-        samples[pos : pos + size] = np.exp(vals)
-        pos += size
-    return Estimate.from_samples(samples)
+        vals = np.stack([apply_functional(g, w, grid_ndim=grid.dim) for g in gammas])
+        samples[lo:hi] = np.exp(vals.min(axis=0))
+    return Estimate.from_samples(
+        samples, meta={"grid_steps": grid.steps, "domain": grid.per_axis}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +141,13 @@ def _window_ratio_sums(w: np.ndarray, n: int) -> np.ndarray:
     """Per-sample sum over j of max(e^w) / sum(e^w) over windows [j, j+n].
 
     ``w`` has shape (batch, 2n+1); window j covers indices [j, j+n],
-    j = 0..n.  Every window contains the center index n, where w = 0 by
-    construction, so normalizing by the row maximum cannot produce empty
-    (all-underflow) windows.  The same fact gives the window maxima in two
-    running passes:
+    j = 0..n.  Rows are normalized by their maximum before the exp.  Every
+    window contains the center index n, where w = 0 by construction, but
+    that does not keep windows from emptying: once a row's maximum exceeds
+    w[n] by about 745, e[n] underflows to 0, and a window whose entries all
+    underflow gives 0/0 = NaN (counted as an overflow by
+    ``Estimate.from_samples``).  The center index gives the window maxima in
+    two running passes:
 
         max e[j..j+n] = max(max e[j..n], max e[n..j+n]),
 
@@ -223,7 +187,6 @@ def window_sup_levels(
     step: float,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
     refine: int = 1,
 ) -> list[list[np.ndarray]]:
     """Unbiased samples of the grid sup-constant of eta over [0, S], per S.
@@ -260,19 +223,16 @@ def window_sup_levels(
     sampler = LimitFieldSampler(eta, grid)
     var = eta.variance(grid.axis_values(0))
     out = [[np.empty(n_reps) for _ in range(refine)] for _ in s_levels]
-    pos = 0
-    for bidx, size in _batches(n_reps, batch_size):
-        w = sampler.sample(rng.substream(bidx).generator(), size)
+    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+        w = sampler.sample(gen, hi - lo)
         w *= math.sqrt(2.0)
         w -= var
         for si, n in enumerate(counts):
             center = w[:, n_max - n : n_max + n + 1]
             for lv in range(refine):
                 stride = 2**lv
-                out[si][lv][pos : pos + size] = _window_ratio_sums(
-                    center[:, ::stride], n // stride
-                )
-        pos += size
+                sub = center[:, ::stride]
+                out[si][lv][lo:hi] = _window_ratio_sums(sub, n // stride)
     return out
 
 
@@ -282,11 +242,10 @@ def window_sup_constant(
     step: float,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
     refine: int = 1,
 ) -> list[np.ndarray]:
     """Single-domain convenience wrapper around :func:`window_sup_levels`."""
-    return window_sup_levels(eta, [S], step, n_reps, rng, batch_size, refine)[0]
+    return window_sup_levels(eta, [S], step, n_reps, rng, refine)[0]
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray, step: float, exponent: float):
@@ -302,7 +261,6 @@ def estimate_pickands(
     n_reps: int,
     rng: RngStream,
     gamma: FunctionalSpec | None = None,
-    batch_size: int = DEFAULT_BATCH,
 ) -> LevelTrace:
     """Long-run sup constant per unit length of a 1-D limit field.
 
@@ -323,9 +281,7 @@ def estimate_pickands(
     exponent = local_step_exponent(eta)
     step = schedule.finest_step
     refine = 2 if len(schedule.grid_steps) >= 2 else 1
-    levels = window_sup_levels(
-        eta, schedule.domain_sizes, step, n_reps, rng, batch_size, refine=refine
-    )
+    levels = window_sup_levels(eta, schedule.domain_sizes, step, n_reps, rng, refine)
     per_domain: list[Estimate] = []
     extrapolated: list[np.ndarray] = []
     for S, sams in zip(schedule.domain_sizes, levels):
@@ -361,7 +317,6 @@ def estimate_piterbarg(
     n_reps: int,
     rng: RngStream,
     domain: str = "right",
-    batch_size: int = DEFAULT_BATCH,
 ) -> LevelTrace:
     """Growing-domain sup constant with drift h, without length normalization.
 
@@ -382,7 +337,7 @@ def estimate_piterbarg(
             else GridSpec.line(-S, S, 2 * n + 1)
         )
         est = estimate_generalized_constant(
-            eta, h, gamma, grid, n_reps, rng.substream(li), batch_size
+            eta, h, gamma, grid, n_reps, rng.substream(li)
         )
         levels.append(Estimate(est.value, est.stderr, est.n_reps, {**est.meta, "domain": S}))
     status = plateau_status(levels, schedule.stop_rule)
@@ -404,7 +359,6 @@ def estimate_generalized_piterbarg(
     grid_step: float,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH,
 ) -> LevelTrace:
     """Sup-inf constant of a stationary-increment process, horizon-extrapolated.
 
@@ -431,9 +385,8 @@ def estimate_generalized_piterbarg(
     win = n_s + 1
     h1 = win // 2
     per_level = [np.empty(n_reps) for _ in t_indices]
-    pos = 0
-    for bidx, size in _batches(n_reps, batch_size):
-        x = sampler.sample(rng.substream(bidx).generator(), size)
+    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+        x = sampler.sample(gen, hi - lo)
         y = math.sqrt(2.0) * x - penalty
         if win > 1:
             # inf over s in [0, S] of y(t - s) = min of y over [t - S, t];
@@ -444,8 +397,7 @@ def estimate_generalized_piterbarg(
             infs = y[:, n_s:]
         run = np.maximum.accumulate(infs, axis=1)
         for k, ti in enumerate(t_indices):
-            per_level[k][pos : pos + size] = np.exp(run[:, ti])
-        pos += size
+            per_level[k][lo:hi] = np.exp(run[:, ti])
     levels = [
         Estimate.from_samples(sam, meta={"horizon": T, "step": grid_step})
         for sam, T in zip(per_level, t_schedule.domain_sizes)

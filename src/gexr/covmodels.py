@@ -298,7 +298,6 @@ class ThresholdedFamilySpec:
     threshold: Callable[[float, float], float]
     index_grid: Callable[[float], Sequence[float]] = field(default=lambda u: (0.0,))
     drift: DriftFunction | None = None
-    structure: Callable[[float, float, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def corr_matrix(self, u: float, tau: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

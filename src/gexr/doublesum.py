@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .covmodels import ModelError
-from .mc import Estimate
+from .mc import Estimate, batches
 from .rng import RngStream
 from .simkit import _chol_psd
 from .tailprob import survival_psi
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 JOINT_POINT_BUDGET = 1 << 12
+# replications per batch; batch b draws from substream b, so this fixes the draws
+BATCH_SIZE = 4000
 
 Box = Sequence[tuple[float, float]]
 
@@ -133,7 +134,6 @@ def estimate_double_maxima(
     points_per_axis: int,
     n_reps: int,
     rng: RngStream,
-    batch_size: int = 4000,
 ) -> Estimate:
     """Binomial MC of the joint exceedance over both boxes.
 
@@ -155,30 +155,12 @@ def estimate_double_maxima(
     L = _chol_psd(cov)
     m1, m2 = float(cfg.m1_fn(u)), float(cfg.m2_fn(u))
     hits = 0
-    done, bidx = 0, 0
-    while done < n_reps:
-        size = min(batch_size, n_reps - done)
-        gen = rng.substream(bidx).generator()
-        z = gen.standard_normal((size, len(pts))) @ L.T
+    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+        z = gen.standard_normal((hi - lo, len(pts))) @ L.T
         joint = (z[:, :n_a].max(axis=1) > m1) & (z[:, n_a:].max(axis=1) > m2)
         hits += int(np.count_nonzero(joint))
-        done += size
-        bidx += 1
-    p = hits / n_reps
-    stderr = math.sqrt(max(p * (1 - p), 0.0) / n_reps)
-    hi = 1.0 if hits == n_reps else float(stats.beta.ppf(0.975, hits + 1, n_reps - hits))
-    lo = 0.0 if hits == 0 else float(stats.beta.ppf(0.025, hits, n_reps - hits + 1))
-    return Estimate(
-        p,
-        stderr,
-        n_reps,
-        {
-            "hits": hits,
-            "ci_exact": (lo, hi),
-            "separation": separation(box_a, box_b),
-            "thresholds": (m1, m2),
-        },
-    )
+    meta = {"separation": separation(box_a, box_b), "thresholds": (m1, m2)}
+    return Estimate.binomial(hits, n_reps, meta)
 
 
 def eval_double_bound(cfg: DoubleMaximaConfig, u: float, c: float = 1.0) -> float:

@@ -1,8 +1,9 @@
-"""Monte Carlo bookkeeping: estimates, batch-means errors, extrapolation.
+"""Monte Carlo bookkeeping: batches, estimates, extrapolation, cell maps.
 
+``batches`` is the one batch loop: batch b draws from substream b.
 ``Estimate`` is the universal return type of the estimators: a point value
-with a batch-means standard error, replication count and 95% confidence
-interval.  ``ExtrapolationSchedule`` drives the domain-growth /
+with a batch-means or binomial standard error, replication count and 95%
+confidence interval.  ``ExtrapolationSchedule`` drives the domain-growth /
 grid-refinement limits; a plateau is declared when consecutive level
 estimates agree within max(relative stop rule, twice the combined stderr).
 """
@@ -10,16 +11,48 @@ estimates agree within max(relative stop rule, twice the combined stderr).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import stats
 
 from .covmodels import ModelError
+from .rng import RngStream
 
-__all__ = ["Estimate", "ExtrapolationSchedule", "combine_stderr", "plateau_status"]
+__all__ = [
+    "Estimate",
+    "ExtrapolationSchedule",
+    "batches",
+    "cell_map",
+    "combine_stderr",
+    "plateau_status",
+]
 
 MIN_BATCHES = 30
+
+
+def batches(rng: RngStream, n_reps: int, batch_size: int) -> Iterator[tuple]:
+    """Yield (generator, lo, hi) for replications [lo, hi) in batches.
+
+    Batch b draws from ``rng.substream(b)``, so the batch size fixes which
+    draws each replication sees: changing it changes the results.
+    """
+    for b, lo in enumerate(range(0, n_reps, batch_size)):
+        yield rng.substream(b).generator(), lo, min(lo + batch_size, n_reps)
+
+
+def cell_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, on a pool of ``workers`` threads if > 1.
+
+    Results keep the order of ``items``; cells that draw only from their own
+    substreams give the same list for every worker count.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -56,13 +89,19 @@ class Estimate:
             meta["overflow_count"] = n_bad
         return Estimate(mean, stderr, n, meta)
 
-    def scaled(self, factor: float, **extra_meta) -> "Estimate":
-        return Estimate(
-            self.value * factor,
-            abs(factor) * self.stderr,
-            self.n_reps,
-            {**self.meta, **extra_meta},
-        )
+    @staticmethod
+    def binomial(hits: int, n: int, meta: dict | None = None) -> "Estimate":
+        """Proportion hits / n with its binomial standard error.
+
+        meta gains the hit count and the exact 95% Clopper-Pearson interval
+        ``ci_exact`` (lo = 0 at no hits, hi = 1 when every trial hits).
+        """
+        p = hits / n
+        stderr = math.sqrt(max(p * (1 - p), 0.0) / n)
+        lo = 0.0 if hits == 0 else float(stats.beta.ppf(0.025, hits, n - hits + 1))
+        hi = 1.0 if hits == n else float(stats.beta.ppf(0.975, hits + 1, n - hits))
+        meta = {"hits": hits, "ci_exact": (lo, hi), **(meta or {})}
+        return Estimate(p, stderr, n, meta)
 
 
 def combine_stderr(*estimates: Estimate) -> float:

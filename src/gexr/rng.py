@@ -1,9 +1,10 @@
 """Reproducible splittable random number streams.
 
 Every Monte Carlo routine in this package takes an :class:`RngStream` and
-derives per-replication / per-component substreams from it, so results are
-bit-reproducible for a fixed root seed and independent of how replications
-are batched or distributed over workers.
+derives per-batch / per-cell substreams from it, so results are
+bit-reproducible for a fixed root seed and do not depend on how cells are
+distributed over workers.  They do depend on the batch size, which is why
+it is a module constant of each estimator: batch b draws from substream b.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from gexr.configio import family_from_config
+from gexr.configio import doublesum_correlation_from_config, family_from_config
 from gexr.constants import (
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
@@ -239,7 +239,7 @@ def test_criterion_5_sup_inf_constant_plateau(capsys):
 
 def _doublesum_run(preset_name: str):
     cfg = preset_config(preset_name)
-    corr = cli._doublesum_model(cfg["model"])
+    corr = doublesum_correlation_from_config(cfg["model"])
     configs = []
     for s2 in cfg["boxScales"]:
         for u in cfg["uLevels"]:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from gexr import constants as constmod
 from gexr.cli import main
+from gexr.mc import Estimate
 from gexr.presets import PRESETS
 
 SMOKE_BUDGET = "600"  # caps reps and grid sizes; large enough for every preset
@@ -66,6 +68,14 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert run(["tail", "--config", str(path)]) == 2
+
+
+def test_unknown_constants_estimator_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    cfg = {"kind": "constants", "estimator": "nope", "seed": 1, "reps": 10}
+    path.write_text(json.dumps(cfg))
+    assert run(["constants", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown constants estimator" in capsys.readouterr().err
 
 
 def test_decreasing_domain_sizes_is_config_error(tmp_path, capsys):
@@ -140,6 +150,64 @@ def test_audit_worker_count_invariance(monkeypatch, tmp_path, capsys):
     assert code_a == code_b
     assert (a / "ratios.csv").read_bytes() == (b / "ratios.csv").read_bytes()
     assert (a / "audit.csv").read_bytes() == (b / "audit.csv").read_bytes()
+
+
+def test_doublesum_worker_count_invariance(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    a, b = tmp_path / "w1", tmp_path / "w2"
+    code_a = run(["doublesum", "--preset", "doublesum-flat", "--out", str(a)])
+    code_b = run(
+        ["doublesum", "--preset", "doublesum-flat", "--workers", "2", "--out", str(b)]
+    )
+    assert code_a == code_b
+    assert (a / "doublesum.csv").read_bytes() == (b / "doublesum.csv").read_bytes()
+
+
+def test_generalized_constant_writes_one_level_row(tmp_path, capsys):
+    cfg = {
+        "kind": "constants",
+        "estimator": "generalized",
+        "seed": 5,
+        "reps": 300,
+        "eta": {"fbm": 1.0},
+        "drift": {"kind": "power", "coeff": 1.0, "exponent": 1.0},
+        "grid": {"perAxis": [[0.0, 1.0, 17]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["constants", "--config", str(path), "--out", str(out)]) == 0
+    header, *rows = (out / "levels.csv").read_text().splitlines()
+    assert header == "level,step,value,stderr,nReps"
+    assert len(rows) == 1
+    level, step, value, stderr, n_reps = rows[0].split(",")
+    assert level == "" and step == ""
+    assert float(value) > 1.0 and float(stderr) > 0.0 and n_reps == "300"
+    summary = json.loads((out / "results.json").read_text())["summary"]
+    assert summary["status"] == "pass" and "overflowCount" not in summary
+
+
+@pytest.mark.parametrize("overflow", [0, 3])
+def test_overflowed_level_fails_the_run(overflow, monkeypatch, tmp_path, capsys):
+    def fake_pickands(eta, schedule, n_reps, rng):
+        levels = [
+            Estimate(1.0 + S, 0.01, n_reps, {"domain": S})
+            for S in schedule.domain_sizes
+        ]
+        if overflow:
+            levels[1].meta["overflow_count"] = overflow
+        headline = Estimate(1.0, 0.001, n_reps)
+        return constmod.LevelTrace(tuple(levels), headline, "plateau")
+
+    monkeypatch.setattr(constmod, "estimate_pickands", fake_pickands)
+    code = run(["constants", "--preset", "pickands-alpha-1", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "results.json").read_text())["summary"]
+    if overflow:
+        assert code == 1 and summary["status"] == "fail"
+        assert summary["overflowCount"] == overflow
+    else:  # the same trace without the overflow meets the preset's target
+        assert code == 0 and summary["status"] == "pass"
+        assert "overflowCount" not in summary
 
 
 def test_seed_flag_overrides_config(monkeypatch, tmp_path, capsys):

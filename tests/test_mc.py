@@ -5,7 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from gexr.mc import Estimate, ExtrapolationSchedule, combine_stderr, plateau_status
+from scipy import stats
+
+from gexr.mc import (
+    Estimate,
+    ExtrapolationSchedule,
+    batches,
+    cell_map,
+    combine_stderr,
+    plateau_status,
+)
+from gexr.rng import RngStream
 
 
 def test_from_samples_mean_and_ci():
@@ -40,11 +50,53 @@ def test_overflow_samples_excluded_and_counted():
     assert est.value == pytest.approx(1.2)  # counted as 0, kept in the denominator
 
 
-def test_scaled():
-    est = Estimate(2.0, 0.5, 10, {"a": 1})
-    out = est.scaled(-3.0, b=2)
-    assert out.value == -6.0 and out.stderr == 1.5
-    assert out.meta == {"a": 1, "b": 2}
+def test_batches_split_and_substreams():
+    rng = RngStream(17)
+    got = list(batches(rng, 4500, 2000))
+    assert [(lo, hi) for _, lo, hi in got] == [(0, 2000), (2000, 4000), (4000, 4500)]
+    for b, (gen, lo, hi) in enumerate(got):
+        expected = rng.substream(b).generator().standard_normal(hi - lo)
+        assert np.array_equal(gen.standard_normal(hi - lo), expected)
+    assert list(batches(rng, 0, 2000)) == []
+
+
+def test_binomial_no_hits():
+    est = Estimate.binomial(0, 400, {"g": 3.0})
+    assert est.value == 0.0 and est.stderr == 0.0 and est.n_reps == 400
+    lo, hi = est.meta["ci_exact"]
+    assert lo == 0.0
+    assert hi == pytest.approx(1 - 0.025 ** (1 / 400))  # closed form at 0 hits
+    assert est.meta["hits"] == 0 and est.meta["g"] == 3.0
+
+
+def test_binomial_all_hits():
+    est = Estimate.binomial(50, 50)
+    assert est.value == 1.0 and est.stderr == 0.0
+    lo, hi = est.meta["ci_exact"]
+    assert hi == 1.0
+    assert lo == pytest.approx(0.025 ** (1 / 50))
+
+
+def test_binomial_middle_count_matches_beta_quantiles():
+    hits, n = 37, 1000
+    est = Estimate.binomial(hits, n)
+    assert est.value == hits / n
+    assert est.stderr == pytest.approx(math.sqrt(0.037 * 0.963 / n))
+    lo, hi = est.meta["ci_exact"]
+    assert lo == stats.beta.ppf(0.025, hits, n - hits + 1)
+    assert hi == stats.beta.ppf(0.975, hits + 1, n - hits)
+    assert lo < est.value < hi
+
+
+def test_cell_map_order_independent_of_workers():
+    rng = RngStream(23)
+
+    def cell(i):
+        return float(rng.substream(i).generator().standard_normal(50).sum())
+
+    serial = cell_map(cell, range(12), 1)
+    assert serial == [cell(i) for i in range(12)]
+    assert cell_map(cell, range(12), 3) == serial
 
 
 def test_combine_stderr():

@@ -1,0 +1,35 @@
+"""The benchmark's tracing wrappers still find every entry point they wrap.
+
+``bench/tracing.py`` replaces named functions of gexr's modules with timed
+wrappers.  A rename in gexr would break the traced benchmark run; this test
+makes it break the test suite instead.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from gexr.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_traced_tail_run_records_its_spans(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setenv("GEXR_BUDGET", "300")
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    try:
+        code = main(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path)])
+    finally:
+        restore()
+    assert code == 0
+    names = {span[0] for span in rec.spans}
+    assert {"cli.config", "tailprob.conditional", "mc.estimate", "rng.normal"} <= names
+    assert rec.counts["tailprob.cells"] == 1 and rec.counts["rng.generators"] >= 1
+    # the originals are back: a second run records nothing
+    rec.reset()
+    main(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path / "again")])
+    assert rec.spans == []
