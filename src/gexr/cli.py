@@ -9,7 +9,8 @@ run writes a CSV of per-level/per-cell rows, a results.json summary (with a
 config hash covering all numeric inputs), and a gnuplot script referencing
 the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error,
 3 numerical/model rejection.  The environment variable GEXR_BUDGET caps
-replication counts and grid sizes for smoke runs.
+replication counts for smoke runs.  Any overflowed (non-finite) sample of a
+Monte Carlo estimate fails the run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import constants as constmod
 from . import doublesum as dsmod
@@ -97,6 +100,23 @@ def _write_plot(path: str, csv_name: str, title: str, x: int, y: int) -> None:
         )
 
 
+def _overflow(est: Estimate) -> int:
+    return est.meta.get("overflow_count", 0)
+
+
+def _fail_on_overflow(status: str, summary: dict, counts) -> str:
+    """The one overflow rule: any overflowed sample fails the run (exit 1).
+
+    ``counts`` are the overflow counts of the run's Monte Carlo estimates;
+    ``summary["overflowCount"]`` reports the largest.
+    """
+    overflow = max(counts)
+    if overflow:
+        status = summary["status"] = "fail"
+        summary["overflowCount"] = overflow
+    return status
+
+
 def _apply_target(status: str, value: float, cfg: dict) -> str:
     """Tighten a passing status with the preset's declared target check."""
     if status != "pass" or "target" not in cfg:
@@ -137,7 +157,7 @@ def _generalized_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTr
     eta = eta_from_config(cfg["eta"])
     drift = drift_from_config(cfg.get("drift"))
     gamma = functional_from_config(cfg.get("functional", "sup"))
-    grid = grid_from_config(cfg["grid"], point_budget=_budget())
+    grid = grid_from_config(cfg["grid"])
     est = constmod.estimate_generalized_constant(eta, drift, gamma, grid, reps, rng)
     return constmod.LevelTrace((est,), est, "plateau")
 
@@ -168,10 +188,7 @@ def run_constants(cfg: dict, seed: int, workers: int):
     summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
     if "drift_warning" in est.meta:
         summary["warning"] = est.meta["drift_warning"]
-    overflow = max(e.meta.get("overflow_count", 0) for e in (*trace.levels, est))
-    if overflow:
-        status = summary["status"] = "fail"
-        summary["overflowCount"] = overflow
+    status = _fail_on_overflow(status, summary, map(_overflow, (*trace.levels, est)))
     rows = [
         [*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
         for e in trace.levels
@@ -184,7 +201,7 @@ def run_constants(cfg: dict, seed: int, workers: int):
 def run_tail(cfg: dict, seed: int, workers: int):
     family = family_from_config(cfg["family"])
     gamma = functional_from_config(cfg.get("functional", "sup"))
-    grid = grid_from_config(cfg["grid"], point_budget=_budget())
+    grid = grid_from_config(cfg["grid"])
     u, tau = float(cfg["u"]), float(cfg.get("tau", 0.0))
     reps = _reps(cfg)
     rng = RngStream(seed)
@@ -212,6 +229,7 @@ def run_tail(cfg: dict, seed: int, workers: int):
     }
     if "truncation_bound" in est.meta:
         summary["truncationBound"] = est.meta["truncation_bound"]
+    status = _fail_on_overflow(status, summary, [_overflow(est)])
     rows = [[u, tau, est.value, est.stderr, psi, ratio]]
     return status, summary, [
         ("tail.csv", ["u", "tau", "pHat", "stderr", "psi", "ratio"], rows,
@@ -237,7 +255,7 @@ def _audit_constant(cfg: dict, grid_doc: dict, rng: RngStream) -> Estimate:
 def run_audit(cfg: dict, seed: int, workers: int):
     family = family_from_config(cfg["family"])
     gamma = functional_from_config(cfg.get("functional", "sup"))
-    grid = grid_from_config(cfg["grid"], point_budget=_budget())
+    grid = grid_from_config(cfg["grid"])
     rng = RngStream(seed)
     constant = _audit_constant(cfg, cfg["grid"], rng.substream(0))
     report = tailprob.uniform_ratio_audit(
@@ -263,6 +281,8 @@ def run_audit(cfg: dict, seed: int, workers: int):
         "maxDeviations": [r["max_deviation"] for r in report.per_u],
         "status": status,
     }
+    counts = [_overflow(constant), *(r["overflow_count"] for r in report.rows)]
+    status = _fail_on_overflow(status, summary, counts)
     return status, summary, [
         ("ratios.csv", ["u", "tau", "pHat", "stderr", "psi", "ratio"], rows,
          "tail ratios", 2, 6),
@@ -367,18 +387,20 @@ def run_formula(cfg: dict, seed: int, workers: int):
         gamma = FunctionalSpec.sup()
         rng = RngStream(seed)
         reps = _reps(mc)
-        fine_grid = grid_from_config(mc["grid"], point_budget=_budget())
+        fine_grid = grid_from_config(mc["grid"])
         fine = tailprob.conditional_tail(
             tailprob.ConditionalSampler(family, u, 0.0, fine_grid),
             gamma, reps, rng.substream(0),
         )
+        estimates = [fine]
         value, stderr = fine.value, fine.stderr
         if "coarseGrid" in mc:
-            coarse_grid = grid_from_config(mc["coarseGrid"], point_budget=_budget())
+            coarse_grid = grid_from_config(mc["coarseGrid"])
             coarse = tailprob.conditional_tail(
                 tailprob.ConditionalSampler(family, u, 0.0, coarse_grid),
                 gamma, reps, rng.substream(1),
             )
+            estimates.append(coarse)
             # linear extrapolation in sqrt(step) removes the grid-sup deficit
             x_f = math.sqrt(fine_grid.steps[0])
             x_c = math.sqrt(coarse_grid.steps[0])
@@ -397,6 +419,7 @@ def run_formula(cfg: dict, seed: int, workers: int):
             }
         )
         rows = [[u, result.value, value, stderr]]
+        status = _fail_on_overflow(status, summary, map(_overflow, estimates))
     return status, summary, [
         ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
          "formula vs MC", 1, 2)
@@ -405,11 +428,12 @@ def run_formula(cfg: dict, seed: int, workers: int):
 
 def run_ruin_demo(cfg: dict, seed: int, workers: int):
     family = family_from_config(cfg["family"])
-    grid = grid_from_config(cfg["grid"], point_budget=_budget())
+    grid = grid_from_config(cfg["grid"])
     reps = _reps(cfg)
     rng = RngStream(seed)
     rows = []
     ratios = []
+    counts = []
     for ui, u in enumerate(cfg["uSchedule"]):
         sampler = tailprob.ConditionalSampler(family, float(u), 0.0, grid)
         est = tailprob.conditional_tail(
@@ -418,9 +442,11 @@ def run_ruin_demo(cfg: dict, seed: int, workers: int):
         psi = tailprob.survival_psi(sampler.g)
         ratio = est.value / psi
         ratios.append(ratio)
+        counts.append(_overflow(est))
         rows.append([u, sampler.g, est.value, est.stderr, psi, ratio])
     summary = {"ratios": ratios, "status": "pass", "note": "qualitative"}
-    return "pass", summary, [
+    status = _fail_on_overflow("pass", summary, counts)
+    return status, summary, [
         ("ruin.csv", ["u", "g", "pHat", "stderr", "psi", "ratio"], rows,
          "level-crossing tail ratios", 1, 6)
     ]
@@ -479,12 +505,13 @@ def main(argv=None) -> int:
             raise ModelError("--workers must be at least 1")
         runner = _RUNNERS[args.command]
         status, summary, files = runner(cfg, int(seed), args.workers)
+    # LinAlgError subclasses ValueError: numerical failures are caught first
+    except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"model rejected: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ModelError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"model rejected: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     os.makedirs(args.out, exist_ok=True)
     for fname, header, rows, title, x, y in files:
         path = os.path.join(args.out, fname)

@@ -42,18 +42,16 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def grid_from_config(doc: dict, point_budget: int | None = None) -> GridSpec:
-    """{"perAxis": [[lo, hi, nPoints], ...]}"""
+def grid_from_config(doc: dict) -> GridSpec:
+    """{"perAxis": [[lo, hi, nPoints], ...], "pointBudget": n (optional)}"""
     per_axis = _require(doc, "perAxis", "grid")
     try:
         axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in per_axis)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"grid perAxis entries must be [lo, hi, n] triples: {exc}")
-    kwargs = {}
-    budget = doc.get("pointBudget", point_budget)
-    if budget is not None:
-        kwargs["point_budget"] = int(budget)
-    return GridSpec(axes, **kwargs)
+    if "pointBudget" in doc:
+        return GridSpec(axes, point_budget=int(doc["pointBudget"]))
+    return GridSpec(axes)
 
 
 def schedule_from_config(doc: dict) -> ExtrapolationSchedule:

@@ -335,7 +335,9 @@ class ResidualSampler:
     """Conditional residual R(t) = Z(t) - r(t,0) Z(0) of a family member.
 
     R(0) = 0 exactly and Cov(R(s), R(t)) = r(s,t) - r(s,0) r(t,0); Z(0) is
-    never sampled, the residual covariance is factored directly.
+    never sampled, the residual covariance is factored directly.  ``_L``
+    factors the free points; ``_factor`` is ``_L`` spread over the whole
+    grid with zero rows at the pinned points, so a sample is one product.
     """
 
     def __init__(
@@ -350,15 +352,14 @@ class ResidualSampler:
         free = np.diag(cov) > 1e-14
         self.grid = grid
         self.r0 = r0
-        self._free = free
         self._L = _chol_psd(cov[np.ix_(free, free)]) if np.any(free) else None
+        self._factor = np.zeros((grid.size, int(free.sum())))
+        if self._L is not None:
+            self._factor[free] = self._L
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, self.grid.size))
-        if self._L is not None:
-            z = rng.standard_normal((size, int(self._free.sum())))
-            out[:, self._free] = z @ self._L.T
-        return out.reshape(size, *self.grid.shape)
+        z = rng.standard_normal((size, self._factor.shape[1]))
+        return (z @ self._factor.T).reshape(size, *self.grid.shape)
 
 
 # ---------------------------------------------------------------------------

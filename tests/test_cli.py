@@ -2,14 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gexr import constants as constmod
+from gexr import tailprob
 from gexr.cli import main
 from gexr.mc import Estimate
 from gexr.presets import PRESETS
 
-SMOKE_BUDGET = "600"  # caps reps and grid sizes; large enough for every preset
+SMOKE_BUDGET = "600"  # caps replication counts
 
 
 def run(argv):
@@ -85,6 +87,34 @@ def test_decreasing_domain_sizes_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(["constants", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "domain sizes must be increasing" in capsys.readouterr().err
+
+
+def test_budget_caps_reps_not_grid_size(monkeypatch, tmp_path, capsys):
+    # the 513-point grid of the MC check is larger than the budget
+    monkeypatch.setenv("GEXR_BUDGET", "300")
+    out = tmp_path / "run"
+    code = run(["formula", "--preset", "formula-product-1d", "--out", str(out)])
+    assert code in (0, 1)
+    assert (out / "formula.csv").exists()
+
+
+def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PRESETS["short-interval-tail"][1]))
+    cfg["grid"]["pointBudget"] = 10
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["tail", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "exceeding budget 10" in capsys.readouterr().err
+
+
+def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(tailprob, "conditional_tail", broken)
+    code = run(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path)])
+    assert code == 3
+    assert "model rejected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +240,33 @@ def test_overflowed_level_fails_the_run(overflow, monkeypatch, tmp_path, capsys)
         assert "overflowCount" not in summary
 
 
+@pytest.mark.parametrize("overflow", [0, 3])
+@pytest.mark.parametrize(
+    "name", ["short-interval-tail", "uniform-audit-stationary",
+             "formula-product-1d", "ruin-demo"]
+)
+def test_overflowed_conditioned_estimate_fails_the_run(
+    name, overflow, monkeypatch, tmp_path, capsys
+):
+    def fake_conditional_tail(sampler, gamma, n_reps, rng, method=None):
+        meta = {"g": sampler.g, "method": "crossing", "truncation_bound": 0.0}
+        if overflow:
+            meta["overflow_count"] = overflow
+        return Estimate(1e-7, 1e-9, n_reps, meta)
+
+    monkeypatch.setattr(tailprob, "conditional_tail", fake_conditional_tail)
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    kind = PRESETS[name][1]["kind"]
+    code = run([kind, "--preset", name, "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "results.json").read_text())["summary"]
+    if overflow:
+        assert code == 1 and summary["status"] == "fail"
+        assert summary["overflowCount"] == overflow
+    else:  # the verdict is whatever the fake values give, never an overflow
+        assert code in (0, 1)
+        assert "overflowCount" not in summary
+
+
 def test_seed_flag_overrides_config(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -238,5 +295,16 @@ def test_preset_smoke(name, monkeypatch, tmp_path, capsys):
     code = run([kind, "--preset", name, "--out", str(tmp_path)])
     # statistical verdicts are unreliable at smoke budgets; only the
     # pass/fail channel is allowed, never config or numerical errors
+    assert code in (0, 1)
+    assert (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_smoke_odd_budget(name, monkeypatch, tmp_path, capsys):
+    # an odd cap leaves the conditioned estimators half a pair to round up,
+    # and is below the point count of the largest preset grids
+    monkeypatch.setenv("GEXR_BUDGET", "301")
+    kind = PRESETS[name][1]["kind"]
+    code = run([kind, "--preset", name, "--out", str(tmp_path)])
     assert code in (0, 1)
     assert (tmp_path / "results.json").exists()

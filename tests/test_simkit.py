@@ -263,6 +263,24 @@ def test_residual_sampler_covariance():
     )
 
 
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 2.0, 65), (-1.0, 1.0, 9), (-2.0, 0.0, 5)])
+def test_residual_sampler_matches_scatter_formulation(lo, hi, n):
+    # the old formulation: zeros, then the free columns assigned from z @ L.T
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    grid = GridSpec.line(lo, hi, n)
+    sampler = ResidualSampler(fam, 4.0, 0.0, grid)
+    cov = fam.corr_matrix(4.0, 0.0, grid.points()) - np.outer(sampler.r0, sampler.r0)
+    free = np.diag(cov) > 1e-14
+    assert not free[grid.origin_index()]
+    x = sampler.sample(RngStream(2026, (7,)).generator(), 500)
+    z = RngStream(2026, (7,)).generator().standard_normal((500, int(free.sum())))
+    old = np.zeros((500, grid.size))
+    old[:, free] = z @ sampler._L.T
+    assert x.shape == (500, n)
+    assert np.all(x[:, ~free] == 0.0)
+    np.testing.assert_allclose(x, old, rtol=1e-12, atol=0.0)
+
+
 def test_residual_fully_degenerate():
     fam = family_from_config({"kind": "stationary", "alpha": 1.0, "lengthScale": 1e12})
     grid = GridSpec.line(0.0, 1.0, 5)

@@ -156,6 +156,55 @@ def test_conditional_methods_agree():
     assert quad.meta["truncation_bound"] < 1e-12
 
 
+def _audit_cell_sampler():
+    """A local-family cell at u = 4 on the audit preset's 65-point grid."""
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    return ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 2.0, 65))
+
+
+def test_sample_a_rows_are_antithetic_pairs():
+    sampler = _audit_cell_sampler()
+    a = sampler.sample_a(RngStream(81).generator(), 1000)
+    assert a.shape == (1000, 65)
+    scale = np.abs(a).max()
+    pair_mean = (a[0::2] + a[1::2]) / 2
+    np.testing.assert_allclose(
+        pair_mean, np.broadcast_to(sampler.mean_part, pair_mean.shape),
+        rtol=0.0, atol=1e-14 * scale,
+    )
+    # one residual path per pair: half the draws of the field paths
+    r = sampler._residual.sample(RngStream(81).generator(), 500).reshape(500, -1)
+    np.testing.assert_allclose(
+        a[0::2], sampler.mean_part + sampler.noise_scale * r, rtol=1e-13, atol=1e-13
+    )
+    odd = sampler.sample_a(RngStream(81).generator(), 7)
+    assert odd.shape == (7, 65)
+    np.testing.assert_allclose(odd, a[:7], rtol=1e-12, atol=1e-12)
+
+
+def test_antithetic_pairs_do_not_add_variance():
+    sampler = _audit_cell_sampler()
+    g = sampler.g
+    a = sampler.sample_a(RngStream(82).generator(), 20_000)
+    per_path = survival_psi(g - (a / (1.0 - sampler.b_part)).max(axis=1) / g)
+    pairs = per_path.reshape(-1, 2).mean(axis=1)
+    # Var(pair mean) = (Var + Cov) / 2 <= Var / 2 exactly when Cov <= 0
+    assert pairs.var(ddof=1) <= 0.5 * per_path.var(ddof=1)
+
+
+@pytest.mark.parametrize("method", ["crossing", "quadrature", "sampled"])
+@pytest.mark.parametrize("n_reps, n_paths", [(1, 2), (301, 302), (1000, 1000)])
+def test_conditional_tail_counts_whole_pairs(method, n_reps, n_paths):
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    sampler = ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 1.0, 9))
+    est = conditional_tail(sampler, SUP, n_reps, RngStream(83), method=method)
+    assert est.n_reps == n_paths
+    assert math.isfinite(est.value) and est.value >= 0.0
+    assert "overflow_count" not in est.meta
+    if n_reps > 1:
+        assert math.isfinite(est.stderr)
+
+
 def test_conditional_unknown_method():
     fam = family_from_config({"kind": "local", "alpha": 1.0})
     sampler = ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 1.0, 5))
