@@ -26,13 +26,12 @@ from .constants import (
 )
 from .doublesum import (
     DoubleMaximaConfig,
-    bonferroni_bracket,
     estimate_double_maxima,
     eval_double_bound,
     fit_bound_constant,
     separation,
 )
-from .functionals import FunctionalSpec, apply_functional, verify_functional
+from .functionals import FunctionalSpec, apply_functional
 from .mc import Estimate, ExtrapolationSchedule
 from .rng import RngStream
 from .simkit import (
@@ -40,15 +39,8 @@ from .simkit import (
     GridSpec,
     LimitFieldSampler,
     ResidualSampler,
-    SamplePath,
     SimulationError,
     StatIncrSampler,
-    dump_paths,
-    load_paths,
-    simulate_conditional_residual,
-    simulate_fgn,
-    simulate_limit_field,
-    simulate_statincr,
 )
 from .tailprob import (
     AsymptoticSetup,
@@ -56,7 +48,6 @@ from .tailprob import (
     conditional_tail,
     crude_mc_tail,
     eval_mainm_formula,
-    eval_pickands_formula,
     survival_psi,
     uniform_ratio_audit,
 )

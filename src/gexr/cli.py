@@ -7,10 +7,12 @@
 Subcommands: constants, tail, audit, doublesum, formula, ruin-demo.  Every
 run writes a CSV of per-level/per-cell rows, a results.json summary (with a
 config hash covering all numeric inputs), and a gnuplot script referencing
-the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error,
-3 numerical/model rejection.  The environment variable GEXR_BUDGET caps
-replication counts for smoke runs.  Any overflowed (non-finite) sample of a
-Monte Carlo estimate fails the run.
+the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error (an
+unreadable --config or an --out that names a file included, both found
+before any estimator runs), 3 numerical/model rejection.  The environment
+variable GEXR_BUDGET caps replication counts for smoke runs; results.json
+records the cap as "budget" (null when unset).  Any overflowed (non-finite)
+sample of a Monte Carlo estimate fails the run.
 """
 
 from __future__ import annotations
@@ -488,8 +490,11 @@ def main(argv=None) -> int:
         if args.preset:
             cfg = preset_config(args.preset)
         elif args.config:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    cfg = json.load(fh)
+            except OSError as exc:
+                raise ModelError(f"cannot read --config {args.config!r}: {exc}") from exc
         else:
             raise ModelError("one of --config or --preset is required")
         if not isinstance(cfg, dict):
@@ -503,6 +508,9 @@ def main(argv=None) -> int:
             raise ModelError("config is missing 'seed' and no --seed was given")
         if args.workers < 1:
             raise ModelError("--workers must be at least 1")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ModelError(f"--out {args.out!r} names an existing file")
+        budget = _budget()
         runner = _RUNNERS[args.command]
         status, summary, files = runner(cfg, int(seed), args.workers)
     # LinAlgError subclasses ValueError: numerical failures are caught first
@@ -522,6 +530,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "configHash": _config_hash(cfg),
         "seed": int(seed),
+        "budget": budget,
         "workers": args.workers,
         "summary": summary,
     }

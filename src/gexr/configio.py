@@ -20,7 +20,6 @@ from .covmodels import (
     LimitFieldSpec,
     ModelError,
     ThresholdedFamilySpec,
-    VarianceFunction,
     variance_function_from_json,
 )
 from .mc import ExtrapolationSchedule

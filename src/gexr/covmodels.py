@@ -1,4 +1,4 @@
-"""Variance/correlation models and numerical checks of their structure.
+"""Variance and correlation models of the simulated fields.
 
 The central object is :class:`VarianceFunction`: a variance function
 ``sigma2(t)`` of a centered process with stationary increments, together
@@ -6,12 +6,6 @@ with its regular-variation indices at 0 and at infinity.  Limit fields are
 additive combinations of independent one-dimensional components
 (:class:`LimitFieldSpec`), and threshold-dependent families of unit-variance
 fields are described by :class:`ThresholdedFamilySpec`.
-
-The ``check_*`` functions are numerical audits of the structural conditions
-the estimators rely on (threshold growth, drift normalization, convergence of
-normalized increment variances to a limit field, local Hoelder control).
-They are pure functions returning report objects, never raising on a failed
-check.
 """
 
 from __future__ import annotations
@@ -30,10 +24,6 @@ __all__ = [
     "LimitFieldSpec",
     "ThresholdedFamilySpec",
     "fgn_autocovariance",
-    "check_regular_variation",
-    "check_threshold_growth",
-    "check_drift_limit",
-    "check_increment_limit",
     "variance_function_from_json",
 ]
 
@@ -313,166 +303,3 @@ class ThresholdedFamilySpec:
         if self.drift is None or self.drift.family is None:
             return np.zeros(len(points))
         return np.asarray(self.drift.family(u, tau, np.asarray(points, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# numerical checks
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a structural check: per-level trace plus a verdict."""
-
-    levels: tuple[float, ...]
-    deviations: tuple[float, ...]
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations) if self.deviations else 0.0
-
-
-def check_regular_variation(
-    vf: VarianceFunction,
-    limit_point: str,
-    ratios: Sequence[float] = (2.0, 4.0),
-    t_grid: Sequence[float] | None = None,
-    tolerance: float = 0.05,
-) -> CheckReport:
-    """Check sigma2(lam*t)/sigma2(t) -> lam**index along a geometric grid.
-
-    ``limit_point`` is "zero" or "infinity".  Pass/fail is judged by the
-    relative deviation at the extreme of the grid; the default 5% tolerance
-    reflects that slowly varying factors converge slowly on desk-scale grids.
-    """
-    if limit_point not in ("zero", "infinity"):
-        raise ModelError("limit_point must be 'zero' or 'infinity'")
-    at_zero = limit_point == "zero"
-    index = vf.alpha0 if at_zero else vf.alpha_inf
-    if t_grid is None:
-        lo, hi = vf.t_range
-        if at_zero:
-            start = max(1e-6, lo)
-            t_grid = np.geomspace(min(1.0, hi / max(ratios)), start, 8)
-        else:
-            stop = min(1e6, hi / max(ratios))
-            t_grid = np.geomspace(max(1.0, lo), stop, 8)
-    t_grid = np.asarray(t_grid, dtype=float)
-    devs = []
-    for t in t_grid:
-        dev = 0.0
-        for lam in ratios:
-            ratio = float(vf(lam * t) / vf(t))
-            target = lam**index
-            dev = max(dev, abs(ratio - target) / target)
-        devs.append(dev)
-    # grid extreme = last entry (grids are ordered toward the limit point)
-    passed = devs[-1] <= tolerance
-    return CheckReport(
-        levels=tuple(t_grid),
-        deviations=tuple(devs),
-        passed=passed,
-        detail={"index": index, "ratios": tuple(ratios), "tolerance": tolerance},
-    )
-
-
-def check_threshold_growth(
-    family: ThresholdedFamilySpec, u_schedule: Sequence[float]
-) -> CheckReport:
-    """Check that inf over tau of the threshold grows along the u-schedule."""
-    infs = [
-        min(family.threshold(u, tau) for tau in family.index_grid(u)) for u in u_schedule
-    ]
-    growing = all(b > a for a, b in zip(infs, infs[1:]))
-    return CheckReport(
-        levels=tuple(u_schedule),
-        deviations=tuple(infs),
-        passed=growing and all(v > 0 for v in infs),
-        detail={"min_thresholds": tuple(infs)},
-    )
-
-
-def check_drift_limit(
-    family: ThresholdedFamilySpec,
-    h: DriftFunction,
-    u_schedule: Sequence[float],
-    points: np.ndarray,
-    tolerance: float = 1e-2,
-) -> CheckReport:
-    """Check sup |g**2 h_{u,tau}(t) - h(t)| decreases to below tolerance."""
-    if family.drift is None or family.drift.family is None:
-        raise ModelError("family has no drift component to check")
-    pts = np.asarray(points, dtype=float)
-    target = h(pts)
-    devs = []
-    for u in u_schedule:
-        worst = 0.0
-        for tau in family.index_grid(u):
-            g = family.threshold(u, tau)
-            vals = g**2 * np.asarray(family.drift.family(u, tau, pts))
-            worst = max(worst, float(np.max(np.abs(vals - target))))
-        devs.append(worst)
-    decreasing = all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-    return CheckReport(
-        levels=tuple(u_schedule),
-        deviations=tuple(devs),
-        passed=decreasing and devs[-1] <= tolerance,
-        detail={"tolerance": tolerance},
-    )
-
-
-def check_increment_limit(
-    family: ThresholdedFamilySpec,
-    eta: LimitFieldSpec,
-    u_schedule: Sequence[float],
-    points: np.ndarray,
-    tolerance: float = 5e-2,
-    holder_exponents: Sequence[float] | None = None,
-) -> CheckReport:
-    """Convergence of g**2 Var(Z(t)-Z(0)) to 2 Var eta(t), plus Hoelder ratio.
-
-    Uses only one-dimensional variance evaluations (correlation against the
-    origin), which is the formulation that stays cheap on fine grids.  The
-    Hoelder part reports, per candidate exponent, the worst ratio of the
-    normalized increment variance against sum_i |t_i - s_i|**a, and keeps
-    the best-fitting exponent.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != eta.dim and pts.shape[0] == eta.dim:
-        pts = pts.T
-    origin = np.zeros((1, pts.shape[1]))
-    target = 2.0 * eta.variance(pts)
-    if holder_exponents is None:
-        alphas = [c.base.alpha0 for c in eta.components] or [1.0]
-        ainfs = [c.base.alpha_inf for c in eta.components] or [1.0]
-        a0 = min(alphas)
-        holder_exponents = sorted({a0 / 2.0, a0, min(a0, min(ainfs))})
-    devs = []
-    holder_best = []
-    for u in u_schedule:
-        worst = 0.0
-        ratios = {a: 0.0 for a in holder_exponents}
-        for tau in family.index_grid(u):
-            g = family.threshold(u, tau)
-            r0 = np.asarray(family.correlation(u, tau, pts, origin)).reshape(-1)
-            incr = g**2 * 2.0 * (1.0 - r0)
-            worst = max(worst, float(np.max(np.abs(incr - target))))
-            nz = np.any(pts != 0.0, axis=1)
-            if np.any(nz):
-                for a in holder_exponents:
-                    denom = (np.abs(pts[nz]) ** a).sum(axis=1)
-                    ratios[a] = max(ratios[a], float(np.max(incr[nz] / denom)))
-        devs.append(worst)
-        holder_best.append(min(ratios, key=lambda a: ratios[a]))
-    stabilized = devs[-1] <= tolerance
-    return CheckReport(
-        levels=tuple(u_schedule),
-        deviations=tuple(devs),
-        passed=stabilized,
-        detail={
-            "tolerance": tolerance,
-            "holder_exponents": tuple(holder_exponents),
-            "best_holder_exponent": holder_best[-1] if holder_best else None,
-        },
-    )

@@ -31,7 +31,6 @@ __all__ = [
     "eval_double_bound",
     "fit_bound_constant",
     "BoundFitReport",
-    "bonferroni_bracket",
 ]
 
 JOINT_POINT_BUDGET = 1 << 12
@@ -69,9 +68,10 @@ class DoubleMaximaConfig:
 
     ``correlation(u, s, t)`` returns the (N, M) correlation matrix of the
     unit-variance field between point arrays s and t.  The effective boxes
-    are offset_i + cell_i.  ``c1``/``beta`` are the correlation-decay
-    parameters of the bound; ``delta`` the correlation floor; ``s1``/``s2``
-    the separation / box-size scale knobs the bound quotes.
+    are offset_i + cell_i; ``m1_fn``/``m2_fn`` give their thresholds at
+    level u and ``m_fn`` the common threshold scale.  ``c1``/``beta`` are
+    the correlation-decay parameters of the bound and ``s2`` the box-size
+    scale it quotes.
     """
 
     correlation: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -84,18 +84,13 @@ class DoubleMaximaConfig:
     m_fn: Callable[[float], float]
     c1: float
     beta: float
-    delta: float = 1.0
-    s1: float = 1.0
     s2: float = 2.0
-    threshold_consistency: float = 0.5
 
     def __post_init__(self):
         if len(self.cell1) != len(self.cell2):
             raise ModelError("cells must share a dimension")
         if self.s2 <= 1.0:
             raise ModelError("box-size scale S2 must exceed 1")
-        if not 0.0 < self.delta <= 1.0:
-            raise ModelError("correlation floor delta must lie in (0, 1]")
         if self.c1 <= 0 or self.beta <= 0:
             raise ModelError("bound parameters c1 and beta must be positive")
 
@@ -105,27 +100,6 @@ class DoubleMaximaConfig:
 
     def boxes(self) -> tuple[tuple[tuple[float, float], ...], ...]:
         return _shift(self.cell1, self.offset1), _shift(self.cell2, self.offset2)
-
-    def check(self, u: float, points_per_axis: int = 5) -> dict:
-        """Spot-check the structural invariants at threshold level u.
-
-        Verifies the correlation floor r > delta - 1 on a coarse joint grid
-        and the threshold-consistency bound |m_i/m - 1|.  Returns the
-        observed worst values; raises nothing.
-        """
-        box_a, box_b = self.boxes()
-        pts = np.concatenate(
-            [_box_grid(box_a, points_per_axis), _box_grid(box_b, points_per_axis)]
-        )
-        r = np.asarray(self.correlation(u, pts, pts))
-        m = self.m_fn(u)
-        dev = max(abs(self.m1_fn(u) / m - 1.0), abs(self.m2_fn(u) / m - 1.0))
-        return {
-            "min_correlation": float(r.min()),
-            "floor_ok": bool(r.min() > self.delta - 1.0),
-            "threshold_deviation": dev,
-            "threshold_ok": dev <= self.threshold_consistency,
-        }
 
 
 def estimate_double_maxima(
@@ -238,27 +212,3 @@ def fit_bound_constant(
         growing_with_separation=growing,
         detail={"near_required_c": base, "far_required_c": far},
     )
-
-
-def bonferroni_bracket(
-    cell_tails: Sequence[Estimate], double_terms: Sequence[Estimate]
-) -> tuple[Estimate, Estimate]:
-    """(lower, upper) bracket of the union probability.
-
-    upper = sum of cell tails; lower = upper - sum of pairwise terms.
-    Standard errors propagate under an independence approximation.
-    """
-    if not cell_tails:
-        raise ModelError("need at least one cell tail")
-    up = sum(e.value for e in cell_tails)
-    up_se = math.sqrt(sum(e.stderr**2 for e in cell_tails))
-    cross = sum(e.value for e in double_terms)
-    cross_se = math.sqrt(sum(e.stderr**2 for e in double_terms))
-    lower = Estimate(
-        up - cross,
-        math.sqrt(up_se**2 + cross_se**2),
-        min(e.n_reps for e in cell_tails),
-        {"n_cells": len(cell_tails), "n_pairs": len(double_terms)},
-    )
-    upper = Estimate(up, up_se, min(e.n_reps for e in cell_tails), {"n_cells": len(cell_tails)})
-    return lower, upper

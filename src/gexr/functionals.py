@@ -1,22 +1,20 @@
 """Homogeneous path functionals: sup, inf, mixtures, and sup-compositions.
 
-All functionals here are continuous, dominated by a multiple of the sup
-(``Gamma(f) <= c sup f``) and affine-equivariant (``Gamma(a f + b) =
-a Gamma(f) + b`` for a > 0).  ``verify_functional`` checks both laws
-empirically on sampled paths, which is the gate for mixtures with weights
-outside [0, 1] where the sup-domination constant is delicate.
+All functionals here are continuous and affine-equivariant
+(``Gamma(a f + b) = a Gamma(f) + b`` for a > 0).  With mixture weights in
+[0, 1] they are also dominated by the sup (``Gamma(f) <= sup f``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .covmodels import ModelError
 
-__all__ = ["FunctionalSpec", "apply_functional", "verify_functional", "functional_from_config"]
+__all__ = ["FunctionalSpec", "apply_functional", "functional_from_config"]
 
 
 @dataclass(frozen=True)
@@ -25,14 +23,12 @@ class FunctionalSpec:
 
     kind: "sup" | "inf" | "mix" (weight*sup + (1-weight)*inf) |
     "composed" (sup over the s-axes of the inner functional of each slice).
-    ``c`` is the declared sup-domination constant.
     """
 
     kind: str
     weight: float = 0.5
     inner: "FunctionalSpec | None" = None
     s_axes: tuple[int, ...] = ()
-    c: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("sup", "inf", "mix", "composed"):
@@ -50,12 +46,11 @@ class FunctionalSpec:
 
     @staticmethod
     def mix(weight: float) -> "FunctionalSpec":
-        # declared domination constant per |a| + |1-a|, never below 1
-        return FunctionalSpec("mix", weight=weight, c=max(abs(weight) + abs(1 - weight), 1.0))
+        return FunctionalSpec("mix", weight=weight)
 
     @staticmethod
     def composed(inner: "FunctionalSpec", s_axes: Sequence[int]) -> "FunctionalSpec":
-        return FunctionalSpec("composed", inner=inner, s_axes=tuple(s_axes), c=inner.c)
+        return FunctionalSpec("composed", inner=inner, s_axes=tuple(s_axes))
 
 
 def apply_functional(
@@ -97,45 +92,6 @@ def apply_functional(
     if len(s_axes) == 0:
         return inner_vals
     return inner_vals.max(axis=tuple(range(inner_vals.ndim - len(s_axes), inner_vals.ndim)))
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    max_affine_violation: float
-    sup_bound_holds: bool
-    detail: dict = field(default_factory=dict)
-
-
-def verify_functional(
-    spec: FunctionalSpec,
-    paths: np.ndarray,
-    scalars: Sequence[tuple[float, float]] = ((1.0, 0.0), (3.0, -1.0), (0.25, 2.0)),
-    grid_ndim: int = 1,
-) -> FunctionalReport:
-    """Empirical check of affine equivariance and the sup-domination bound.
-
-    ``paths`` is a batch of at least 100 sampled paths (batch axes leading).
-    Reports the worst |Gamma(a f + b) - a Gamma(f) - b| over all paths and
-    (a, b) pairs, and whether Gamma(f) <= c sup f + 1e-9 everywhere.
-    """
-    paths = np.asarray(paths, dtype=float)
-    n_paths = int(np.prod(paths.shape[:-grid_ndim]))
-    if n_paths < 100:
-        raise ModelError("verification needs at least 100 paths")
-    base = apply_functional(spec, paths, grid_ndim=grid_ndim)
-    worst = 0.0
-    for a, b in scalars:
-        if a <= 0:
-            raise ModelError("affine check requires a > 0")
-        lhs = apply_functional(spec, a * paths + b, grid_ndim=grid_ndim)
-        worst = max(worst, float(np.max(np.abs(lhs - (a * base + b)))))
-    sup_vals = paths.max(axis=tuple(range(paths.ndim - grid_ndim, paths.ndim)))
-    holds = bool(np.all(base <= spec.c * sup_vals + 1e-9))
-    return FunctionalReport(
-        max_affine_violation=worst,
-        sup_bound_holds=holds,
-        detail={"n_paths": n_paths, "c": spec.c},
-    )
 
 
 def functional_from_config(doc) -> FunctionalSpec:

@@ -1,9 +1,8 @@
 """Exact-in-distribution Gaussian path and field simulation on grids.
 
-Generators are pure functions of (spec, grid, stream).  Each generator has a
-sampler class that performs the one-off precomputation (circulant spectrum or
-Cholesky factor) and then draws batches; the ``simulate_*`` wrappers return a
-single :class:`SamplePath` for interactive use.
+Each generator is a sampler class that performs the one-off precomputation
+(circulant spectrum or Cholesky factor) and then draws batches of paths from
+a numpy generator; a batch is an array with the batch axis leading.
 
 Fractional-Brownian-type paths on uniform grids go through circulant
 embedding of the increment autocovariance (O(n log n), exact in law); general
@@ -14,9 +13,7 @@ through Cholesky factorization with a bounded jitter schedule.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import IO, Sequence
 
 import numpy as np
 
@@ -28,20 +25,13 @@ from .covmodels import (
     VarianceFunction,
     fgn_autocovariance,
 )
-from .rng import RngStream
 
 __all__ = [
     "GridSpec",
-    "SamplePath",
     "FbmSampler",
     "StatIncrSampler",
     "LimitFieldSampler",
     "ResidualSampler",
-    "simulate_fgn",
-    "simulate_statincr",
-    "simulate_limit_field",
-    "simulate_conditional_residual",
-    "dump_paths",
 ]
 
 DEFAULT_POINT_BUDGET = 1 << 20
@@ -58,7 +48,7 @@ class SimulationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# grids and paths
+# grids
 
 
 @dataclass(frozen=True)
@@ -134,16 +124,6 @@ class GridSpec:
                 raise ModelError("grid does not contain the origin")
             idx.append(j)
         return tuple(idx)
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    grid: GridSpec
-    values: np.ndarray  # shaped grid.shape
-
-    def __post_init__(self):
-        if tuple(self.values.shape) != self.grid.shape:
-            raise ModelError("path values do not match grid shape")
 
 
 # ---------------------------------------------------------------------------
@@ -360,75 +340,3 @@ class ResidualSampler:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self._factor.shape[1]))
         return (z @ self._factor.T).reshape(size, *self.grid.shape)
-
-
-# ---------------------------------------------------------------------------
-# one-shot wrappers
-
-
-def simulate_fgn(alpha: float, n: int, step: float, rng: RngStream) -> SamplePath:
-    """A path of Var |t|**alpha on {0, step, ..., n*step} via circulant embedding."""
-    sampler = FbmSampler(alpha, step, n_right=n)
-    values = sampler.sample(rng.generator(), 1)[0]
-    return SamplePath(GridSpec.line(0.0, n * step, n + 1), values)
-
-
-def simulate_statincr(vf: VarianceFunction, grid: GridSpec, rng: RngStream) -> SamplePath:
-    if grid.dim != 1:
-        raise ModelError("simulate_statincr expects a 1-D grid")
-    sampler = StatIncrSampler(vf, grid.axis_values(0))
-    return SamplePath(grid, sampler.sample(rng.generator(), 1)[0])
-
-
-def simulate_limit_field(eta: LimitFieldSpec, grid: GridSpec, rng: RngStream) -> SamplePath:
-    sampler = LimitFieldSampler(eta, grid)
-    return SamplePath(grid, sampler.sample(rng.generator(), 1)[0])
-
-
-def simulate_conditional_residual(
-    family: ThresholdedFamilySpec, u: float, tau: float, grid: GridSpec, rng: RngStream
-) -> SamplePath:
-    sampler = ResidualSampler(family, u, tau, grid)
-    return SamplePath(grid, sampler.sample(rng.generator(), 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# binary path dumps
-
-_MAGIC = b"GEXT"
-_VERSION = 1
-
-
-def dump_paths(paths: Sequence[SamplePath] | SamplePath, fh: IO[bytes]) -> None:
-    """Write paths as little-endian float64, row-major, with a 16-byte header.
-
-    Header: magic "GEXT", uint16 version, uint16 dim, then up to four uint16
-    per-axis counts (zero-padded).  All paths must share one grid.
-    """
-    if isinstance(paths, SamplePath):
-        paths = [paths]
-    grid = paths[0].grid
-    if grid.dim > 4:
-        raise ModelError("binary dump supports at most 4 axes")
-    counts = list(grid.shape) + [0] * (4 - grid.dim)
-    fh.write(_MAGIC + struct.pack("<HH4H", _VERSION, grid.dim, *counts))
-    for p in paths:
-        if p.grid.shape != grid.shape:
-            raise ModelError("all dumped paths must share one grid")
-        fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
-
-
-def load_paths(fh: IO[bytes]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read a dump back; returns (per-axis counts, array (n_paths, *counts))."""
-    head = fh.read(16)
-    if len(head) != 16 or head[:4] != _MAGIC:
-        raise ModelError("not a path dump (bad magic)")
-    version, dim, *counts = struct.unpack("<HH4H", head[4:])
-    if version != _VERSION:
-        raise ModelError(f"unsupported dump version {version}")
-    shape = tuple(counts[:dim])
-    body = np.frombuffer(fh.read(), dtype="<f8")
-    per = int(np.prod(shape))
-    if body.size % per:
-        raise ModelError("truncated path dump")
-    return shape, body.reshape(-1, *shape)

@@ -58,7 +58,6 @@ __all__ = [
     "conditional_tail",
     "uniform_ratio_audit",
     "AuditReport",
-    "eval_pickands_formula",
     "AsymptoticSetup",
     "FormulaResult",
     "eval_mainm_formula",
@@ -337,13 +336,6 @@ def uniform_ratio_audit(
 
 # ---------------------------------------------------------------------------
 # closed-form asymptotic evaluators
-
-
-def eval_pickands_formula(T: float, alpha: float, u: float, h_estimate: float) -> float:
-    """Short-interval asymptotics T * H * Psi(u) / q(u), q(u) = u^(-2/alpha)."""
-    if u <= 0:
-        raise ModelError("threshold must be positive")
-    return T * h_estimate * u ** (2.0 / alpha) * survival_psi(u)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,7 @@ def test_budget_caps_reps_not_grid_size(monkeypatch, tmp_path, capsys):
     code = run(["formula", "--preset", "formula-product-1d", "--out", str(out)])
     assert code in (0, 1)
     assert (out / "formula.csv").exists()
+    assert json.loads((out / "results.json").read_text())["budget"] == 300
 
 
 def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
@@ -115,6 +116,24 @@ def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
     code = run(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path)])
     assert code == 3
     assert "model rejected" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["tail", "--config", str(missing), "--out", str(tmp_path)]) == 2
+    assert "cannot read --config" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_fails_before_any_estimator(monkeypatch, tmp_path, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(tailprob, "conditional_tail", unreachable)
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert run(["tail", "--preset", "short-interval-tail", "--out", str(out)]) == 2
+    assert "names an existing file" in capsys.readouterr().err
+    assert out.read_text() == "kept"
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +299,13 @@ def test_seed_flag_overrides_config(monkeypatch, tmp_path, capsys):
 # presets
 
 
-def test_doublesum_flat_counterexample_fails(tmp_path, capsys):
+def test_doublesum_flat_counterexample_fails(monkeypatch, tmp_path, capsys):
     # full replication count: the flag is deterministic at the shipped seed
+    monkeypatch.delenv("GEXR_BUDGET", raising=False)
     code = run(["doublesum", "--preset", "doublesum-flat", "--out", str(tmp_path)])
     assert code == 1
     record = json.loads((tmp_path / "results.json").read_text())
+    assert record["budget"] is None
     assert record["summary"]["growingWithSeparation"] is True
 
 

@@ -1,4 +1,4 @@
-"""Double-maxima estimator, cross-term bound, constant fitting, Bonferroni.
+"""Double-maxima estimator, cross-term bound and constant fitting.
 
 Exact multivariate-normal rectangle probabilities on small joint grids serve
 as the oracle for the joint-exceedance Monte Carlo.
@@ -13,7 +13,6 @@ from scipy.stats import multivariate_normal
 from gexr.covmodels import ModelError
 from gexr.doublesum import (
     DoubleMaximaConfig,
-    bonferroni_bracket,
     estimate_double_maxima,
     eval_double_bound,
     fit_bound_constant,
@@ -138,9 +137,6 @@ def test_config_validation():
         make_config((2.0,), s2=1.0)
     with pytest.raises(ModelError):
         make_config((2.0,), c1=-1.0)
-    cfg = make_config((2.0,))
-    chk = cfg.check(1.0)
-    assert chk["floor_ok"] and not chk["threshold_ok"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -225,72 +221,3 @@ def test_fit_flags_non_decaying_correlation():
     report = fit_bound_constant(configs, estimates)
     assert report.growing_with_separation
     assert not report.passed
-
-
-# ---------------------------------------------------------------------------
-# Bonferroni bracket
-
-
-def test_bonferroni_single_cell():
-    tail = Estimate(0.02, 0.001, 100)
-    lower, upper = bonferroni_bracket([tail], [])
-    assert lower.value == upper.value == 0.02
-    assert upper.stderr == pytest.approx(0.001)
-
-
-def test_bonferroni_two_cells_no_overlap():
-    tails = [Estimate(0.01, 0.001, 100), Estimate(0.02, 0.002, 100)]
-    lower, upper = bonferroni_bracket(tails, [Estimate(0.0, 0.0, 100)])
-    assert upper.value == pytest.approx(0.03)
-    assert lower.value == pytest.approx(0.03)
-    assert upper.stderr == pytest.approx(math.sqrt(1e-6 + 4e-6))
-
-
-def test_bonferroni_three_cells_with_pairs():
-    tails = [Estimate(0.01, 0.0, 100)] * 3
-    pairs = [Estimate(1e-4, 0.0, 100)] * 6  # ordered pairs
-    lower, upper = bonferroni_bracket(tails, pairs)
-    assert upper.value == pytest.approx(0.03)
-    assert lower.value == pytest.approx(0.0294)
-
-
-def test_bonferroni_requires_cells():
-    with pytest.raises(ModelError):
-        bonferroni_bracket([], [])
-
-
-def test_bonferroni_brackets_exact_union():
-    # three correlated scalar cells; exact union by inclusion-exclusion
-    rho = 0.3
-    cov = np.full((3, 3), rho) + (1 - rho) * np.eye(3)
-    m = 1.5
-
-    def orthant(idx):
-        c = cov[np.ix_(idx, idx)]
-        mvn = multivariate_normal(mean=np.zeros(len(idx)), cov=c, seed=1)
-        return 1.0 - float(mvn.cdf(np.full(len(idx), m)))
-
-    # P(union) via inclusion-exclusion on survival events
-    def joint_exceed(idx):
-        # P(all coords in idx exceed m) by inclusion-exclusion over subsets
-        from itertools import combinations
-
-        total = 0.0
-        k = len(idx)
-        for r in range(1, k + 1):
-            for sub in combinations(idx, r):
-                c = cov[np.ix_(sub, sub)]
-                mvn = multivariate_normal(mean=np.zeros(r), cov=c, seed=1)
-                total += (-1) ** (r + 1) * (1.0 - float(mvn.cdf(np.full(r, m))))
-        # total is P(union of sub-events); need P(intersection): use
-        # inclusion-exclusion the other way around below instead
-        return total
-
-    p1 = survival_psi(m)
-    union = joint_exceed([0, 1, 2])  # P(at least one exceeds)
-    tails = [Estimate(p1, 0.0, 100)] * 3
-    # pairwise joint exceedance P(i and j exceed) = p_i + p_j - P(i or j)
-    pair = 2 * p1 - joint_exceed([0, 1])
-    pairs = [Estimate(pair, 0.0, 100)] * 3  # three unordered pairs
-    lower, upper = bonferroni_bracket(tails, pairs)
-    assert lower.value - 1e-6 <= union <= upper.value + 1e-6

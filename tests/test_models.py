@@ -1,4 +1,4 @@
-"""Variance/correlation model laws and the structural check_* audits."""
+"""Variance/correlation model laws."""
 
 import math
 
@@ -6,20 +6,13 @@ import numpy as np
 import pytest
 
 from gexr.covmodels import (
-    DriftFunction,
     LimitFieldComponent,
     LimitFieldSpec,
     ModelError,
-    ThresholdedFamilySpec,
     VarianceFunction,
-    check_drift_limit,
-    check_increment_limit,
-    check_regular_variation,
-    check_threshold_growth,
     fgn_autocovariance,
     variance_function_from_json,
 )
-from gexr.configio import family_from_config
 
 
 # ---------------------------------------------------------------------------
@@ -163,118 +156,3 @@ def test_degenerate_field():
     spec = LimitFieldSpec.degenerate_field(2)
     assert spec.degenerate
     assert np.allclose(spec.variance(np.zeros((3, 2))), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# regular-variation checks
-
-
-def test_regvar_exact_powerlaw():
-    report = check_regular_variation(VarianceFunction.fbm(1.5), "zero")
-    assert report.passed
-    assert report.max_deviation < 1e-10
-
-
-def _t_plus_t2(alpha0):
-    return VarianceFunction(
-        fn=lambda t: t + t**2, alpha0=alpha0, alpha_inf=2.0, kind="custom"
-    )
-
-
-def test_regvar_mixed_powerlaw_correct_index():
-    grid = np.geomspace(1.0, 1e-4, 8)
-    report = check_regular_variation(_t_plus_t2(1.0), "zero", t_grid=grid)
-    assert report.passed
-    # deviations shrink toward the limit point
-    assert report.deviations[-1] < report.deviations[0]
-
-
-def test_regvar_mixed_powerlaw_wrong_index_fails():
-    grid = np.geomspace(1.0, 1e-4, 8)
-    report = check_regular_variation(_t_plus_t2(2.0), "zero", t_grid=grid)
-    assert not report.passed
-
-
-def test_regvar_bad_limit_point():
-    with pytest.raises(ModelError):
-        check_regular_variation(VarianceFunction.fbm(1.0), "somewhere")
-
-
-# ---------------------------------------------------------------------------
-# family structural checks
-
-
-def _drifted_family(scale=1.0, shift=0.0):
-    """g = u, drift (scale * t^2 + shift/u) / g^2 over [0, 1]."""
-
-    def corr(u, tau, s, t):
-        d = np.abs(
-            np.atleast_2d(s)[:, None, 0] - np.atleast_2d(t)[None, :, 0]
-        )
-        return np.exp(-d)
-
-    def h_family(u, tau, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        return (scale * t[:, 0] ** 2 + shift / u) / u**2
-
-    return ThresholdedFamilySpec(
-        correlation=corr,
-        threshold=lambda u, tau: u,
-        drift=DriftFunction(fn=lambda t: np.zeros(np.atleast_2d(t).shape[0]), family=h_family),
-    )
-
-
-def test_drift_limit_exact():
-    h = DriftFunction(fn=lambda t: np.atleast_2d(t)[:, 0] ** 2)
-    pts = np.linspace(0, 1, 9)[:, None]
-    report = check_drift_limit(_drifted_family(), h, [4, 8, 16], pts)
-    assert report.passed
-    assert report.max_deviation < 1e-12
-
-
-def test_drift_limit_vanishing_perturbation():
-    h = DriftFunction(fn=lambda t: np.atleast_2d(t)[:, 0] ** 2)
-    pts = np.linspace(0, 1, 9)[:, None]
-    report = check_drift_limit(
-        _drifted_family(shift=1.0), h, [4, 8, 16], pts, tolerance=0.1
-    )
-    assert report.passed
-    assert report.deviations == pytest.approx((0.25, 0.125, 0.0625))
-
-
-def test_drift_limit_mismatch_fails():
-    h = DriftFunction(fn=lambda t: np.atleast_2d(t)[:, 0] ** 2)
-    pts = np.linspace(0, 1, 9)[:, None]
-    report = check_drift_limit(_drifted_family(scale=2.0), h, [4, 8, 16], pts)
-    assert not report.passed
-    # deviation is constant at sup |h| regardless of u
-    assert report.deviations[-1] == pytest.approx(1.0)
-
-
-def test_drift_limit_requires_drift():
-    fam = family_from_config({"kind": "stationary"})
-    with pytest.raises(ModelError):
-        check_drift_limit(fam, DriftFunction.zero(), [4, 8], np.zeros((1, 1)))
-
-
-def test_threshold_growth():
-    fam = family_from_config({"kind": "local", "alpha": 1.0, "tauSpread": 1.0, "tauCount": 5})
-    assert check_threshold_growth(fam, [3, 4, 5]).passed
-    assert not check_threshold_growth(fam, [5, 4, 3]).passed
-
-
-def test_increment_limit_local_family():
-    fam = family_from_config({"kind": "local", "alpha": 1.0})
-    eta = LimitFieldSpec.fbm(1.0)
-    pts = np.linspace(0, 2, 17)[:, None]
-    report = check_increment_limit(fam, eta, [4, 8, 16], pts, tolerance=5e-2)
-    assert report.passed
-    assert report.deviations[-1] < report.deviations[0]
-
-
-def test_increment_limit_scale_mismatch_fails():
-    fam = family_from_config({"kind": "local", "alpha": 1.0})
-    eta = LimitFieldSpec.fbm(1.0, scale=2.0)
-    pts = np.linspace(0, 2, 17)[:, None]
-    report = check_increment_limit(fam, eta, [4, 8, 16], pts, tolerance=5e-2)
-    assert not report.passed

@@ -6,7 +6,6 @@ about sqrt(2)/sqrt(N), so 6/sqrt(N) is a 3-sigma-plus-margin band, checked
 at a fixed seed.
 """
 
-import io
 import math
 
 import numpy as np
@@ -26,13 +25,7 @@ from gexr.simkit import (
     GridSpec,
     LimitFieldSampler,
     ResidualSampler,
-    SamplePath,
     StatIncrSampler,
-    dump_paths,
-    load_paths,
-    simulate_fgn,
-    simulate_limit_field,
-    simulate_statincr,
 )
 
 N_COV = 10_000
@@ -242,10 +235,12 @@ def test_limit_field_finite_mode_matches_fbm_law():
 
 
 def test_degenerate_field_is_zero():
-    path = simulate_limit_field(
-        LimitFieldSpec.degenerate_field(1), GridSpec.line(0.0, 1.0, 5), RngStream(1)
+    sampler = LimitFieldSampler(
+        LimitFieldSpec.degenerate_field(1), GridSpec.line(0.0, 1.0, 5)
     )
-    assert np.all(path.values == 0.0)
+    x = sampler.sample(RngStream(1).generator(), 1)
+    assert x.shape == (1, 5)
+    assert np.all(x == 0.0)
 
 
 def test_residual_sampler_covariance():
@@ -294,8 +289,8 @@ def test_residual_fully_degenerate():
 
 def test_fgn_brownian_increment_independence():
     n = 10_000
-    path = simulate_fgn(1.0, n, 1.0, RngStream(2026, (6,)))
-    incr = np.diff(path.values)
+    path = FbmSampler(1.0, 1.0, n_right=n).sample(RngStream(2026, (6,)).generator(), 1)[0]
+    incr = np.diff(path)
     for lag in range(1, 6):
         rho = np.corrcoef(incr[:-lag], incr[lag:])[0, 1]
         assert abs(rho) < 3.0 / math.sqrt(n)
@@ -317,45 +312,3 @@ def test_fbm_endpoint_variance():
     x = sampler.sample(RngStream(2026, (9,)).generator(), N_COV)
     ratio = (x[:, -1] ** 2).mean() / 64**1.5
     assert 0.9 < ratio < 1.1
-
-
-# ---------------------------------------------------------------------------
-# wrappers and dumps
-
-
-def test_simulate_statincr_requires_1d():
-    with pytest.raises(ModelError):
-        simulate_statincr(
-            VarianceFunction.fbm(1.0), GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 3))), RngStream(1)
-        )
-
-
-def test_dump_load_roundtrip():
-    grid = GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 2)))
-    paths = [
-        SamplePath(grid, np.arange(6, dtype=float).reshape(3, 2)),
-        SamplePath(grid, np.arange(6, 12, dtype=float).reshape(3, 2)),
-    ]
-    buf = io.BytesIO()
-    dump_paths(paths, buf)
-    buf.seek(0)
-    assert buf.getvalue()[:4] == b"GEXT"
-    shape, arr = load_paths(buf)
-    assert shape == (3, 2)
-    assert np.array_equal(arr[0], paths[0].values)
-    assert np.array_equal(arr[1], paths[1].values)
-
-
-def test_load_rejects_bad_magic():
-    with pytest.raises(ModelError):
-        load_paths(io.BytesIO(b"NOPE" + b"\x00" * 12))
-
-
-def test_dump_rejects_mixed_grids():
-    g1 = GridSpec.line(0.0, 1.0, 3)
-    g2 = GridSpec.line(0.0, 1.0, 4)
-    buf = io.BytesIO()
-    with pytest.raises(ModelError):
-        dump_paths(
-            [SamplePath(g1, np.zeros(3)), SamplePath(g2, np.zeros(4))], buf
-        )

@@ -23,7 +23,6 @@ from gexr.tailprob import (
     conditional_tail,
     crude_mc_tail,
     eval_mainm_formula,
-    eval_pickands_formula,
     survival_psi,
     uniform_ratio_audit,
 )
@@ -285,19 +284,6 @@ def test_audit_worker_count_does_not_change_results():
 
 # ---------------------------------------------------------------------------
 # closed-form evaluators
-
-
-def test_eval_pickands_formula():
-    h2 = 1.0 / math.sqrt(math.pi)
-    # u^(2/alpha): alpha=1 gives u^2, alpha=2 gives u
-    val = eval_pickands_formula(1.0, 1.0, 3.0, h2)
-    assert val == pytest.approx(h2 * 9.0 * survival_psi(3.0), rel=1e-14)
-    assert eval_pickands_formula(2.0, 1.0, 3.0, h2) == pytest.approx(2 * val, rel=1e-14)
-    assert eval_pickands_formula(1.5, 2.0, 4.0, 1.0) == pytest.approx(
-        1.5 * 4.0 * survival_psi(4.0), rel=1e-14
-    )
-    with pytest.raises(ModelError):
-        eval_pickands_formula(1.0, 1.0, 0.0, 1.0)
 
 
 def _setup(**kw):
