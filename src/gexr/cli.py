@@ -8,11 +8,11 @@ Subcommands: constants, tail, audit, doublesum, formula, ruin-demo.  Every
 run writes a CSV of per-level/per-cell rows, a results.json summary (with a
 config hash covering all numeric inputs), and a gnuplot script referencing
 the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error (an
-unreadable --config or an --out that names a file included, both found
-before any estimator runs), 3 numerical/model rejection.  The environment
-variable GEXR_BUDGET caps replication counts for smoke runs; results.json
-records the cap as "budget" (null when unset).  Any overflowed (non-finite)
-sample of a Monte Carlo estimate fails the run.
+unreadable --config or an --out that cannot be made a directory included:
+--out is created before any estimator runs), 3 numerical/model rejection.
+The environment variable GEXR_BUDGET caps replication counts for smoke
+runs; results.json records the cap as "budget" (null when unset).  Any
+overflowed (non-finite) sample of a Monte Carlo estimate fails the run.
 """
 
 from __future__ import annotations
@@ -310,7 +310,6 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
                     offset2=(float(s2) + float(sep),),
                     m1_fn=lambda v: v,
                     m2_fn=lambda v: v,
-                    m_fn=lambda v: v,
                     c1=c1,
                     beta=beta,
                     s2=float(s2),
@@ -508,9 +507,11 @@ def main(argv=None) -> int:
             raise ModelError("config is missing 'seed' and no --seed was given")
         if args.workers < 1:
             raise ModelError("--workers must be at least 1")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ModelError(f"--out {args.out!r} names an existing file")
         budget = _budget()
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ModelError(f"cannot create --out {args.out!r}: {exc}") from exc
         runner = _RUNNERS[args.command]
         status, summary, files = runner(cfg, int(seed), args.workers)
     # LinAlgError subclasses ValueError: numerical failures are caught first
@@ -520,7 +521,6 @@ def main(argv=None) -> int:
     except (ModelError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
     for fname, header, rows, title, x, y in files:
         path = os.path.join(args.out, fname)
         _write_csv(path, header, rows)

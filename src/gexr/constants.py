@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFunction
 from .functionals import FunctionalSpec, apply_functional
@@ -382,19 +381,14 @@ def estimate_generalized_piterbarg(
     sampler = StatIncrSampler(vf, x_vals)
     penalty = (1.0 + b) * vf(np.abs(x_vals))
     t_indices = [int(round(T / grid_step)) for T in t_schedule.domain_sizes]
-    win = n_s + 1
-    h1 = win // 2
     per_level = [np.empty(n_reps) for _ in t_indices]
     for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
         x = sampler.sample(gen, hi - lo)
         y = math.sqrt(2.0) * x - penalty
-        if win > 1:
-            # inf over s in [0, S] of y(t - s) = min of y over [t - S, t];
-            # centered[k] covers input[k - win//2 : k - win//2 + win]
-            centered = -maximum_filter1d(-y, size=win, axis=1, mode="nearest")
-            infs = centered[:, h1 : h1 + n_t + 1]
-        else:
-            infs = y[:, n_s:]
+        # inf over s in [0, S] of y(t - s) at t = i * step: y's columns i..i+n_s
+        infs = y[:, : n_t + 1].copy()
+        for k in range(1, n_s + 1):
+            np.minimum(infs, y[:, k : k + n_t + 1], out=infs)
         run = np.maximum.accumulate(infs, axis=1)
         for k, ti in enumerate(t_indices):
             per_level[k][lo:hi] = np.exp(run[:, ti])

@@ -69,9 +69,8 @@ class DoubleMaximaConfig:
     ``correlation(u, s, t)`` returns the (N, M) correlation matrix of the
     unit-variance field between point arrays s and t.  The effective boxes
     are offset_i + cell_i; ``m1_fn``/``m2_fn`` give their thresholds at
-    level u and ``m_fn`` the common threshold scale.  ``c1``/``beta`` are
-    the correlation-decay parameters of the bound and ``s2`` the box-size
-    scale it quotes.
+    level u.  ``c1``/``beta`` are the correlation-decay parameters of the
+    bound and ``s2`` the box-size scale it quotes.
     """
 
     correlation: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -81,7 +80,6 @@ class DoubleMaximaConfig:
     offset2: tuple[float, ...]
     m1_fn: Callable[[float], float]
     m2_fn: Callable[[float], float]
-    m_fn: Callable[[float], float]
     c1: float
     beta: float
     s2: float = 2.0

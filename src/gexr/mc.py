@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .covmodels import ModelError
 from .rng import RngStream
@@ -98,8 +98,8 @@ class Estimate:
         """
         p = hits / n
         stderr = math.sqrt(max(p * (1 - p), 0.0) / n)
-        lo = 0.0 if hits == 0 else float(stats.beta.ppf(0.025, hits, n - hits + 1))
-        hi = 1.0 if hits == n else float(stats.beta.ppf(0.975, hits + 1, n - hits))
+        lo = 0.0 if hits == 0 else float(special.betaincinv(hits, n - hits + 1, 0.025))
+        hi = 1.0 if hits == n else float(special.betaincinv(hits + 1, n - hits, 0.975))
         meta = {"hits": hits, "ci_exact": (lo, hi), **(meta or {})}
         return Estimate(p, stderr, n, meta)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
@@ -66,6 +66,8 @@ __all__ = [
 # replications per batch; batch b draws from substream b, so these fix the draws
 CONDITIONAL_BATCH = 1000  # field paths: 500 antithetic pairs
 CRUDE_BATCH = 4000
+# Gauss-Legendre nodes of the "quadrature" method of conditional_tail
+QUADRATURE_NODES = 160
 
 
 def survival_psi(x):
@@ -149,30 +151,20 @@ class ConditionalSampler:
         return a[:size]
 
 
-def _w_proposal_table(g: float, M: float, knots: int = 10_000):
-    """Inverse-CDF table of the tilted density ~ e^{w - w^2/(2g^2)} on [-M, M]."""
-    w = np.linspace(-M, M, knots)
-    dens = np.exp(w - w**2 / (2 * g**2))
-    cdf = integrate.cumulative_trapezoid(dens, w, initial=0.0)
-    norm = float(cdf[-1])
-    return w, cdf / norm, norm
-
-
 def conditional_tail(
     sampler: ConditionalSampler,
     gamma: FunctionalSpec,
     n_reps: int,
     rng: RngStream,
-    w_truncation: float | None = None,
     method: str | None = None,
-    n_nodes: int = 160,
 ) -> Estimate:
     """Estimate P(Gamma(Z/(1+h)) > g) through the conditioning identity.
 
     ``method``: "crossing" (exact in w; requires a sup functional and
     B <= 1, checked), "quadrature" (Gauss-Legendre over [-M, M]) or
-    "sampled" (w drawn from the tilted proposal by a 10^4-knot inverse-CDF
-    table).  Default: crossing when admissible, else quadrature.  The
+    "sampled" (w drawn from the tilted density e^{w - w^2/(2 g^2)}
+    restricted to [-M, M], which is N(g^2, g^2) truncated, by its exact
+    inverse CDF).  Default: crossing when admissible, else quadrature.  The
     truncated methods report ``meta["truncation_bound"]``, an upper bound on
     the discarded mass (with the conditional probability bounded by 1).
 
@@ -194,7 +186,7 @@ def conditional_tail(
         raise ModelError(
             "crossing method needs a sup functional and B < 1 on the grid"
         )
-    M = w_truncation if w_truncation is not None else max(10.0, g * (g + 8.0))
+    M = max(10.0, g * (g + 8.0))
     # prefactor of the identity; mass discarded by truncating w to [-M, M]
     pref = math.exp(-(g**2) / 2.0) / (math.sqrt(2 * math.pi) * g)
     dropped = survival_psi(M / g - g) + survival_psi(M / g + g)
@@ -210,7 +202,7 @@ def conditional_tail(
             samples[lo:hi] = survival_psi(g - w_star / g)
         meta["truncation_bound"] = 0.0
     elif method == "quadrature":
-        nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
         nodes = nodes * M
         wts = wts * M
         factor = pref * wts * np.exp(nodes - nodes**2 / (2 * g**2))
@@ -221,13 +213,16 @@ def conditional_tail(
                 vals = (a + w_j * B).reshape(hi - lo, *grid.shape)
                 acc += f_j * (apply_functional(gamma, vals, grid_ndim=grid.dim) > w_j)
             samples[lo:hi] = acc
-        meta["n_nodes"] = n_nodes
+        meta["n_nodes"] = QUADRATURE_NODES
     elif method == "sampled":
-        w_knots, cdf, norm = _w_proposal_table(g, M)
-        weight = pref * norm
+        # pref * e^{w - w^2/(2g^2)} is the N(g^2, g^2) density, so the weight
+        # pref * (tilted mass on [-M, M]) is that law's probability of [-M, M]
+        cdf_a = special.ndtr((-M - g**2) / g)
+        weight = special.ndtr((M - g**2) / g) - cdf_a
         for gen, lo, hi in batches(rng, n_reps, CONDITIONAL_BATCH):
             a = sampler.sample_a(gen, hi - lo)
-            w = np.interp(gen.uniform(size=hi - lo), cdf, w_knots)
+            q = cdf_a + weight * gen.uniform(size=hi - lo)
+            w = np.clip(g**2 + g * special.ndtri(q), -M, M)
             vals = (a + w[:, None] * B).reshape(hi - lo, *grid.shape)
             hit = apply_functional(gamma, vals, grid_ndim=grid.dim) > w
             samples[lo:hi] = weight * hit
@@ -256,11 +251,10 @@ def uniform_ratio_audit(
     gamma: FunctionalSpec,
     constant_estimate: Estimate,
     u_schedule: Sequence[float],
-    grid: GridSpec | Callable[[float], GridSpec],
+    grid: GridSpec,
     n_reps: int,
     rng: RngStream,
     tolerance: float = 0.1,
-    method: str | None = None,
     workers: int = 1,
 ) -> AuditReport:
     """Check sup over the index grid of |P/Psi(g) - H_hat| shrinking in u.
@@ -281,11 +275,8 @@ def uniform_ratio_audit(
 
     def _cell(args):
         ui, u, ti, tau = args
-        grid_u = grid(u) if callable(grid) else grid
-        cond = ConditionalSampler(family, u, tau, grid_u)
-        est = conditional_tail(
-            cond, gamma, n_reps, rng.substream(ui, ti), method=method
-        )
+        cond = ConditionalSampler(family, u, tau, grid)
+        est = conditional_tail(cond, gamma, n_reps, rng.substream(ui, ti))
         psi = survival_psi(cond.g)
         return {
             "u": u,
@@ -391,11 +382,13 @@ class AsymptoticSetup:
 
 
 def _exp_power_integral(lo: float, hi: float, beta: float) -> float:
-    """int_lo^hi exp(-|s|**beta) ds; closed form 2 Gamma(1 + 1/beta) on R."""
-    if math.isinf(lo) and math.isinf(hi):
-        return 2.0 * math.gamma(1.0 + 1.0 / beta)
-    val, _ = integrate.quad(lambda s: math.exp(-abs(s) ** beta), lo, hi)
-    return val
+    """int_lo^hi exp(-|s|**beta) ds = Gamma(1 + 1/beta) (F(hi) - F(lo)),
+    F(x) = sign(x) P(1/beta, |x|**beta), P the regularized lower gamma."""
+
+    def F(x):
+        return math.copysign(special.gammainc(1.0 / beta, abs(x) ** beta), x)
+
+    return math.gamma(1.0 + 1.0 / beta) * (F(hi) - F(lo))
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,6 @@ def _doublesum_run(preset_name: str):
                             offset2=(float(s2) + float(sep),),
                             m1_fn=lambda v: v,
                             m2_fn=lambda v: v,
-                            m_fn=lambda v: v,
                             c1=float(cfg["c1"]),
                             beta=float(cfg["beta"]),
                             s2=float(s2),

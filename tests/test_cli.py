@@ -124,16 +124,20 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert "cannot read --config" in capsys.readouterr().err
 
 
-def test_out_naming_a_file_fails_before_any_estimator(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+def test_out_naming_a_file_fails_before_any_estimator(
+    monkeypatch, tmp_path, capsys, out_name
+):
     def unreachable(*args, **kwargs):
         raise AssertionError("the estimator ran")
 
     monkeypatch.setattr(tailprob, "conditional_tail", unreachable)
-    out = tmp_path / "taken"
-    out.write_text("kept")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = tmp_path / out_name
     assert run(["tail", "--preset", "short-interval-tail", "--out", str(out)]) == 2
-    assert "names an existing file" in capsys.readouterr().err
-    assert out.read_text() == "kept"
+    assert "cannot create --out" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
 
 
 # ---------------------------------------------------------------------------

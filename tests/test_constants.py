@@ -25,6 +25,7 @@ from gexr.covmodels import (
     VarianceFunction,
 )
 from gexr.constants import (
+    BATCH_SIZE,
     _window_ratio_sums,
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
@@ -36,9 +37,9 @@ from gexr.constants import (
     window_sup_levels,
 )
 from gexr.functionals import FunctionalSpec, apply_functional
-from gexr.mc import Estimate, ExtrapolationSchedule
+from gexr.mc import Estimate, ExtrapolationSchedule, batches
 from gexr.rng import RngStream
-from gexr.simkit import GridSpec, LimitFieldSampler
+from gexr.simkit import GridSpec, LimitFieldSampler, StatIncrSampler
 
 SUP = FunctionalSpec.sup()
 
@@ -361,6 +362,29 @@ def test_generalized_piterbarg_zero_window_zero_horizon():
     # sup over nested horizons: levels nondecrease
     vals = [e.value for e in trace.levels]
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("S", [0.0, 0.75])
+def test_generalized_piterbarg_matches_per_t_slice_minimum(S):
+    vf, b, step, n_reps = VarianceFunction.fbm(0.8), 0.5, 1 / 8, BATCH_SIZE + 500
+    schedule = ExtrapolationSchedule(domain_sizes=(0.5, 1.0, 2.0), grid_steps=(step,))
+    trace = estimate_generalized_piterbarg(
+        vf, b, S, schedule, step, n_reps, RngStream(52)
+    )
+    n_s, n_t = round(S / step), round(2.0 / step)
+    x_vals = np.arange(-n_s, n_t + 1) * step
+    sampler = StatIncrSampler(vf, x_vals)
+    penalty = (1.0 + b) * vf(np.abs(x_vals))
+    sup_inf = {T: np.empty(n_reps) for T in schedule.domain_sizes}
+    for gen, lo, hi in batches(RngStream(52), n_reps, BATCH_SIZE):
+        y = math.sqrt(2.0) * sampler.sample(gen, hi - lo) - penalty
+        # t = i * step: the inf over s in [0, S] of y(t - s) is over x in [t - S, t]
+        infs = np.stack([y[:, i : i + n_s + 1].min(axis=1) for i in range(n_t + 1)], 1)
+        for T in schedule.domain_sizes:
+            sup_inf[T][lo:hi] = np.exp(infs[:, : round(T / step) + 1].max(axis=1))
+    for level, T in zip(trace.levels, schedule.domain_sizes):
+        want = Estimate.from_samples(sup_inf[T])
+        assert (level.value, level.stderr) == (want.value, want.stderr)
 
 
 def test_generalized_piterbarg_validation():

@@ -43,7 +43,6 @@ def make_config(offset2, m1=1.2, m2=1.2, corr=None, c1=1.0, beta=2.0, s2=2.0, di
         offset2=offset2,
         m1_fn=lambda u: m1,
         m2_fn=lambda u: m2,
-        m_fn=lambda u: max(m1, m2),
         c1=c1,
         beta=beta,
         s2=s2,

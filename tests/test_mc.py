@@ -77,11 +77,14 @@ def test_binomial_all_hits():
     assert lo == pytest.approx(0.025 ** (1 / 50))
 
 
-def test_binomial_middle_count_matches_beta_quantiles():
-    hits, n = 37, 1000
+@pytest.mark.parametrize(
+    "hits, n",
+    [(1, 2), (1, 60_000), (59_999, 60_000), (37, 1000), (5, 4000), (1234, 40_000)],
+)
+def test_binomial_middle_count_matches_beta_quantiles(hits, n):
     est = Estimate.binomial(hits, n)
     assert est.value == hits / n
-    assert est.stderr == pytest.approx(math.sqrt(0.037 * 0.963 / n))
+    assert est.stderr == pytest.approx(math.sqrt(hits / n * (1 - hits / n) / n))
     lo, hi = est.meta["ci_exact"]
     assert lo == stats.beta.ppf(0.025, hits, n - hits + 1)
     assert hi == stats.beta.ppf(0.975, hits + 1, n - hits)

@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal, norm
+from scipy import integrate
+from scipy.stats import kstest, multivariate_normal, norm
 
 from gexr.covmodels import ModelError, ThresholdedFamilySpec
 from gexr.configio import family_from_config
+from gexr import tailprob
 from gexr.functionals import FunctionalSpec
 from gexr.mc import Estimate
 from gexr.rng import RngStream
@@ -153,6 +155,36 @@ def test_conditional_methods_agree():
         comb = math.sqrt(crossing.stderr**2 + other.stderr**2)
         assert abs(crossing.value - other.value) < 4 * comb + other.meta["truncation_bound"]
     assert quad.meta["truncation_bound"] < 1e-12
+
+
+def test_sampled_method_draws_the_truncated_tilted_density(monkeypatch):
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    grid = GridSpec.line(0.0, 1.0, 9)
+    sampler = ConditionalSampler(fam, 2.0, 0.0, grid)
+    g = sampler.g
+    M = max(10.0, g * (g + 8.0))
+    # with A = 0 the field is w B, so w is read off the largest B; every
+    # functional value is made a hit, so each sample is the weight itself
+    monkeypatch.setattr(sampler, "sample_a", lambda gen, size: np.zeros((size, 9)))
+    seen = []
+
+    def record(gamma, vals, grid_ndim):
+        seen.append(vals.reshape(len(vals), -1).copy())
+        return np.full(len(vals), np.inf)
+
+    monkeypatch.setattr(tailprob, "apply_functional", record)
+    est = conditional_tail(sampler, SUP, 20_000, RngStream(84), method="sampled")
+    j = int(np.argmax(sampler.b_part))
+    w = np.concatenate(seen)[:, j] / sampler.b_part[j]
+    assert len(w) == 20_000
+    assert -M <= w.min() and w.max() <= M
+    # e^{w - w^2/(2g^2)} is proportional to the N(g^2, g^2) density
+    assert kstest(w, "norm", args=(g**2, g)).pvalue > 1e-3
+    pref = math.exp(-(g**2) / 2.0) / (math.sqrt(2 * math.pi) * g)
+    mass, _ = integrate.quad(
+        lambda x: math.exp(x - x**2 / (2 * g**2)), -M, M, points=[g**2], limit=200
+    )
+    assert est.value == pytest.approx(pref * mass, rel=1e-9)
 
 
 def _audit_cell_sampler():
@@ -307,6 +339,19 @@ def test_mainm_gaussian_integral_factor():
     )
     result = eval_mainm_formula(setup, 4.0, {"per_unit": [1.0]})
     assert result.factors["integrals"][0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-1.0, 1.0), (0.3, 2.5), (-3.0, -0.5), (-math.inf, 0.4), (1.2, math.inf),
+     (-math.inf, -2.0), (-math.inf, math.inf)],
+)
+def test_exp_power_integral_matches_quadrature(lo, hi, beta):
+    want, _ = integrate.quad(lambda s: math.exp(-abs(s) ** beta), lo, hi, epsabs=0.0,
+                             epsrel=1e-12, limit=200)
+    got = tailprob._exp_power_integral(lo, hi, beta)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_mainm_multiplicative_in_constants():
