@@ -10,6 +10,7 @@ config hash covering all numeric inputs), and a gnuplot script referencing
 the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error (an
 unreadable --config or an --out that cannot be made a directory included:
 --out is created before any estimator runs), 3 numerical/model rejection.
+A run that exits 2 or 3 removes the --out directories it created itself.
 The environment variable GEXR_BUDGET caps replication counts for smoke
 runs; results.json records the cap as "budget" (null when unset).  Any
 overflowed (non-finite) sample of a Monte Carlo estimate fails the run.
@@ -479,12 +480,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _remove_dirs(made: list[str]) -> None:
+    """Remove the --out directories a failed run created, deepest first."""
+    for path in made:
+        try:
+            os.rmdir(path)
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list-presets":
         for name, desc in list_presets():
             print(f"{name}: {desc}")
         return EXIT_PASS
+    made: list[str] = []  # --out and its parents that this run creates
     try:
         if args.preset:
             cfg = preset_config(args.preset)
@@ -508,6 +519,10 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ModelError("--workers must be at least 1")
         budget = _budget()
+        path = os.path.abspath(args.out)
+        while not os.path.lexists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
@@ -517,9 +532,11 @@ def main(argv=None) -> int:
     # LinAlgError subclasses ValueError: numerical failures are caught first
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"model rejected: {exc}", file=sys.stderr)
+        _remove_dirs(made)
         return EXIT_NUMERIC
     except (ModelError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        _remove_dirs(made)
         return EXIT_CONFIG
     for fname, header, rows, title, x, y in files:
         path = os.path.join(args.out, fname)

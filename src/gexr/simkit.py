@@ -4,10 +4,12 @@ Each generator is a sampler class that performs the one-off precomputation
 (circulant spectrum or Cholesky factor) and then draws batches of paths from
 a numpy generator; a batch is an array with the batch axis leading.
 
-Fractional-Brownian-type paths on uniform grids go through circulant
-embedding of the increment autocovariance (O(n log n), exact in law); general
-stationary-increment variance functions and conditional residual fields go
-through Cholesky factorization with a bounded jitter schedule.
+Fractional-Brownian-type paths on uniform grids are drawn from the increment
+autocovariance: white increments (alpha = 1) and equal increments (alpha = 2,
+the path t * Z) directly, every other alpha through circulant embedding
+(O(n log n)); all three are exact in law.  General stationary-increment
+variance functions and conditional residual fields go through Cholesky
+factorization with a bounded jitter schedule.
 """
 
 from __future__ import annotations
@@ -144,11 +146,26 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
 
 
 class _CirculantNoise:
-    """Circulant-embedding sampler for stationary increments on a ring."""
+    """Stationary increments with the fGn autocovariance gamma.
+
+    The draw is picked from gamma itself.  White increments (gamma[1:] == 0,
+    alpha = 1) are sqrt(gamma[0]) times independent normals, n_incr per
+    path.  Equal increments (gamma[k] == gamma[0], alpha = 2) have a
+    rank-one covariance: ``rank_one`` is set and the caller draws the path
+    as t * Z, one normal per path.  Every other gamma goes through circulant
+    embedding on a ring of m points.
+    """
 
     def __init__(self, alpha: float, n_incr: int, step: float):
         m = 1 << max(1, int(math.ceil(math.log2(2 * max(n_incr, 1)))))
         gamma = np.array([fgn_autocovariance(alpha, step, k) for k in range(m // 2 + 1)])
+        self.m = m
+        self.n_incr = n_incr
+        self.white = not np.any(gamma[1:])
+        self.rank_one = bool(np.all(gamma == gamma[0]))
+        self._sd = math.sqrt(gamma[0])
+        if self.white or self.rank_one:
+            return
         ring = np.concatenate([gamma, gamma[-2:0:-1]])
         lam = np.fft.rfft(ring).real
         floor = -EMBEDDING_TOL * gamma[0]
@@ -158,13 +175,15 @@ class _CirculantNoise:
                 "this signals numerical breakdown for the requested alpha/n"
             )
         lam = np.clip(lam, 0.0, None)
-        self.m = m
-        self.n_incr = n_incr
         # spectral weights for the Hermitian-symmetric normal draw
         self._sqrt_lam = np.sqrt(lam / m)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n_incr) stationary increments with the target covariance."""
+        if self.white:
+            noise = rng.standard_normal((size, self.n_incr))
+            noise *= self._sd
+            return noise
         m = self.m
         half = m // 2
         root_m = math.sqrt(m)
@@ -191,8 +210,9 @@ class FbmSampler:
     """Paths with Var X(t) = |t|**alpha on a uniform grid containing 0.
 
     The grid runs from -n_left*step to n_right*step; X(0) = 0 exactly.
-    Uses one circulant embedding over the whole span and recenters at the
-    origin (increment stationarity makes this exact in law).
+    The increments over the whole span are drawn at once and the path is
+    recentered at the origin (increment stationarity makes this exact in
+    law); at alpha = 2 the path is t * Z with one normal per path.
     """
 
     def __init__(self, alpha: float, step: float, n_right: int, n_left: int = 0):
@@ -209,6 +229,8 @@ class FbmSampler:
         return self.n_left + self.n_right + 1
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self._noise.rank_one:
+            return rng.standard_normal((size, 1)) * self.grid_values()
         incr = self._noise.sample(rng, size)
         path = np.empty((size, self.n_points))
         path[:, 0] = 0.0

@@ -355,7 +355,7 @@ def test_criterion_8_generator_covariances(capsys):
             - vf(np.abs(t[:, None] - t[None, :]))
         )
 
-    # two-sided circulant-embedding sampler
+    # two-sided fBm sampler (white increments at alpha = 1)
     fbm = FbmSampler(1.0, 0.25, n_right=8, n_left=4)
     t = fbm.grid_values()
     check("fbm", fbm.sample(RngStream(20260816, (0,)).generator(), n),

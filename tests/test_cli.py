@@ -140,6 +140,38 @@ def test_out_naming_a_file_fails_before_any_estimator(
     assert taken.read_text() == "kept"
 
 
+def _short_tail_without_reps(tmp_path):
+    cfg = dict(PRESETS["short-interval-tail"][1])
+    del cfg["reps"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _linalg_broken(*args, **kwargs):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def test_failed_run_removes_the_out_it_created(monkeypatch, tmp_path, capsys):
+    config = _short_tail_without_reps(tmp_path)
+    for out in (tmp_path / "emptyout", tmp_path / "made" / "deeper"):
+        assert run(["tail", "--config", config, "--out", str(out)]) == 2
+    monkeypatch.setattr(tailprob, "conditional_tail", _linalg_broken)
+    out = tmp_path / "numeric"
+    assert run(["tail", "--preset", "short-interval-tail", "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_failed_run_keeps_an_existing_out(monkeypatch, tmp_path, capsys):
+    config = _short_tail_without_reps(tmp_path)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert run(["tail", "--config", config, "--out", str(kept)]) == 2
+    monkeypatch.setattr(tailprob, "conditional_tail", _linalg_broken)
+    assert run(["tail", "--preset", "short-interval-tail", "--out", str(kept)]) == 3
+    assert kept.is_dir()
+
+
 # ---------------------------------------------------------------------------
 # output files
 

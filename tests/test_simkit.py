@@ -130,8 +130,13 @@ def _reference_fbm_sample(sampler, rng, size):
     return path - path[:, sampler.n_left : sampler.n_left + 1]
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("n_right,n_left", [(1, 0), (0, 1), (4, 3), (63, 0), (512, 512)])
+GRID_SHAPES = [(1, 0), (0, 1), (4, 3), (63, 0), (512, 512)]
+
+
+# alpha = 1 and 2 are drawn without the embedding; 1 + 1e-6 and 1.99 lie next
+# to them and must still embed, since the draw is picked from the covariance
+@pytest.mark.parametrize("alpha", [0.5, 1.0 + 1e-6, 1.5, 1.99])
+@pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
 def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
     sampler = FbmSampler(alpha, 1 / 64, n_right, n_left)
     for size in (1, 7, 300):
@@ -139,6 +144,41 @@ def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
         got = sampler.sample(stream.generator(), size)
         ref = _reference_fbm_sample(sampler, stream.generator(), size)
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
+def test_fbm_alpha1_is_cumsum_of_white_noise(n_right, n_left):
+    step = 1 / 64
+    sampler = FbmSampler(1.0, step, n_right, n_left)
+    for size in (1, 7, 300):
+        stream = RngStream(17, (size,))
+        got = sampler.sample(stream.generator(), size)
+        z = stream.generator().standard_normal((size, n_right + n_left))
+        path = np.zeros((size, n_right + n_left + 1))
+        path[:, 1:] = np.cumsum(math.sqrt(step) * z, axis=1)
+        assert np.array_equal(got, path - path[:, n_left : n_left + 1])
+
+
+@pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
+def test_fbm_alpha2_is_t_times_one_normal(n_right, n_left):
+    sampler = FbmSampler(2.0, 1 / 64, n_right, n_left)
+    t = sampler.grid_values()
+    for size in (1, 7, 300):
+        stream = RngStream(17, (size,))
+        got = sampler.sample(stream.generator(), size)
+        z = stream.generator().standard_normal((size, 1))
+        assert np.allclose(got, z * t, rtol=1e-12, atol=0.0)
+
+
+# 25 paths of 49 increments: white noise takes 49 normals a path, t * Z one
+@pytest.mark.parametrize("alpha,normals", [(1.0, 25 * 49), (2.0, 25)])
+def test_fbm_direct_draws_use_their_normals_only(alpha, normals):
+    # the generator's next draw shows how many normals the batch consumed
+    gen = RngStream(4).generator()
+    FbmSampler(alpha, 0.1, n_right=40, n_left=9).sample(gen, 25)
+    ref = RngStream(4).generator()
+    ref.standard_normal(normals)
+    assert gen.standard_normal() == ref.standard_normal()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -33,3 +33,22 @@ def test_traced_tail_run_records_its_spans(monkeypatch, tmp_path, capsys):
     rec.reset()
     main(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path / "again")])
     assert rec.spans == []
+
+
+def test_traced_pickands_run_counts_its_normals(monkeypatch, tmp_path, capsys):
+    # white increments at alpha = 1: 2048 normals a path, where the circulant
+    # embedding of the same 2048 increments drew 4096
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setenv("GEXR_BUDGET", "300")
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    try:
+        code = main(["constants", "--preset", "pickands-alpha-1", "--out", str(tmp_path)])
+    finally:
+        restore()
+    assert code == 0
+    names = {span[0] for span in rec.spans}
+    assert {"simkit.circulant.setup", "simkit.circulant.sample"} <= names
+    assert rec.counts["rng.normals"] == 300 * 2048
