@@ -247,10 +247,13 @@ def _audit_constant(cfg: dict, grid_doc: dict, rng: RngStream) -> Estimate:
     if "windowConstant" in doc:
         sub = doc["windowConstant"]
         eta = eta_from_config(sub["eta"])
+        if len(grid_doc["perAxis"]) != 1:
+            raise ModelError("windowConstant needs a grid with one axis")
+        # the constant of [lo, hi] is that of [0, hi - lo]: stationary increments
         lo, hi, n = grid_doc["perAxis"][0]
         step = (hi - lo) / (n - 1)
         reps = _reps(sub)
-        samples = constmod.window_sup_constant(eta, float(hi), step, reps, rng)[0]
+        samples = constmod.window_sup_constant(eta, float(hi - lo), step, reps, rng)[0]
         return Estimate.from_samples(samples)
     raise ModelError("audit constant must give 'value' or 'windowConstant'")
 

@@ -9,10 +9,11 @@ Four estimators live here:
   length.  Direct Monte Carlo of exp(sup) is useless here: the integrand has
   a near-critical exponential tail and the estimator is both noisy and
   heavily skewed at useful domain sizes.  Instead we use an exact tilting
-  identity (see ``window_sup_constant``): for a stationary-increment field
+  identity (see ``window_sup_levels``): for a stationary-increment field
   the constant over [0, S] equals a sum over grid points of bounded
   max/sum ratios of the exponentiated field over sliding windows of [-S, S].
-  The identity is exact for the grid constant and has tiny variance.
+  The identity is exact for the grid constant and has tiny variance; all
+  domain sizes and grid steps share one exp and four outward scans a path.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -136,47 +137,43 @@ def estimate_joint_constant(
 # the tilted sliding-window identity
 
 
-def _window_ratio_sums(w: np.ndarray, n: int) -> np.ndarray:
-    """Per-sample sum over j of max(e^w) / sum(e^w) over windows [j, j+n].
+def _window_ratio_levels(w: np.ndarray, counts: Sequence[int], refine: int) -> np.ndarray:
+    """The window ratio sums of :func:`window_sup_levels`, (levels, refine, batch).
 
-    ``w`` has shape (batch, 2n+1); window j covers indices [j, j+n],
-    j = 0..n.  Rows are normalized by their maximum before the exp.  Every
-    window contains the center index n, where w = 0 by construction, but
-    that does not keep windows from emptying: once a row's maximum exceeds
-    w[n] by about 745, e[n] underflows to 0, and a window whose entries all
-    underflow gives 0/0 = NaN (counted as an overflow by
-    ``Estimate.from_samples``).  The center index gives the window maxima in
-    two running passes:
-
-        max e[j..j+n] = max(max e[j..n], max e[n..j+n]),
-
-    a suffix maximum over the left half and a prefix maximum over the right
-    half.  Rows are reduced in blocks of ``_ROW_BLOCK`` so that one block's
-    work arrays stay in cache.
+    ``w`` is (batch, 2N+1), N = max(counts); level n at stride s reads
+    w[:, N-n : N+n+1 : s].  Blocks of ``_ROW_BLOCK`` rows stay in cache.
     """
-    batch, m = w.shape
-    if m != 2 * n + 1:
-        raise ModelError("window identity expects a grid of 2n+1 points")
+    batch, n_max = w.shape[0], max(counts)
     rows = min(batch, _ROW_BLOCK)
-    e = np.empty((rows, m))
-    maxes = np.empty((rows, n + 1))
-    sums = np.empty((rows, n + 1))
-    out = np.empty(batch)
+    e = np.empty((rows, 2 * n_max + 1))
+    lmax, rmax, lsum, rsum, num, den = np.empty((6, rows, n_max + 1))
+    out = np.empty((len(counts), refine, batch))
     for lo in range(0, batch, _ROW_BLOCK):
         wb = w[lo : lo + _ROW_BLOCK]
         k = wb.shape[0]
-        eb, mb, sb = e[:k], maxes[:k], sums[:k]
+        eb = e[:k]
         np.subtract(wb, wb.max(axis=1, keepdims=True), out=eb)
         np.exp(eb, out=eb)
-        np.maximum.accumulate(eb[:, n:], axis=1, out=mb)
-        np.maximum.accumulate(eb[:, n::-1], axis=1, out=sb)
-        np.maximum(mb, sb[:, ::-1], out=mb)
-        # window sums from the running sum c: c[j+n] - c[j-1], with c[-1] = 0
-        np.cumsum(eb, axis=1, out=eb)
-        sb[:, 0] = eb[:, n]
-        np.subtract(eb[:, n + 1 :], eb[:, :n], out=sb[:, 1:])
-        np.divide(mb, sb, out=mb)
-        out[lo : lo + k] = mb.sum(axis=1)
+        for lv in range(refine):
+            s = 2**lv
+            top = n_max // s
+            lm, rm, ls, rs = (a[:k, : top + 1] for a in (lmax, rmax, lsum, rsum))
+            # left scans run outward, stored in grid order: Lmax[m-j] = lm[:, top-m+j].
+            # fmax (faster than maximum) may skip a NaN, but any window holding
+            # one has a NaN sum, and the scans of other windows never see it
+            left, right = eb[:, n_max::-s], eb[:, n_max::s]
+            np.fmax.accumulate(left, axis=1, out=lm[:, ::-1])
+            np.fmax.accumulate(right, axis=1, out=rm)
+            ls[:, top] = 0.0
+            np.cumsum(left[:, 1:], axis=1, out=ls[:, :top][:, ::-1])
+            np.cumsum(right, axis=1, out=rs)
+            for li, n in enumerate(counts):
+                m = n // s
+                nb, db = num[:k, : m + 1], den[:k, : m + 1]
+                np.maximum(lm[:, top - m :], rm[:, : m + 1], out=nb)
+                np.add(ls[:, top - m :], rs[:, : m + 1], out=db)
+                np.divide(nb, db, out=nb)
+                out[li, lv, lo : lo + k] = nb.sum(axis=1)
     return out
 
 
@@ -203,6 +200,16 @@ def window_sup_levels(
     evaluates the identity on 2x, 4x, ... coarsened subgrids of the same
     paths (step extrapolation, same CRN rationale).  Returns, per domain
     size, one per-sample array per refinement level, finest first.
+
+    Every window contains the center, so one exp per path (of w minus the
+    row's maximum over the full grid) and, per stride, four running scans
+    outward from the center serve all levels: window j of level m has
+    maximum max(Lmax[m-j], Rmax[j]) and sum Lsum[m-j] + Rsum[j] (Lsum
+    without the center), with no cancellation from differenced sums.  A row
+    whose maximum exceeds the center by more than about 745 underflows the
+    center's exp to 0; a window whose entries all underflow gives 0/0 = NaN
+    for its level, never a finite value, and ``Estimate.from_samples``
+    counts it in ``overflow_count``.
     """
     if eta.dim != 1:
         raise ModelError("window identity needs a one-dimensional field")
@@ -221,18 +228,13 @@ def window_sup_levels(
     grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
     sampler = LimitFieldSampler(eta, grid)
     var = eta.variance(grid.axis_values(0))
-    out = [[np.empty(n_reps) for _ in range(refine)] for _ in s_levels]
+    out = np.empty((len(counts), refine, n_reps))
     for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
         w = sampler.sample(gen, hi - lo)
         w *= math.sqrt(2.0)
         w -= var
-        for si, n in enumerate(counts):
-            center = w[:, n_max - n : n_max + n + 1]
-            for lv in range(refine):
-                stride = 2**lv
-                sub = center[:, ::stride]
-                out[si][lv][lo:hi] = _window_ratio_sums(sub, n // stride)
-    return out
+        out[:, :, lo:hi] = _window_ratio_levels(w, counts, refine)
+    return [list(level) for level in out]
 
 
 def window_sup_constant(

@@ -214,6 +214,33 @@ def test_audit_csv_cells_parse_as_numbers(monkeypatch, tmp_path, capsys):
                     float(cell)
 
 
+def _audit_config(path, per_axis):
+    cfg = json.loads(json.dumps(PRESETS["uniform-audit-stationary"][1]))
+    cfg["grid"]["perAxis"] = per_axis
+    cfg["uSchedule"] = [3]
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_audit_window_constant_covers_the_grid_length(monkeypatch, tmp_path, capsys):
+    # the constant of [-1, 1] is that of [0, 2], from the same draws
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    constants = []
+    for name, axis in (("shifted", [-1.0, 1.0, 65]), ("origin", [0.0, 2.0, 65])):
+        cfg = _audit_config(tmp_path / f"{name}.json", [axis])
+        out = tmp_path / name
+        assert run(["audit", "--config", cfg, "--out", str(out)]) in (0, 1)
+        constants.append(json.loads((out / "results.json").read_text())["summary"]["constant"])
+    assert constants[0] == constants[1] > 3.0
+
+
+def test_audit_window_constant_on_two_axes_is_config_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    cfg = _audit_config(tmp_path / "cfg.json", [[0.0, 2.0, 65], [0.0, 1.0, 3]])
+    assert run(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "one axis" in capsys.readouterr().err
+
+
 def test_rerun_is_byte_identical(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -293,6 +320,26 @@ def test_overflowed_level_fails_the_run(overflow, monkeypatch, tmp_path, capsys)
     else:  # the same trace without the overflow meets the preset's target
         assert code == 0 and summary["status"] == "pass"
         assert "overflowCount" not in summary
+
+
+def test_underflowed_window_fails_the_run(monkeypatch, tmp_path, capsys):
+    # a spike far above the center empties that path's windows into NaN
+    class SpikedSampler:
+        def __init__(self, eta, grid):
+            self.size = grid.size
+
+        def sample(self, gen, size):
+            w = np.zeros((size, self.size))
+            w[0, 0] = 1000.0
+            return w
+
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    monkeypatch.setattr(constmod, "LimitFieldSampler", SpikedSampler)
+    with np.errstate(invalid="ignore"):
+        code = run(["constants", "--preset", "pickands-alpha-1", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "results.json").read_text())["summary"]
+    assert code == 1 and summary["status"] == "fail"
+    assert summary["overflowCount"] > 0
 
 
 @pytest.mark.parametrize("overflow", [0, 3])

@@ -15,9 +15,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.ndimage import maximum_filter1d
 from scipy.stats import norm
 
+from gexr import constants as constmod
 from gexr.covmodels import (
     DriftFunction,
     LimitFieldSpec,
@@ -26,7 +26,7 @@ from gexr.covmodels import (
 )
 from gexr.constants import (
     BATCH_SIZE,
-    _window_ratio_sums,
+    _window_ratio_levels,
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
     estimate_joint_constant,
@@ -154,16 +154,17 @@ def test_window_validation():
         )
 
 
-def _reference_window_ratio_sums(w, n):
-    """Sliding-filter form of the window reduction: the oracle for bit identity."""
-    batch = w.shape[0]
-    e = np.exp(w - w.max(axis=1, keepdims=True))
-    cs = np.concatenate([np.zeros((batch, 1)), np.cumsum(e, axis=1)], axis=1)
-    sums = cs[:, n + 1 :] - cs[:, : n + 1]
-    h1 = (n + 1) // 2
-    centered = maximum_filter1d(e, size=n + 1, axis=1, mode="nearest")
-    maxes = centered[:, h1 : h1 + n + 1]
-    return (maxes / sums).sum(axis=1)
+def _oracle_window_ratio_sums(w, n, stride):
+    """Row by row: exact window maxima and math.fsum window sums of level n."""
+    n_max = (w.shape[1] - 1) // 2
+    sub = w[:, n_max - n : n_max + n + 1 : stride]
+    m = n // stride
+    out = []
+    for row in sub:
+        e = np.exp(row - row.max()).tolist()
+        wins = [e[j : j + m + 1] for j in range(m + 1)]
+        out.append(math.fsum(max(win) / math.fsum(win) for win in wins))
+    return np.array(out)
 
 
 def _tilted_walk(batch, n, step, seed):
@@ -176,22 +177,60 @@ def _tilted_walk(batch, n, step, seed):
     return math.sqrt(2.0) * b - np.abs(t)
 
 
+def _assert_levels_match_oracle(w, counts, refine):
+    got = _window_ratio_levels(w, counts, refine)
+    assert got.shape == (len(counts), refine, w.shape[0])
+    for li, n in enumerate(counts):
+        for lv in range(refine):
+            want = _oracle_window_ratio_sums(w, n, 2**lv)
+            np.testing.assert_allclose(got[li, lv], want, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 129])
 @pytest.mark.parametrize("batch", [1, 127, 128, 129, 300])
-def test_window_ratio_sums_bit_identical_to_sliding_filter(n, batch):
+def test_window_sums_match_fsum_oracle(n, batch):
+    # three nested levels share one call; the largest sets the grid
     w = _tilted_walk(batch, n, 1 / 16, seed=1000 * n + batch)
-    assert np.array_equal(_window_ratio_sums(w, n), _reference_window_ratio_sums(w, n))
+    _assert_levels_match_oracle(w, [n // 4, n // 2, n], refine=1)
 
 
 @pytest.mark.parametrize("n", [2, 32, 130])
-def test_window_ratio_sums_bit_identical_on_strided_subgrids(n):
-    # refinement levels pass every-other-point views of the central sub-grids
+def test_window_sums_match_fsum_oracle_on_both_strides(n):
+    # refinement levels read every other point of the same nested sub-grids
     w = _tilted_walk(200, 2 * n, 1 / 64, seed=n)
-    for center, m in ((w, n), (w[:, n : 3 * n + 1], n // 2)):
-        coarse = center[:, ::2]
-        assert np.array_equal(
-            _window_ratio_sums(coarse, m), _reference_window_ratio_sums(coarse, m)
-        )
+    _assert_levels_match_oracle(w, [2, n, 2 * n], refine=2)
+
+
+def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
+    # a spike 1000 above the center, outside the inner levels' sub-grids,
+    # underflows every other exp of its row: windows without it give 0/0
+    n_max, spike = 32, 1000.0
+    w = _tilted_walk(3, n_max, 1 / 16, seed=5)
+    w[0, n_max + 24] = spike
+    with np.errstate(invalid="ignore"):
+        got = _window_ratio_levels(w, [8, 16, 32], refine=2)
+    assert np.isnan(got[:, :, 0]).all()
+    assert np.isfinite(got[:, :, 1:]).all()
+
+    class SpikedSampler:
+        def __init__(self, eta, grid):
+            self.size = grid.size
+
+        def sample(self, gen, size):
+            w = np.zeros((size, self.size))
+            w[0, -1] = spike  # the first row of every batch
+            return w
+
+    monkeypatch.setattr(constmod, "LimitFieldSampler", SpikedSampler)
+    schedule = ExtrapolationSchedule(
+        domain_sizes=(1.0, 2.0, 4.0), grid_steps=(1 / 4, 1 / 8)
+    )
+    n_reps = 2 * BATCH_SIZE + 10
+    with np.errstate(invalid="ignore"):
+        trace = estimate_pickands(LimitFieldSpec.fbm(1.0), schedule, n_reps, RngStream(3))
+    for est in (*trace.levels, trace.estimate):
+        assert est.meta["overflow_count"] == 3  # one row in each of three batches
+        assert math.isfinite(est.value)
 
 
 # ---------------------------------------------------------------------------

@@ -50,5 +50,6 @@ def test_traced_pickands_run_counts_its_normals(monkeypatch, tmp_path, capsys):
         restore()
     assert code == 0
     names = {span[0] for span in rec.spans}
-    assert {"simkit.circulant.setup", "simkit.circulant.sample"} <= names
+    # the window reduction's time is read from the window_sup_levels span
+    assert {"simkit.circulant.setup", "simkit.circulant.sample", "constants.window"} <= names
     assert rec.counts["rng.normals"] == 300 * 2048
