@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.ndimage import maximum_filter1d
 from scipy.stats import norm
 
 from gexr import constants as constmod
@@ -167,6 +168,26 @@ def _oracle_window_ratio_sums(w, n, stride):
     return np.array(out)
 
 
+def _sliding_window_ratio_sums(w, n, stride):
+    """Sliding-filter form of level n, one window at a time: the bit-identity oracle.
+
+    Maxima come from a sliding maximum filter.  Each window's sum is formed on
+    its own, in the order the reduction adds: outward from the center, the
+    left part (without the center) plus the right part.
+    """
+    n_max = (w.shape[1] - 1) // 2
+    e = np.exp(w - w.max(axis=1, keepdims=True))
+    sub = e[:, n_max - n : n_max + n + 1 : stride]
+    m = n // stride
+    h1 = (m + 1) // 2
+    maxes = maximum_filter1d(sub, size=m + 1, axis=1, mode="nearest")[:, h1 : h1 + m + 1]
+    sums = np.empty_like(maxes)
+    for j in range(m + 1):
+        left = np.cumsum(sub[:, j:m][:, ::-1], axis=1)[:, -1] if j < m else 0.0
+        sums[:, j] = left + np.cumsum(sub[:, m : m + j + 1], axis=1)[:, -1]
+    return (maxes / sums).sum(axis=1)
+
+
 def _tilted_walk(batch, n, step, seed):
     """sqrt2 B(t) - |t| on the grid of [-n step, n step], B(0) = 0."""
     rng = np.random.default_rng(seed)
@@ -177,28 +198,29 @@ def _tilted_walk(batch, n, step, seed):
     return math.sqrt(2.0) * b - np.abs(t)
 
 
-def _assert_levels_match_oracle(w, counts, refine):
+def _assert_levels_match_oracles(w, counts, refine):
     got = _window_ratio_levels(w, counts, refine)
     assert got.shape == (len(counts), refine, w.shape[0])
     for li, n in enumerate(counts):
         for lv in range(refine):
+            assert np.array_equal(got[li, lv], _sliding_window_ratio_sums(w, n, 2**lv))
             want = _oracle_window_ratio_sums(w, n, 2**lv)
             np.testing.assert_allclose(got[li, lv], want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 129])
 @pytest.mark.parametrize("batch", [1, 127, 128, 129, 300])
-def test_window_sums_match_fsum_oracle(n, batch):
+def test_window_ratio_sums_bit_identical_to_sliding_filter(n, batch):
     # three nested levels share one call; the largest sets the grid
     w = _tilted_walk(batch, n, 1 / 16, seed=1000 * n + batch)
-    _assert_levels_match_oracle(w, [n // 4, n // 2, n], refine=1)
+    _assert_levels_match_oracles(w, [n // 4, n // 2, n], refine=1)
 
 
 @pytest.mark.parametrize("n", [2, 32, 130])
-def test_window_sums_match_fsum_oracle_on_both_strides(n):
+def test_window_ratio_sums_bit_identical_on_strided_subgrids(n):
     # refinement levels read every other point of the same nested sub-grids
     w = _tilted_walk(200, 2 * n, 1 / 64, seed=n)
-    _assert_levels_match_oracle(w, [2, n, 2 * n], refine=2)
+    _assert_levels_match_oracles(w, [2, n, 2 * n], refine=2)
 
 
 def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
