@@ -137,6 +137,9 @@ def estimate_joint_constant(
 # the tilted sliding-window identity
 
 
+# an underflowed window divides 0 by 0: the estimator counts the NaN as an
+# overflow, so numpy's warning would only repeat it
+@np.errstate(invalid="ignore")
 def _window_ratio_levels(w: np.ndarray, counts: Sequence[int], refine: int) -> np.ndarray:
     """The window ratio sums of :func:`window_sup_levels`, (levels, refine, batch).
 

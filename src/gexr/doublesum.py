@@ -2,21 +2,26 @@
 
 The double-sum method controls P(sup over box A > m_A, sup over box B > m_B)
 by a bound of the form C * S2^(2d) * Psi(min(m_A, m_B)) * exp(-C1 F^beta / 8)
-with F the Euclidean separation of the boxes.  The constant C is existential
-in the theory; here it becomes a fitted quantity: over a family of
-configurations we compute the smallest C covering every estimate's upper
-confidence end, and flag families where the required C keeps growing with
-separation (which is what a violated correlation-decay assumption looks
-like numerically).
+with F the Euclidean separation of the boxes.  The probability itself is
+estimated by pivoting on box A's exceedance count (Adler, Blanchet & Liu,
+Ann. Appl. Probab. 2012): each sample conditions the field on one uniform
+point of A exceeding m_A, is bounded by n_A Psi(m_A), and so keeps a
+relative error that a hit count loses as the probability falls.  The
+constant C is existential in the theory; here it becomes a fitted quantity:
+over a family of configurations we compute the smallest C covering every
+estimate's upper confidence end, and flag families where the required C
+keeps growing with separation (which is what a violated correlation-decay
+assumption looks like numerically).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .covmodels import ModelError
 from .mc import Estimate, batches
@@ -100,6 +105,27 @@ class DoubleMaximaConfig:
         return _shift(self.cell1, self.offset1), _shift(self.cell2, self.offset2)
 
 
+def _joint_points(box_a: Box, box_b: Box, points_per_axis: int):
+    """The distinct points of both box grids, with the box sizes n_A, n_B.
+
+    A point the two grids share is stored once, after A's own points and
+    before B's own ones, so box A is rows [0, n_A) and box B the last n_B
+    rows.  Stacking it twice would make the covariance singular.  The cap
+    counts both grids in full.
+    """
+    pts_a = _box_grid(box_a, points_per_axis)
+    pts_b = _box_grid(box_b, points_per_axis)
+    if len(pts_a) + len(pts_b) > JOINT_POINT_BUDGET:
+        raise ModelError(
+            f"joint grid has {len(pts_a) + len(pts_b)} points, "
+            f"exceeding cap {JOINT_POINT_BUDGET}"
+        )
+    same = (pts_a[:, None, :] == pts_b[None, :, :]).all(axis=-1)
+    in_b, in_a = same.any(axis=1), same.any(axis=0)
+    pts = np.concatenate([pts_a[~in_b], pts_a[in_b], pts_b[~in_a]])
+    return pts, len(pts_a), len(pts_b)
+
+
 def estimate_double_maxima(
     cfg: DoubleMaximaConfig,
     u: float,
@@ -107,32 +133,57 @@ def estimate_double_maxima(
     n_reps: int,
     rng: RngStream,
 ) -> Estimate:
-    """Binomial MC of the joint exceedance over both boxes.
+    """P(max_A Z > m1, max_B Z > m2) by a pivot on box A's exceedance count.
 
-    One Cholesky factorization of the stacked covariance; joint grids are
+    With N_A, N_B the boxes' exceedance counts, the exact identity
+    1{N_A >= 1, N_B >= 1} = sum_{i in A} 1{Z_i > m1} 1{N_B >= 1} / N_A
+    gives P = n_A Psi(m1) E[1{max_B Z > m2} / N_A] with the pivot i uniform
+    on A and the field conditioned on Z_i > m1: Z_i = x = -ndtri(U Psi(m1))
+    and Z = x C[:, i] + R, with R = Z' - C[:, i] Z'_i the residual of an
+    unconditioned path Z'.  Every sample lies in [0, n_A Psi(m1)].
+
+    Paths come in antithetic pairs x C[:, i] +- R that share the pivot, x
+    and one draw of R; the pair mean is the unit of the batch-means
+    standard error.  ``n_reps`` counts paths: an odd count rounds up to
+    whole pairs, and the returned ``n_reps`` is the number of paths drawn.
+    Within a batch the pivots cycle over A from an offset drawn from the
+    batch's generator, so each pivot is uniform and the batch visits every
+    point of A equally often, to within one.  One Cholesky factor of the
+    distinct points of both grids serves every pivot; joint grids are
     capped at 2^12 points.
     """
     box_a, box_b = cfg.boxes()
-    pts_a = _box_grid(box_a, points_per_axis)
-    pts_b = _box_grid(box_b, points_per_axis)
-    n_a = len(pts_a)
-    pts = np.concatenate([pts_a, pts_b])
-    if len(pts) > JOINT_POINT_BUDGET:
-        raise ModelError(
-            f"joint grid has {len(pts)} points, exceeding cap {JOINT_POINT_BUDGET}"
-        )
+    pts, n_a, n_b = _joint_points(box_a, box_b, points_per_axis)
+    n = len(pts)
     cov = np.asarray(cfg.correlation(u, pts, pts), dtype=float)
     if np.any(np.abs(np.diag(cov) - 1.0) > 1e-8):
         raise ModelError("correlation family is not unit-variance on the grid")
     L = _chol_psd(cov)
     m1, m2 = float(cfg.m1_fn(u)), float(cfg.m2_fn(u))
-    hits = 0
+    psi1 = survival_psi(m1)
+    n_reps += n_reps % 2
+    samples = np.empty(n_reps)
     for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
-        z = gen.standard_normal((hi - lo, len(pts))) @ L.T
-        joint = (z[:, :n_a].max(axis=1) > m1) & (z[:, n_a:].max(axis=1) > m2)
-        hits += int(np.count_nonzero(joint))
+        half = (hi - lo) // 2
+        cycles = -(-half // n_a)
+        pivots = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
+        # rows past `half` pad the last cycle and are dropped
+        x = np.full(cycles * n_a, m1)
+        x[:half] = -special.ndtri((1.0 - gen.random(half)) * psi1)
+        z = np.zeros((cycles * n_a, n))
+        np.matmul(gen.standard_normal((half, n)), L.T, out=z[:half])
+        x, z = x.reshape(cycles, n_a, 1), z.reshape(cycles, n_a, n)
+        z_i = z[:, np.arange(n_a), pivots][..., None]
+        c = cov[pivots]  # row j is the pivot column of the rows j mod n_A
+        # rows 2k and 2k+1 are the pair x c + R and x c - R, R = z - z_i c
+        for first, path in ((lo, z + (x - z_i) * c), (lo + 1, (x + z_i) * c - z)):
+            # the pivot itself exceeds m1, which rounding can hide when x ~ m1
+            n_exc = np.maximum((path[..., :n_a] > m1).sum(axis=-1), 1)
+            hit_b = path[..., n - n_b :].max(axis=-1) > m2
+            samples[first:hi:2] = (n_a * psi1 * hit_b / n_exc).reshape(-1)[:half]
     meta = {"separation": separation(box_a, box_b), "thresholds": (m1, m2)}
-    return Estimate.binomial(hits, n_reps, meta)
+    pairs = samples.reshape(-1, 2).mean(axis=1)
+    return replace(Estimate.from_samples(pairs, meta=meta), n_reps=n_reps)
 
 
 def eval_double_bound(cfg: DoubleMaximaConfig, u: float, c: float = 1.0) -> float:
@@ -168,8 +219,11 @@ def fit_bound_constant(
 
     ``configs`` pairs each configuration with its threshold level u.  The
     required C of one configuration is ci_upper / (bound at C=1); the fit is
-    their maximum.  If the required C at large separations materially
-    exceeds the one at separation ~ 0 (factor ``growth_factor``), the
+    their maximum.  ci_upper is the upper end of ``meta["ci_exact"]`` when
+    the estimate carries one (a binomial estimate) and otherwise the upper
+    end of the normal 95% interval ``ci95``, as for the pair means of
+    :func:`estimate_double_maxima`.  If the required C at large separations
+    materially exceeds the one at separation ~ 0 (factor ``growth_factor``), the
     exponential factor is failing to absorb the cross term and the family is
     flagged — a finite C "fit" over finitely many configurations would be
     vacuous otherwise.

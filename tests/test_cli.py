@@ -1,6 +1,7 @@
 """End-to-end runner tests: exit codes, file outputs, determinism, presets."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -335,7 +336,8 @@ def test_underflowed_window_fails_the_run(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     monkeypatch.setattr(constmod, "LimitFieldSampler", SpikedSampler)
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the verdict alone reports it
         code = run(["constants", "--preset", "pickands-alpha-1", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "results.json").read_text())["summary"]
     assert code == 1 and summary["status"] == "fail"

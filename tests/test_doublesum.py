@@ -1,15 +1,21 @@
 """Double-maxima estimator, cross-term bound and constant fitting.
 
-Exact multivariate-normal rectangle probabilities on small joint grids serve
-as the oracle for the joint-exceedance Monte Carlo.
+Exact multivariate-normal rectangle probabilities on small joint grids, the
+one-factor integral of the flat model and the pair bounds of the Gaussian
+kernel (``bench/refs.py``) serve as oracles for the pivoted estimator.
 """
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from gexr import doublesum
+from gexr.configio import doublesum_correlation_from_config
 from gexr.covmodels import ModelError
 from gexr.doublesum import (
     DoubleMaximaConfig,
@@ -21,6 +27,8 @@ from gexr.doublesum import (
 from gexr.mc import Estimate
 from gexr.rng import RngStream
 from gexr.tailprob import survival_psi
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def gauss_corr(scale=1.0):
@@ -105,12 +113,25 @@ def _exact_joint(cfg, u, points_per_axis):
     return 1.0 - p_a - p_b + p_ab
 
 
-def test_double_maxima_matches_exact_oracle():
+@pytest.fixture(scope="module")
+def exact_sep_one():
+    """The exact joint probability of ``make_config((2.0,))`` on 3 points a box."""
+    return _exact_joint(make_config((2.0,)), 0.0, 3)
+
+
+def test_double_maxima_matches_exact_oracle(exact_sep_one):
     cfg = make_config((2.0,))
-    exact = _exact_joint(cfg, 0.0, 3)
     est = estimate_double_maxima(cfg, 0.0, 3, 200_000, RngStream(81))
-    assert abs(est.value - exact) < 4 * est.stderr + 5e-4
+    assert abs(est.value - exact_sep_one) < 4 * est.stderr + 5e-4
     assert est.meta["separation"] == 1.0
+
+
+def test_pivot_offset_keeps_short_batches_unbiased(exact_sep_one, monkeypatch):
+    # 5 pairs a batch on 3 pivots: a fixed offset would give the point of A
+    # farthest from B two rows in five and bias the estimate low by ~20 sd
+    monkeypatch.setattr(doublesum, "BATCH_SIZE", 10)
+    est = estimate_double_maxima(make_config((2.0,)), 0.0, 3, 20_000, RngStream(85))
+    assert abs(est.value - exact_sep_one) < 3 * est.stderr
 
 
 def test_double_maxima_never_binding_second_box():
@@ -123,6 +144,83 @@ def test_double_maxima_never_binding_second_box():
     exact = 1.0 - float(mvn.cdf(np.full(3, 1.2)))
     est = estimate_double_maxima(cfg, 0.0, 3, 200_000, RngStream(82))
     assert abs(est.value - exact) < 4 * est.stderr + 5e-4
+
+
+def test_odd_reps_round_up_to_whole_pairs():
+    cfg = make_config((2.0,))
+    odd = estimate_double_maxima(cfg, 0.0, 3, 1001, RngStream(86))
+    even = estimate_double_maxima(cfg, 0.0, 3, 1002, RngStream(86))
+    assert odd.n_reps == even.n_reps == 1002
+    assert (odd.value, odd.stderr) == (even.value, even.stderr)
+
+
+def test_identical_boxes_give_the_single_box_tail():
+    # B = A keeps every point once; with m2 = m1 the joint tail is P(max_A > m1)
+    cfg = make_config((0.0,))
+    pts = np.linspace(0.0, 1.0, 3)[:, None]
+    cov = cfg.correlation(0.0, pts, pts)
+    mvn = multivariate_normal(mean=np.zeros(3), cov=cov, allow_singular=True, seed=1)
+    exact = 1.0 - float(mvn.cdf(np.full(3, 1.2)))
+    est = estimate_double_maxima(cfg, 0.0, 3, 20_000, RngStream(87))
+    assert abs(est.value - exact) < 3 * est.stderr
+
+
+def _preset_config(model, sep, m, s2=2.0):
+    # the doublesum runner's layout: two boxes of length s2 and a gap sep
+    return DoubleMaximaConfig(
+        correlation=doublesum_correlation_from_config(model),
+        cell1=((0.0, s2),),
+        cell2=((0.0, s2),),
+        offset1=(0.0,),
+        offset2=(s2 + sep,),
+        m1_fn=lambda u: m,
+        m2_fn=lambda u: m,
+        c1=0.5,
+        beta=2.0,
+    )
+
+
+def _bench_refs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    return importlib.import_module("refs")
+
+
+@pytest.mark.parametrize("sep", [0.0, 2.0])
+@pytest.mark.parametrize("m", [3.0, 5.0])
+def test_flat_model_matches_one_factor_oracle(m, sep, monkeypatch):
+    refs = _bench_refs(monkeypatch)
+    cfg = _preset_config({"kind": "flat", "rho": 0.9}, sep, m)
+    box_a, box_b = cfg.boxes()
+    exact = refs.flat_double_maxima(
+        0.9, m, np.linspace(*box_a[0], 9), np.linspace(*box_b[0], 9)
+    )
+    est = estimate_double_maxima(cfg, 0.0, 9, 20_000, RngStream(88, (int(m), int(sep))))
+    assert abs(est.value - exact) < 3 * est.stderr
+    assert est.stderr < 0.02 * exact
+
+
+@pytest.mark.parametrize("sep", [0.0, 1.0, 2.0])
+def test_gaussian_model_inside_pair_bounds(sep, monkeypatch):
+    refs = _bench_refs(monkeypatch)
+    cfg = _preset_config({"kind": "gaussian"}, sep, 2.5)
+    box_a, box_b = cfg.boxes()
+    lo, hi = refs.gaussian_double_maxima_bounds(
+        2.5, np.linspace(*box_a[0], 9), np.linspace(*box_b[0], 9)
+    )
+    est = estimate_double_maxima(cfg, 0.0, 9, 20_000, RngStream(89, (int(sep),)))
+    assert lo - 3 * est.stderr < est.value < hi + 3 * est.stderr
+
+
+@pytest.mark.parametrize("model", [{"kind": "flat", "rho": 0.9}, {"kind": "gaussian"}])
+def test_separation_zero_factor_needs_no_jitter(model, monkeypatch):
+    # the point both boxes share enters the covariance once, so the factor
+    # exists without the jitter that a repeated point would need
+    monkeypatch.setattr(doublesum, "_chol_psd", np.linalg.cholesky)
+    for s2, ppa in ((2.0, 9), (4.0, 17)):
+        cfg = _preset_config(model, 0.0, 2.5, s2)
+        est = estimate_double_maxima(cfg, 0.0, ppa, 200, RngStream(90))
+        assert math.isfinite(est.value)
 
 
 def test_double_maxima_point_cap():

@@ -53,3 +53,22 @@ def test_traced_pickands_run_counts_its_normals(monkeypatch, tmp_path, capsys):
     # the window reduction's time is read from the window_sup_levels span
     assert {"simkit.circulant.setup", "simkit.circulant.sample", "constants.window"} <= names
     assert rec.counts["rng.normals"] == 300 * 2048
+
+
+def test_traced_doublesum_run_counts_its_normals(monkeypatch, tmp_path, capsys):
+    # 150 antithetic pairs a cell, one normal per distinct grid point: 17 at
+    # separation 0, where the boxes share a point, and 18 at separations 1, 2, 4
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setenv("GEXR_BUDGET", "300")
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    try:
+        code = main(["doublesum", "--preset", "doublesum-flat", "--out", str(tmp_path)])
+    finally:
+        restore()
+    assert code == 1
+    names = {span[0] for span in rec.spans}
+    assert {"doublesum.estimate", "simkit.cholesky.setup", "rng.normal"} <= names
+    assert rec.counts["rng.normals"] == 150 * (17 + 3 * 18)
