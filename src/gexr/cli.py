@@ -252,9 +252,10 @@ def _audit_constant(cfg: dict, grid_doc: dict, rng: RngStream) -> Estimate:
         # the constant of [lo, hi] is that of [0, hi - lo]: stationary increments
         lo, hi, n = grid_doc["perAxis"][0]
         step = (hi - lo) / (n - 1)
-        reps = _reps(sub)
-        samples = constmod.window_sup_constant(eta, float(hi - lo), step, reps, rng)[0]
-        return Estimate.from_samples(samples)
+        levels, pairs = constmod.window_sup_levels(
+            eta, [float(hi - lo)], step, _reps(sub), rng
+        )
+        return pairs.estimate(levels[0][0])
     raise ModelError("audit constant must give 'value' or 'windowConstant'")
 
 

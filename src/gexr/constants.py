@@ -14,6 +14,9 @@ Four estimators live here:
   max/sum ratios of the exponentiated field over sliding windows of [-S, S].
   The identity is exact for the grid constant and has tiny variance; all
   domain sizes and grid steps share one exp and four outward scans a path.
+  Paths come in antithetic pairs built from eta and -eta, one draw for
+  two paths, except for a rank-one field (the path t * Z), whose pair
+  would repeat one sample; ``n_reps`` counts paths either way.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -35,7 +38,7 @@ import numpy as np
 
 from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFunction
 from .functionals import FunctionalSpec, apply_functional
-from .mc import Estimate, ExtrapolationSchedule, batches, plateau_status
+from .mc import Estimate, ExtrapolationSchedule, PathPairs, batches, plateau_status
 from .rng import RngStream
 from .simkit import GridSpec, LimitFieldSampler, StatIncrSampler
 
@@ -187,7 +190,7 @@ def window_sup_levels(
     n_reps: int,
     rng: RngStream,
     refine: int = 1,
-) -> list[list[np.ndarray]]:
+) -> tuple[list[list[np.ndarray]], PathPairs]:
     """Unbiased samples of the grid sup-constant of eta over [0, S], per S.
 
     Identity: with W(s) = sqrt2 eta(s) - Var eta(s) on the grid of [-S, S],
@@ -202,7 +205,19 @@ def window_sup_levels(
     are low-variance (common random numbers).  ``refine`` > 1 additionally
     evaluates the identity on 2x, 4x, ... coarsened subgrids of the same
     paths (step extrapolation, same CRN rationale).  Returns, per domain
-    size, one per-sample array per refinement level, finest first.
+    size, one per-path array per refinement level, finest first, and the
+    :class:`~gexr.mc.PathPairs` that averages them.
+
+    Paths come in antithetic pairs: paths 2k and 2k+1 are W = sqrt2 eta -
+    Var eta and W = -sqrt2 eta - Var eta of one draw of eta, exact in law
+    since -eta has the law of eta, and reduced one after the other.  On long
+    domains a pair's samples are negatively correlated (difference
+    quotients about -0.1 at alpha = 1 and 1.5), on short ones positively
+    (+0.2 at alpha = 1, S = 2).  ``n_reps`` counts paths and an odd count
+    rounds up to whole pairs; ``BATCH_SIZE`` paths make a batch.  A
+    rank-one field (the path t * Z, read off the covariance by the sampler)
+    keeps independent paths: there -eta is eta reflected, every window sum
+    is invariant under the reflection, and a pair would repeat one sample.
 
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans
@@ -217,7 +232,8 @@ def window_sup_levels(
     if eta.dim != 1:
         raise ModelError("window identity needs a one-dimensional field")
     if eta.degenerate:
-        return [[np.ones(n_reps) for _ in range(refine)] for _ in s_levels]
+        ones = [[np.ones(n_reps) for _ in range(refine)] for _ in s_levels]
+        return ones, PathPairs(n_reps, paired=False)
     counts = []
     for S in s_levels:
         n = int(round(S / step))
@@ -231,13 +247,18 @@ def window_sup_levels(
     grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
     sampler = LimitFieldSampler(eta, grid)
     var = eta.variance(grid.axis_values(0))
-    out = np.empty((len(counts), refine, n_reps))
-    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
-        w = sampler.sample(gen, hi - lo)
-        w *= math.sqrt(2.0)
-        w -= var
-        out[:, :, lo:hi] = _window_ratio_levels(w, counts, refine)
-    return [list(level) for level in out]
+    pairs = PathPairs(n_reps, paired=not sampler.rank_one)
+    stride = 2 if pairs.paired else 1
+    out = np.empty((len(counts), refine, pairs.n_reps))
+    for gen, lo, hi in batches(rng, pairs.n_reps, BATCH_SIZE):
+        x = sampler.sample(gen, (hi - lo) // stride)
+        x *= math.sqrt(2.0)
+        out[:, :, lo:hi:stride] = _window_ratio_levels(x - var, counts, refine)
+        if pairs.paired:
+            np.negative(x, out=x)
+            x -= var
+            out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(x, counts, refine)
+    return [list(level) for level in out], pairs
 
 
 def window_sup_constant(
@@ -248,8 +269,11 @@ def window_sup_constant(
     rng: RngStream,
     refine: int = 1,
 ) -> list[np.ndarray]:
-    """Single-domain convenience wrapper around :func:`window_sup_levels`."""
-    return window_sup_levels(eta, [S], step, n_reps, rng, refine)[0]
+    """Single-domain convenience wrapper around :func:`window_sup_levels`.
+
+    Returns the per-path arrays only; paired paths sit side by side.
+    """
+    return window_sup_levels(eta, [S], step, n_reps, rng, refine)[0][0]
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray, step: float, exponent: float):
@@ -285,13 +309,15 @@ def estimate_pickands(
     exponent = local_step_exponent(eta)
     step = schedule.finest_step
     refine = 2 if len(schedule.grid_steps) >= 2 else 1
-    levels = window_sup_levels(eta, schedule.domain_sizes, step, n_reps, rng, refine)
+    levels, pairs = window_sup_levels(
+        eta, schedule.domain_sizes, step, n_reps, rng, refine
+    )
     per_domain: list[Estimate] = []
     extrapolated: list[np.ndarray] = []
     for S, sams in zip(schedule.domain_sizes, levels):
         extr = _richardson(sams[0], sams[1], step, exponent) if refine == 2 else sams[0]
         extrapolated.append(extr)
-        est = Estimate.from_samples(
+        est = pairs.estimate(
             extr,
             meta={
                 "domain": S,
@@ -307,9 +333,7 @@ def estimate_pickands(
     for a, b, Sa, Sb in zip(
         extrapolated, extrapolated[1:], schedule.domain_sizes, schedule.domain_sizes[1:]
     ):
-        dq.append(
-            Estimate.from_samples((b - a) / (Sb - Sa), meta={"domains": (Sa, Sb)})
-        )
+        dq.append(pairs.estimate((b - a) / (Sb - Sa), meta={"domains": (Sa, Sb)}))
     status = plateau_status(dq, schedule.stop_rule)
     return LevelTrace(tuple(per_domain), dq[-1], status)
 

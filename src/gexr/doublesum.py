@@ -17,14 +17,14 @@ assumption looks like numerically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
 from .covmodels import ModelError
-from .mc import Estimate, batches
+from .mc import Estimate, PathPairs, batches
 from .rng import RngStream
 from .simkit import _chol_psd
 from .tailprob import survival_psi
@@ -143,9 +143,8 @@ def estimate_double_maxima(
     unconditioned path Z'.  Every sample lies in [0, n_A Psi(m1)].
 
     Paths come in antithetic pairs x C[:, i] +- R that share the pivot, x
-    and one draw of R; the pair mean is the unit of the batch-means
-    standard error.  ``n_reps`` counts paths: an odd count rounds up to
-    whole pairs, and the returned ``n_reps`` is the number of paths drawn.
+    and one draw of R, counted and averaged by :class:`~gexr.mc.PathPairs`:
+    ``n_reps`` counts paths and an odd count rounds up to whole pairs.
     Within a batch the pivots cycle over A from an offset drawn from the
     batch's generator, so each pivot is uniform and the batch visits every
     point of A equally often, to within one.  One Cholesky factor of the
@@ -161,9 +160,9 @@ def estimate_double_maxima(
     L = _chol_psd(cov)
     m1, m2 = float(cfg.m1_fn(u)), float(cfg.m2_fn(u))
     psi1 = survival_psi(m1)
-    n_reps += n_reps % 2
-    samples = np.empty(n_reps)
-    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+    pairs = PathPairs(n_reps)
+    samples = np.empty(pairs.n_reps)
+    for gen, lo, hi in batches(rng, pairs.n_reps, BATCH_SIZE):
         half = (hi - lo) // 2
         cycles = -(-half // n_a)
         pivots = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
@@ -182,8 +181,7 @@ def estimate_double_maxima(
             hit_b = path[..., n - n_b :].max(axis=-1) > m2
             samples[first:hi:2] = (n_a * psi1 * hit_b / n_exc).reshape(-1)[:half]
     meta = {"separation": separation(box_a, box_b), "thresholds": (m1, m2)}
-    pairs = samples.reshape(-1, 2).mean(axis=1)
-    return replace(Estimate.from_samples(pairs, meta=meta), n_reps=n_reps)
+    return pairs.estimate(samples, meta=meta)
 
 
 def eval_double_bound(cfg: DoubleMaximaConfig, u: float, c: float = 1.0) -> float:

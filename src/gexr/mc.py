@@ -3,7 +3,8 @@
 ``batches`` is the one batch loop: batch b draws from substream b.
 ``Estimate`` is the universal return type of the estimators: a point value
 with a batch-means or binomial standard error, replication count and 95%
-confidence interval.  ``ExtrapolationSchedule`` drives the domain-growth /
+confidence interval.  ``PathPairs`` is the bookkeeping of paths drawn in
+antithetic pairs.  ``ExtrapolationSchedule`` drives the domain-growth /
 grid-refinement limits; a plateau is declared when consecutive level
 estimates agree within max(relative stop rule, twice the combined stderr).
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .rng import RngStream
 __all__ = [
     "Estimate",
     "ExtrapolationSchedule",
+    "PathPairs",
     "batches",
     "cell_map",
     "combine_stderr",
@@ -102,6 +104,29 @@ class Estimate:
         hi = 1.0 if hits == n else float(special.betaincinv(hits + 1, n - hits, 0.975))
         meta = {"hits": hits, "ci_exact": (lo, hi), **(meta or {})}
         return Estimate(p, stderr, n, meta)
+
+
+class PathPairs:
+    """Paths drawn in antithetic pairs: paths 2k and 2k+1 share one draw.
+
+    An odd path count rounds up to whole pairs, and ``n_reps`` is the number
+    of paths to draw.  ``estimate`` averages each pair and takes the pair
+    mean as the unit of the batch-means standard error, so that no batch
+    splits a pair; the returned ``n_reps`` counts paths, and a non-finite
+    pair mean counts once in ``meta["overflow_count"]``.  With
+    ``paired=False`` the paths are independent: the count is kept and
+    ``estimate`` is :meth:`Estimate.from_samples`.
+    """
+
+    def __init__(self, n_reps: int, paired: bool = True):
+        self.paired = paired
+        self.n_reps = n_reps + n_reps % 2 if paired else n_reps
+
+    def estimate(self, samples: np.ndarray, meta: dict | None = None) -> Estimate:
+        if not self.paired:
+            return Estimate.from_samples(samples, meta=meta)
+        pairs = np.asarray(samples, dtype=float).reshape(-1, 2).mean(axis=1)
+        return replace(Estimate.from_samples(pairs, meta=meta), n_reps=self.n_reps)
 
 
 def combine_stderr(*estimates: Estimate) -> float:

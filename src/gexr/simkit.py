@@ -228,8 +228,13 @@ class FbmSampler:
     def n_points(self) -> int:
         return self.n_left + self.n_right + 1
 
+    @property
+    def rank_one(self) -> bool:
+        """True when the path is t * Z: read off the increment autocovariance."""
+        return self._noise.rank_one
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self._noise.rank_one:
+        if self.rank_one:
             return rng.standard_normal((size, 1)) * self.grid_values()
         incr = self._noise.sample(rng, size)
         path = np.empty((size, self.n_points))
@@ -311,6 +316,17 @@ class LimitFieldSampler:
             for c in eta.components
             if c.scale > 0
         ]
+
+    @property
+    def rank_one(self) -> bool:
+        """True for a line field whose every component is a path t * Z.
+
+        The field is then c t Z, so -eta is eta reflected about the origin,
+        path by path.
+        """
+        return self.grid.dim == 1 and bool(self._samplers) and all(
+            isinstance(s, FbmSampler) and s.rank_one for _, s in self._samplers
+        )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         full = (size, *self.grid.shape)

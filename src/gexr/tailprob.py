@@ -21,11 +21,11 @@ Two estimators of P(Gamma(Z/(1+h)) > g):
   truncated window (truncation bound reported), or by sampling w from the
   tilted proposal.
 
-  Replications come in antithetic pairs: the field paths built from a
-  residual path R and from -R share one draw, and the pair mean is the
-  unit of the standard error.  R and -R have one law, so every method stays
-  unbiased.  For sup, inf, composed and mix functionals with a weight in
-  [0, 1] each per-path sample is nondecreasing in R.  Where the residual
+  Replications come in antithetic pairs (``mc.PathPairs``): the field paths
+  built from a residual path R and from -R share one draw.  R and -R have
+  one law, so every method stays unbiased.  For sup, inf, composed and mix
+  functionals with a weight in [0, 1] each per-path sample is
+  nondecreasing in R.  Where the residual
   covariances are nonnegative, as for every preset's family (alpha = 1,
   Markov), R is associated (Pitt 1982) and a pair never has more variance
   than two independent paths.  With alpha > 1 on a grid that straddles the
@@ -39,7 +39,7 @@ asymptotic evaluators, including the d1/d2/d product formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from scipy import special
 
 from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
-from .mc import Estimate, batches, cell_map
+from .mc import Estimate, PathPairs, batches, cell_map
 from .rng import RngStream
 from .simkit import GridSpec, ResidualSampler, _chol_psd
 
@@ -168,13 +168,11 @@ def conditional_tail(
     truncated methods report ``meta["truncation_bound"]``, an upper bound on
     the discarded mass (with the conditional probability bounded by 1).
 
-    The replications are ``sampler.sample_a``'s antithetic pairs, and the
-    standard error is the batch-means error of the pair means, so that no
-    batch splits a pair.  ``n_reps`` counts field paths: an odd count rounds
-    up to whole pairs, and the returned ``n_reps`` is the number of paths
-    drawn.  A non-finite pair mean counts in ``meta["overflow_count"]``.
+    The replications are ``sampler.sample_a``'s antithetic pairs, counted
+    and averaged by :class:`~gexr.mc.PathPairs`: ``n_reps`` counts field
+    paths and an odd count rounds up to whole pairs.
     """
-    n_reps += n_reps % 2
+    pairs = PathPairs(n_reps)
     g = sampler.g
     grid = sampler.grid
     B = sampler.b_part
@@ -190,12 +188,12 @@ def conditional_tail(
     # prefactor of the identity; mass discarded by truncating w to [-M, M]
     pref = math.exp(-(g**2) / 2.0) / (math.sqrt(2 * math.pi) * g)
     dropped = survival_psi(M / g - g) + survival_psi(M / g + g)
-    samples = np.empty(n_reps)
+    samples = np.empty(pairs.n_reps)
     meta: dict = {"g": g, "method": method, "truncation_bound": dropped}
 
     if method == "crossing":
         slope = 1.0 - B
-        for gen, lo, hi in batches(rng, n_reps, CONDITIONAL_BATCH):
+        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
             # keep `a` bound across batches: freeing it early ran 1.3-1.4x slower
             a = sampler.sample_a(gen, hi - lo)
             w_star = (a / slope).max(axis=1)
@@ -206,7 +204,7 @@ def conditional_tail(
         nodes = nodes * M
         wts = wts * M
         factor = pref * wts * np.exp(nodes - nodes**2 / (2 * g**2))
-        for gen, lo, hi in batches(rng, n_reps, CONDITIONAL_BATCH):
+        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
             a = sampler.sample_a(gen, hi - lo)
             acc = np.zeros(hi - lo)
             for w_j, f_j in zip(nodes, factor):
@@ -219,7 +217,7 @@ def conditional_tail(
         # pref * (tilted mass on [-M, M]) is that law's probability of [-M, M]
         cdf_a = special.ndtr((-M - g**2) / g)
         weight = special.ndtr((M - g**2) / g) - cdf_a
-        for gen, lo, hi in batches(rng, n_reps, CONDITIONAL_BATCH):
+        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
             a = sampler.sample_a(gen, hi - lo)
             q = cdf_a + weight * gen.uniform(size=hi - lo)
             w = np.clip(g**2 + g * special.ndtri(q), -M, M)
@@ -228,8 +226,7 @@ def conditional_tail(
             samples[lo:hi] = weight * hit
     else:
         raise ModelError(f"unknown conditional_tail method {method!r}")
-    pairs = samples.reshape(-1, 2).mean(axis=1)
-    return replace(Estimate.from_samples(pairs, meta=meta), n_reps=n_reps)
+    return pairs.estimate(samples, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,8 @@ def test_overflowed_level_fails_the_run(overflow, monkeypatch, tmp_path, capsys)
 def test_underflowed_window_fails_the_run(monkeypatch, tmp_path, capsys):
     # a spike far above the center empties that path's windows into NaN
     class SpikedSampler:
+        rank_one = False
+
         def __init__(self, eta, grid):
             self.size = grid.size
 

@@ -10,7 +10,10 @@ Oracles used here, all independent of the estimator code paths:
   over [0, S] follows by one quadrature.
 """
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from gexr.rng import RngStream
 from gexr.simkit import GridSpec, LimitFieldSampler, StatIncrSampler
 
 SUP = FunctionalSpec.sup()
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def quadratic_grid_constant(t_grid: np.ndarray) -> float:
@@ -155,6 +159,71 @@ def test_window_validation():
         )
 
 
+def _window_paths(eta, n_max, step, gen, size, sign):
+    """The window sums of sign * sqrt2 eta - Var eta for one batch of draws."""
+    grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
+    x = LimitFieldSampler(eta, grid).sample(gen, size) * math.sqrt(2.0)
+    return _window_ratio_levels(sign * x - eta.variance(grid.axis_values(0)), [n_max], 1)
+
+
+def test_paired_window_levels_match_the_random_walk_oracle(monkeypatch):
+    # alpha = 1: the grid values of sqrt2 B - t form a random walk whose
+    # exp-max expectation is exact (Spitzer); the identity is unbiased for it
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    refs = importlib.import_module("refs")
+    step, sizes = 1 / 16, [1.0, 2.0, 4.0]
+    levels, pairs = window_sup_levels(
+        LimitFieldSpec.fbm(1.0), sizes, step, 20_001, RngStream(14), refine=2
+    )
+    assert pairs.paired and pairs.n_reps == 20_002  # odd counts round up
+    for S, sams in zip(sizes, levels):
+        for lv, sam in enumerate(sams):
+            assert len(sam) == 20_002
+            est = pairs.estimate(sam)
+            exact = refs.random_walk_sup_exp(int(round(S / step)) >> lv, step * 2**lv)
+            assert est.n_reps == 20_002
+            assert abs(est.value - exact) < 3 * est.stderr
+
+
+def test_window_pairs_reduce_eta_and_minus_eta_of_one_draw():
+    eta, n = LimitFieldSpec.fbm(1.5), 16
+    levels, pairs = window_sup_levels(eta, [n / 8], 1 / 8, 10, RngStream(15))
+    got = levels[0][0]
+    for sign, paths in ((1.0, got[0::2]), (-1.0, got[1::2])):
+        gen = RngStream(15).substream(0).generator()
+        want = _window_paths(eta, n, 1 / 8, gen, 5, sign)[0, 0]
+        assert np.array_equal(paths, want)
+    assert not np.array_equal(got[0::2], got[1::2])
+
+
+def test_paired_window_identity_matches_direct_mc_alpha_1_5():
+    # the circulant generator: antithetic pairs against independent paths
+    eta = LimitFieldSpec.fbm(1.5)
+    levels, pairs = window_sup_levels(eta, [1.0], 1 / 8, 40_000, RngStream(16))
+    win = pairs.estimate(levels[0][0])
+    direct = estimate_generalized_constant(
+        eta, DriftFunction.zero(), SUP, GridSpec.line(0.0, 1.0, 9), 40_000, RngStream(17)
+    )
+    assert abs(win.value - direct.value) < 3 * math.sqrt(win.stderr**2 + direct.stderr**2)
+
+
+def test_rank_one_window_paths_stay_independent():
+    # alpha = 2: -eta is eta reflected and a pair would repeat one sample, so
+    # every path keeps its own draw, batch by batch as before the pairs
+    eta, n, n_reps = LimitFieldSpec.fbm(2.0), 64, 2 * BATCH_SIZE + 11
+    levels, pairs = window_sup_levels(eta, [n / 32], 1 / 32, n_reps, RngStream(18))
+    got = levels[0][0]
+    assert not pairs.paired and pairs.n_reps == n_reps == len(got)
+    assert len(np.unique(got)) == n_reps
+    want = np.concatenate([
+        _window_paths(eta, n, 1 / 32, gen, hi - lo, 1.0)[0, 0]
+        for gen, lo, hi in batches(RngStream(18), n_reps, BATCH_SIZE)
+    ])
+    assert np.array_equal(got, want)
+    assert pairs.estimate(got) == Estimate.from_samples(got)
+
+
 def _oracle_window_ratio_sums(w, n, stride):
     """Row by row: exact window maxima and math.fsum window sums of level n."""
     n_max = (w.shape[1] - 1) // 2
@@ -235,6 +304,8 @@ def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
     assert np.isfinite(got[:, :, 1:]).all()
 
     class SpikedSampler:
+        rank_one = False
+
         def __init__(self, eta, grid):
             self.size = grid.size
 

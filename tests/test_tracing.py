@@ -36,8 +36,9 @@ def test_traced_tail_run_records_its_spans(monkeypatch, tmp_path, capsys):
 
 
 def test_traced_pickands_run_counts_its_normals(monkeypatch, tmp_path, capsys):
-    # white increments at alpha = 1: 2048 normals a path, where the circulant
-    # embedding of the same 2048 increments drew 4096
+    # white increments at alpha = 1: 2048 normals a draw of eta, where the
+    # circulant embedding of the same 2048 increments drew 4096; each draw
+    # serves an antithetic pair of paths, so 300 paths take 150 draws
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = importlib.import_module("tracing")
@@ -52,7 +53,7 @@ def test_traced_pickands_run_counts_its_normals(monkeypatch, tmp_path, capsys):
     names = {span[0] for span in rec.spans}
     # the window reduction's time is read from the window_sup_levels span
     assert {"simkit.circulant.setup", "simkit.circulant.sample", "constants.window"} <= names
-    assert rec.counts["rng.normals"] == 300 * 2048
+    assert rec.counts["rng.normals"] == 150 * 2048
 
 
 def test_traced_doublesum_run_counts_its_normals(monkeypatch, tmp_path, capsys):
