@@ -211,9 +211,7 @@ def run_tail(cfg: dict, seed: int, workers: int):
     estimator = cfg.get("estimator", "conditional")
     if estimator == "conditional":
         sampler = tailprob.ConditionalSampler(family, u, tau, grid)
-        est = tailprob.conditional_tail(
-            sampler, gamma, reps, rng, method=cfg.get("method")
-        )
+        est = tailprob.conditional_tail(sampler, gamma, reps, rng)
         g = sampler.g
     elif estimator == "crude":
         est = tailprob.crude_mc_tail(family, u, tau, gamma, grid, reps, rng)
@@ -230,8 +228,6 @@ def run_tail(cfg: dict, seed: int, workers: int):
         "ratio": ratio,
         "status": status,
     }
-    if "truncation_bound" in est.meta:
-        summary["truncationBound"] = est.meta["truncation_bound"]
     status = _fail_on_overflow(status, summary, [_overflow(est)])
     rows = [[u, tau, est.value, est.stderr, psi, ratio]]
     return status, summary, [
@@ -366,9 +362,6 @@ def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
         m_fn=lambda u: u**m_power,
         y_ranges=tuple(
             (float(lo), float(hi)) for lo, hi in doc.get("yRanges", [])
-        ),
-        ab_limits=tuple(
-            (float(a), float(b)) for a, b in doc.get("abLimits", [])
         ),
     )
 

@@ -288,7 +288,6 @@ def estimate_pickands(
     schedule: ExtrapolationSchedule,
     n_reps: int,
     rng: RngStream,
-    gamma: FunctionalSpec | None = None,
 ) -> LevelTrace:
     """Long-run sup constant per unit length of a 1-D limit field.
 
@@ -299,8 +298,6 @@ def estimate_pickands(
     O(1) boundary term of the finite-domain constant; the per-unit ratios
     are kept in the level trace.  Degenerate fields report a plateau at 0.
     """
-    if gamma is not None and gamma.kind != "sup":
-        raise ModelError("the long-domain constant is defined for the sup functional")
     if eta.degenerate:
         levels = tuple(
             Estimate(1.0 / S, 0.0, n_reps, {"domain": S}) for S in schedule.domain_sizes

@@ -1,8 +1,10 @@
 """Homogeneous path functionals: sup, inf, mixtures, and sup-compositions.
 
-All functionals here are continuous and affine-equivariant
-(``Gamma(a f + b) = a Gamma(f) + b`` for a > 0).  With mixture weights in
-[0, 1] they are also dominated by the sup (``Gamma(f) <= sup f``).
+All functionals here are continuous, affine-equivariant
+(``Gamma(a f + b) = a Gamma(f) + b`` for a > 0), monotone (``f <= f'``
+pointwise gives ``Gamma(f) <= Gamma(f')``) and lie between the inf and the
+sup (``inf f <= Gamma(f) <= sup f``).  Mixture weights are confined to
+[0, 1], where these hold.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ __all__ = ["FunctionalSpec", "apply_functional", "functional_from_config"]
 class FunctionalSpec:
     """A grid functional.
 
-    kind: "sup" | "inf" | "mix" (weight*sup + (1-weight)*inf) |
-    "composed" (sup over the s-axes of the inner functional of each slice).
+    kind: "sup" | "inf" | "mix" (weight*sup + (1-weight)*inf, weight in
+    [0, 1]) | "composed" (sup over the s-axes of the inner functional of
+    each slice).
     """
 
     kind: str
@@ -35,6 +38,8 @@ class FunctionalSpec:
             raise ModelError(f"unknown functional kind {self.kind!r}")
         if self.kind == "composed" and self.inner is None:
             raise ModelError("composed functional needs an inner functional")
+        if self.kind == "mix" and not 0.0 <= self.weight <= 1.0:
+            raise ModelError("mix weight must lie in [0, 1]")
 
     @staticmethod
     def sup() -> "FunctionalSpec":

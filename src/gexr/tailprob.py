@@ -13,18 +13,18 @@ Two estimators of P(Gamma(Z/(1+h)) > g):
 
   where chi_w is the field conditioned on its origin value g - w/g,
   recentred and rescaled so that chi_w(0) = 0.  chi_w is affine in w,
-  chi_w(t) = A(t) + w B(t), with A containing all the randomness.  For sup
-  functionals the conditional indicator is monotone in w, so the w-integral
-  collapses per sample to a closed form Psi(g - w*/g) with
-  w* = sup_t A/(1-B) — no w-sampling, no truncation error.  For other
-  functionals the integral is evaluated by Gauss-Legendre quadrature over a
-  truncated window (truncation bound reported), or by sampling w from the
-  tilted proposal.
+  chi_w(t) = A(t) + w B(t), with A containing all the randomness.  Every
+  functional here is affine-equivariant and monotone, so
+  Gamma(A + w B) - w = Gamma(A - w (1 - B)) is nonincreasing in w where
+  B <= 1: each path's hit set is a half-line (-inf, w*), and the w-integral
+  collapses to the closed form Psi(g - w*/g) — no w-sampling, no truncation
+  error.  w* = max_t A/(1-B) for sup and min_t A/(1-B) for inf; mixtures
+  and compositions lie between the two and find w* by bisection.  B > 1,
+  a grid point negatively correlated with the origin, is rejected.
 
   Replications come in antithetic pairs (``mc.PathPairs``): the field paths
   built from a residual path R and from -R share one draw.  R and -R have
-  one law, so every method stays unbiased.  For sup, inf, composed and mix
-  functionals with a weight in [0, 1] each per-path sample is
+  one law, so the estimator stays unbiased.  Each per-path sample is
   nondecreasing in R.  Where the residual
   covariances are nonnegative, as for every preset's family (alpha = 1,
   Markov), R is associated (Pitt 1982) and a pair never has more variance
@@ -66,8 +66,10 @@ __all__ = [
 # replications per batch; batch b draws from substream b, so these fix the draws
 CONDITIONAL_BATCH = 1000  # field paths: 500 antithetic pairs
 CRUDE_BATCH = 4000
-# Gauss-Legendre nodes of the "quadrature" method of conditional_tail
-QUADRATURE_NODES = 160
+# halvings of a bisected crossing point: they shrink a bracket of at most
+# 47 g (the clip window of _bisect_crossing) below 3e-18 g, a relative error
+# below 1e-16 in Psi(g - w*/g) wherever that is not exactly 0 or 1
+BISECTION_HALVINGS = 64
 
 
 def survival_psi(x):
@@ -112,7 +114,8 @@ class ConditionalSampler:
     With r0(t) = Corr(Z(t), Z(0)) and drift h:
         (1+h) A(t) = g R(t) - g^2 (1 - r0) - g^2 h,
         (1+h) B(t) = 1 - r0 + h,
-    R the residual of Z given Z(0).  chi_w(0) = 0 exactly.
+    R the residual of Z given Z(0).  chi_w(0) = 0 exactly.  B > 1, which
+    only a point with r0 < 0 gives, is rejected; ``slope`` is 1 - B.
     """
 
     family: ThresholdedFamilySpec
@@ -134,6 +137,9 @@ class ConditionalSampler:
         g = self.g
         self.mean_part = (-(g**2) * (1.0 - r0) - g**2 * h) / denom
         self.b_part = (1.0 - r0 + h) / denom
+        if np.any(self.b_part > 1.0):
+            raise ModelError("a grid point has negative correlation to the origin")
+        self.slope = 1.0 - self.b_part
         self.noise_scale = g / denom
 
     def sample_a(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -151,22 +157,61 @@ class ConditionalSampler:
         return a[:size]
 
 
+def _bisect_crossing(sampler, gamma, a, lo, hi) -> np.ndarray:
+    """Per path, the w where Gamma(A - w (1 - B)) falls to 0, within [lo, hi].
+
+    Brackets are clipped to [g^2 - 38 g, g^2 + 9 g], outside which
+    Psi(g - w/g) is exactly 0 or 1 in float64, so an infinite bound (B = 1)
+    changes no sample.  Halving stops after ``BISECTION_HALVINGS`` or once
+    every bracket is two adjacent floats.
+    """
+    g = sampler.g
+    lo = np.clip(lo, g * g - 38.0 * g, g * g + 9.0 * g)
+    hi = np.clip(hi, g * g - 38.0 * g, g * g + 9.0 * g)
+    shape = (len(a), *sampler.grid.shape)
+    field = np.empty_like(a)
+    for _ in range(BISECTION_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        np.multiply(mid[:, None], sampler.slope, out=field)
+        np.subtract(a, field, out=field)
+        hit = apply_functional(
+            gamma, field.reshape(shape), grid_ndim=sampler.grid.dim
+        ) > 0.0
+        lo = np.where(hit, mid, lo)
+        hi = np.where(hit, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _crossing_point(sampler, gamma, a, divisor, flat) -> np.ndarray:
+    """Per path, the end w* of the hit set {w : Gamma(A + w B) > w}.
+
+    A point with B = 1 (``flat``; its ``divisor`` is 1) hits for every w
+    when A > 0 and for none otherwise, so its A/(1 - B) reads +inf or -inf.
+    """
+    ratio = a / divisor
+    if flat.any():
+        ratio[:, flat] = np.where(a[:, flat] > 0.0, np.inf, -np.inf)
+    if gamma.kind == "sup" or (gamma.kind == "mix" and gamma.weight == 1.0):
+        return ratio.max(axis=1)
+    if gamma.kind == "inf" or (gamma.kind == "mix" and gamma.weight == 0.0):
+        return ratio.min(axis=1)
+    # inf <= Gamma <= sup, so their crossing points bracket gamma's
+    return _bisect_crossing(sampler, gamma, a, ratio.min(axis=1), ratio.max(axis=1))
+
+
 def conditional_tail(
     sampler: ConditionalSampler,
     gamma: FunctionalSpec,
     n_reps: int,
     rng: RngStream,
-    method: str | None = None,
 ) -> Estimate:
     """Estimate P(Gamma(Z/(1+h)) > g) through the conditioning identity.
 
-    ``method``: "crossing" (exact in w; requires a sup functional and
-    B <= 1, checked), "quadrature" (Gauss-Legendre over [-M, M]) or
-    "sampled" (w drawn from the tilted density e^{w - w^2/(2 g^2)}
-    restricted to [-M, M], which is N(g^2, g^2) truncated, by its exact
-    inverse CDF).  Default: crossing when admissible, else quadrature.  The
-    truncated methods report ``meta["truncation_bound"]``, an upper bound on
-    the discarded mass (with the conditional probability bounded by 1).
+    Each path's w-integral is exact: its hit set is (-inf, w*), and the
+    sample is Psi(g - w*/g), w* = max_t A/(1-B) for sup, min_t A/(1-B) for
+    inf, and bisected between the two for every other functional.
 
     The replications are ``sampler.sample_a``'s antithetic pairs, counted
     and averaged by :class:`~gexr.mc.PathPairs`: ``n_reps`` counts field
@@ -174,59 +219,15 @@ def conditional_tail(
     """
     pairs = PathPairs(n_reps)
     g = sampler.g
-    grid = sampler.grid
-    B = sampler.b_part
-    is_sup = gamma.kind == "sup" or (gamma.kind == "mix" and gamma.weight == 1.0)
-    crossing_ok = is_sup and bool(np.all(B < 1.0 - 1e-12))
-    if method is None:
-        method = "crossing" if crossing_ok else "quadrature"
-    if method == "crossing" and not crossing_ok:
-        raise ModelError(
-            "crossing method needs a sup functional and B < 1 on the grid"
-        )
-    M = max(10.0, g * (g + 8.0))
-    # prefactor of the identity; mass discarded by truncating w to [-M, M]
-    pref = math.exp(-(g**2) / 2.0) / (math.sqrt(2 * math.pi) * g)
-    dropped = survival_psi(M / g - g) + survival_psi(M / g + g)
+    flat = sampler.slope == 0.0
+    divisor = np.where(flat, 1.0, sampler.slope)
     samples = np.empty(pairs.n_reps)
-    meta: dict = {"g": g, "method": method, "truncation_bound": dropped}
-
-    if method == "crossing":
-        slope = 1.0 - B
-        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
-            # keep `a` bound across batches: freeing it early ran 1.3-1.4x slower
-            a = sampler.sample_a(gen, hi - lo)
-            w_star = (a / slope).max(axis=1)
-            samples[lo:hi] = survival_psi(g - w_star / g)
-        meta["truncation_bound"] = 0.0
-    elif method == "quadrature":
-        nodes, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-        nodes = nodes * M
-        wts = wts * M
-        factor = pref * wts * np.exp(nodes - nodes**2 / (2 * g**2))
-        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
-            a = sampler.sample_a(gen, hi - lo)
-            acc = np.zeros(hi - lo)
-            for w_j, f_j in zip(nodes, factor):
-                vals = (a + w_j * B).reshape(hi - lo, *grid.shape)
-                acc += f_j * (apply_functional(gamma, vals, grid_ndim=grid.dim) > w_j)
-            samples[lo:hi] = acc
-        meta["n_nodes"] = QUADRATURE_NODES
-    elif method == "sampled":
-        # pref * e^{w - w^2/(2g^2)} is the N(g^2, g^2) density, so the weight
-        # pref * (tilted mass on [-M, M]) is that law's probability of [-M, M]
-        cdf_a = special.ndtr((-M - g**2) / g)
-        weight = special.ndtr((M - g**2) / g) - cdf_a
-        for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
-            a = sampler.sample_a(gen, hi - lo)
-            q = cdf_a + weight * gen.uniform(size=hi - lo)
-            w = np.clip(g**2 + g * special.ndtri(q), -M, M)
-            vals = (a + w[:, None] * B).reshape(hi - lo, *grid.shape)
-            hit = apply_functional(gamma, vals, grid_ndim=grid.dim) > w
-            samples[lo:hi] = weight * hit
-    else:
-        raise ModelError(f"unknown conditional_tail method {method!r}")
-    return pairs.estimate(samples, meta=meta)
+    for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
+        # keep `a` bound across batches: freeing it early ran 1.3-1.4x slower
+        a = sampler.sample_a(gen, hi - lo)
+        w_star = _crossing_point(sampler, gamma, a, divisor, flat)
+        samples[lo:hi] = survival_psi(g - w_star / g)
+    return pairs.estimate(samples, meta={"g": g})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,6 @@ class AsymptoticSetup:
     g_fns: tuple[Callable[[float], float], ...]
     m_fn: Callable[[float], float]
     y_ranges: tuple[tuple[float, float], ...] = ()
-    ab_limits: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         d, n, d1, d2 = self.d, self.n, self.d1, self.d2
@@ -374,8 +374,6 @@ class AsymptoticSetup:
         for lo, hi in self.y_ranges:
             if not lo < hi:
                 raise ModelError("y range must have lo < hi")
-        if len(self.ab_limits) != d2 - d1:
-            raise ModelError("ab_limits must cover the finite-gamma axes")
 
 
 def _exp_power_integral(lo: float, hi: float, beta: float) -> float:

@@ -109,6 +109,17 @@ def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
     assert "exceeding budget 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", [-0.5, 1.5])
+def test_mix_weight_outside_unit_interval_is_config_error(weight, tmp_path, capsys):
+    cfg = json.loads(json.dumps(PRESETS["short-interval-tail"][1]))
+    cfg["functional"] = {"mix": weight}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["tail", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "mix weight" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -354,8 +365,8 @@ def test_underflowed_window_fails_the_run(monkeypatch, tmp_path, capsys):
 def test_overflowed_conditioned_estimate_fails_the_run(
     name, overflow, monkeypatch, tmp_path, capsys
 ):
-    def fake_conditional_tail(sampler, gamma, n_reps, rng, method=None):
-        meta = {"g": sampler.g, "method": "crossing", "truncation_bound": 0.0}
+    def fake_conditional_tail(sampler, gamma, n_reps, rng):
+        meta = {"g": sampler.g}
         if overflow:
             meta["overflow_count"] = overflow
         return Estimate(1e-7, 1e-9, n_reps, meta)

@@ -412,17 +412,6 @@ def test_pickands_degenerate():
     assert [e.value for e in trace.levels] == [0.5, 0.25, 0.125]
 
 
-def test_pickands_rejects_non_sup():
-    with pytest.raises(ModelError):
-        estimate_pickands(
-            LimitFieldSpec.fbm(1.0),
-            ExtrapolationSchedule(),
-            10,
-            RngStream(1),
-            gamma=FunctionalSpec.inf(),
-        )
-
-
 def test_piterbarg_degenerate_drift_exact():
     h = DriftFunction(fn=lambda t: np.atleast_2d(t)[:, 0] ** 2)
     schedule = ExtrapolationSchedule(

@@ -54,6 +54,15 @@ def test_bad_kind_and_missing_inner():
         FunctionalSpec("composed")
 
 
+@pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan")])
+def test_mix_weight_outside_unit_interval_rejected(weight):
+    with pytest.raises(ModelError):
+        FunctionalSpec.mix(weight)
+    with pytest.raises(ModelError):
+        functional_from_config({"mix": weight})
+    FunctionalSpec.mix(0.0), FunctionalSpec.mix(1.0)  # the ends are allowed
+
+
 def test_grid_ndim_range():
     with pytest.raises(ModelError):
         apply_functional(FunctionalSpec.sup(), np.zeros((3, 4)), grid_ndim=3)

@@ -6,11 +6,12 @@ tail to compare both estimators against.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import kstest, multivariate_normal, norm
+from scipy.stats import multivariate_normal, norm
 
 from gexr.covmodels import ModelError, ThresholdedFamilySpec
 from gexr.configio import family_from_config
@@ -143,48 +144,96 @@ def test_crude_low_confidence_flag():
     assert est.meta["low_confidence"]
 
 
-def test_conditional_methods_agree():
+def test_conditional_matches_inf_orthant_oracle():
+    # P(inf Z > u) = P(Z <= -u on every point), by symmetry
     fam = family_from_config({"kind": "local", "alpha": 1.0})
-    grid = GridSpec.line(0.0, 2.0, 33)
-    sampler = ConditionalSampler(fam, 4.0, 0.0, grid)
-    crossing = conditional_tail(sampler, SUP, 30_000, RngStream(65), method="crossing")
-    quad = conditional_tail(sampler, SUP, 30_000, RngStream(66), method="quadrature")
-    sampled = conditional_tail(sampler, SUP, 60_000, RngStream(67), method="sampled")
-    assert crossing.meta["truncation_bound"] == 0.0
-    for other in (quad, sampled):
-        comb = math.sqrt(crossing.stderr**2 + other.stderr**2)
-        assert abs(crossing.value - other.value) < 4 * comb + other.meta["truncation_bound"]
-    assert quad.meta["truncation_bound"] < 1e-12
+    u = 3.0
+    grid = GridSpec.line(0.0, 0.5, 9)
+    corr = fam.corr_matrix(u, 0.0, grid.points())
+    mvn = multivariate_normal(mean=np.zeros(9), cov=corr, seed=0, abseps=1e-12)
+    exact = float(mvn.cdf(np.full(9, -u)))
+    sampler = ConditionalSampler(fam, u, 0.0, grid)
+    est = conditional_tail(sampler, FunctionalSpec.inf(), 100_000, RngStream(69))
+    assert abs(est.value - exact) < 3 * est.stderr
 
 
-def test_sampled_method_draws_the_truncated_tilted_density(monkeypatch):
+def _two_sided_sampler(u=3.0):
     fam = family_from_config({"kind": "local", "alpha": 1.0})
-    grid = GridSpec.line(0.0, 1.0, 9)
-    sampler = ConditionalSampler(fam, 2.0, 0.0, grid)
-    g = sampler.g
-    M = max(10.0, g * (g + 8.0))
-    # with A = 0 the field is w B, so w is read off the largest B; every
-    # functional value is made a hit, so each sample is the weight itself
-    monkeypatch.setattr(sampler, "sample_a", lambda gen, size: np.zeros((size, 9)))
-    seen = []
+    return ConditionalSampler(fam, u, 0.0, GridSpec.line(-1.0, 1.0, 17))
 
-    def record(gamma, vals, grid_ndim):
-        seen.append(vals.reshape(len(vals), -1).copy())
-        return np.full(len(vals), np.inf)
 
-    monkeypatch.setattr(tailprob, "apply_functional", record)
-    est = conditional_tail(sampler, SUP, 20_000, RngStream(84), method="sampled")
-    j = int(np.argmax(sampler.b_part))
-    w = np.concatenate(seen)[:, j] / sampler.b_part[j]
-    assert len(w) == 20_000
-    assert -M <= w.min() and w.max() <= M
-    # e^{w - w^2/(2g^2)} is proportional to the N(g^2, g^2) density
-    assert kstest(w, "norm", args=(g**2, g)).pvalue > 1e-3
-    pref = math.exp(-(g**2) / 2.0) / (math.sqrt(2 * math.pi) * g)
-    mass, _ = integrate.quad(
-        lambda x: math.exp(x - x**2 / (2 * g**2)), -M, M, points=[g**2], limit=200
+@pytest.mark.parametrize("inner", [SUP, FunctionalSpec.inf()], ids=["sup", "inf"])
+def test_bisection_matches_closed_forms(inner, monkeypatch):
+    sampler = _two_sided_sampler()
+    calls = []
+    bisect = tailprob._bisect_crossing
+
+    def spy(*args):
+        calls.append(1)
+        return bisect(*args)
+
+    closed = conditional_tail(sampler, inner, 4000, RngStream(70))
+    monkeypatch.setattr(tailprob, "_bisect_crossing", spy)
+    bisected = conditional_tail(
+        sampler, FunctionalSpec.composed(inner, ()), 4000, RngStream(70)
     )
-    assert est.value == pytest.approx(pref * mass, rel=1e-9)
+    assert len(calls) == 4  # one call a batch of 1000 paths
+    assert bisected.value == pytest.approx(closed.value, rel=1e-12)
+    assert bisected.stderr == pytest.approx(closed.stderr, rel=1e-9)
+
+
+def test_estimates_keep_functional_order():
+    sampler = _two_sided_sampler()
+    inf, mix, sup = (
+        conditional_tail(sampler, gamma, 4000, RngStream(74))
+        for gamma in (FunctionalSpec.inf(), FunctionalSpec.mix(0.9), SUP)
+    )
+    assert inf.value <= mix.value <= sup.value
+    assert inf.value < sup.value
+
+
+def test_mix_matches_crude():
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    u = 2.5
+    grid = GridSpec.line(-0.5, 0.5, 9)
+    mix = FunctionalSpec.mix(0.5)
+    crude = crude_mc_tail(fam, u, 0.0, mix, grid, 2_000_000, RngStream(75))
+    cond = conditional_tail(
+        ConditionalSampler(fam, u, 0.0, grid), mix, 40_000, RngStream(76)
+    )
+    comb = math.hypot(crude.stderr, cond.stderr)
+    assert abs(crude.value - cond.value) < 3 * comb
+
+
+@pytest.mark.parametrize(
+    "gamma, exact",
+    [
+        (SUP, lambda p: 1 - (1 - p) ** 3),
+        (FunctionalSpec.inf(), lambda p: p**3),
+        (FunctionalSpec.composed(SUP, ()), lambda p: 1 - (1 - p) ** 3),
+    ],
+    ids=["sup", "inf", "composed-sup"],
+)
+def test_uncorrelated_points_give_independent_tail(gamma, exact):
+    # exp(-1000) underflows, so B = 1 away from the origin
+    fam = family_from_config({"kind": "stationary", "alpha": 1.0})
+    u = 1.0
+    sampler = ConditionalSampler(fam, u, 0.0, GridSpec.line(0.0, 2000.0, 3))
+    assert np.array_equal(sampler.b_part, [0.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = conditional_tail(sampler, gamma, 20_000, RngStream(77))
+    assert abs(est.value - exact(survival_psi(u))) < 3 * est.stderr
+
+
+def test_negative_correlation_to_origin_rejected():
+    def corr(u, tau, s, t):
+        d = np.atleast_2d(s)[:, None, 0] - np.atleast_2d(t)[None, :, 0]
+        return np.exp(-(d**2)) * np.cos(2.0 * d)  # PSD, negative at |d| = 1
+
+    fam = ThresholdedFamilySpec(correlation=corr, threshold=lambda u, tau: u)
+    with pytest.raises(ModelError, match="negative correlation"):
+        ConditionalSampler(fam, 3.0, 0.0, GridSpec.line(0.0, 1.0, 3))
 
 
 def _audit_cell_sampler():
@@ -223,44 +272,20 @@ def test_antithetic_pairs_do_not_add_variance():
     assert pairs.var(ddof=1) <= 0.5 * per_path.var(ddof=1)
 
 
-@pytest.mark.parametrize("method", ["crossing", "quadrature", "sampled"])
+@pytest.mark.parametrize(
+    "gamma", [SUP, FunctionalSpec.inf(), FunctionalSpec.mix(0.5)],
+    ids=["sup", "inf", "mix"],
+)
 @pytest.mark.parametrize("n_reps, n_paths", [(1, 2), (301, 302), (1000, 1000)])
-def test_conditional_tail_counts_whole_pairs(method, n_reps, n_paths):
+def test_conditional_tail_counts_whole_pairs(gamma, n_reps, n_paths):
     fam = family_from_config({"kind": "local", "alpha": 1.0})
     sampler = ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 1.0, 9))
-    est = conditional_tail(sampler, SUP, n_reps, RngStream(83), method=method)
+    est = conditional_tail(sampler, gamma, n_reps, RngStream(83))
     assert est.n_reps == n_paths
     assert math.isfinite(est.value) and est.value >= 0.0
     assert "overflow_count" not in est.meta
     if n_reps > 1:
         assert math.isfinite(est.stderr)
-
-
-def test_conditional_unknown_method():
-    fam = family_from_config({"kind": "local", "alpha": 1.0})
-    sampler = ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 1.0, 5))
-    with pytest.raises(ModelError):
-        conditional_tail(sampler, SUP, 100, RngStream(1), method="magic")
-
-
-def test_crossing_requires_sup():
-    fam = family_from_config({"kind": "local", "alpha": 1.0})
-    sampler = ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 1.0, 5))
-    with pytest.raises(ModelError):
-        conditional_tail(
-            sampler, FunctionalSpec.inf(), 100, RngStream(1), method="crossing"
-        )
-
-
-def test_non_sup_functional_uses_quadrature():
-    fam = family_from_config({"kind": "local", "alpha": 1.0})
-    grid = GridSpec.line(-1.0, 1.0, 17)
-    sampler = ConditionalSampler(fam, 3.0, 0.0, grid)
-    est = conditional_tail(sampler, FunctionalSpec.mix(0.9), 5000, RngStream(68))
-    assert est.meta["method"] == "quadrature"
-    # mix(0.9) <= sup pointwise, so its exceedance probability is smaller
-    sup_est = conditional_tail(sampler, SUP, 5000, RngStream(68))
-    assert est.value <= sup_est.value + 3 * (est.stderr + sup_est.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +421,7 @@ def test_setup_regime_validation():
                g_fns=(lambda u: u,), y_ranges=((-1.0, 1.0),))
     with pytest.raises(ModelError):  # middle regime needs finite positive gamma
         _setup(d=1, d1=0, d2=1, betas=(2.0,), gammas=(math.inf,),
-               g_fns=(lambda u: u,), ab_limits=((0.0, 1.0),))
+               g_fns=(lambda u: u,))
     with pytest.raises(ModelError):  # narrow regime needs infinite gamma
         _setup(d=1, d1=0, d2=0, betas=(2.0,), gammas=(1.0,), g_fns=(lambda u: u,))
     with pytest.raises(ModelError):  # field axes exclude infinite gamma
