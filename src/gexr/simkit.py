@@ -9,7 +9,9 @@ autocovariance: white increments (alpha = 1) and equal increments (alpha = 2,
 the path t * Z) directly, every other alpha through circulant embedding
 (O(n log n)); all three are exact in law.  General stationary-increment
 variance functions and conditional residual fields go through Cholesky
-factorization with a bounded jitter schedule.
+factorization with a bounded jitter schedule.  A residual factor that is
+first order (a Gauss-Markov residual) is drawn by its recursion, O(n) a
+path, once it has ``CHAIN_MIN_POINTS`` free points; the rest by a product.
 """
 
 from __future__ import annotations
@@ -43,6 +45,21 @@ DEFAULT_POINT_BUDGET = 1 << 20
 EMBEDDING_TOL = 1e-8
 
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10)
+
+# A residual factor is drawn as a first-order chain when its rows match the
+# recursion to this relative defect (Markov factors read at most 2e-12 at
+# 513 points; the alpha = 1.5 and alpha = 2 factors read above 0.3) ...
+CHAIN_TOL = 1e-9
+# ... and it has at least this many free points: below, the product is
+# faster (one BLAS thread, 500 paths: 0.25 against 0.27 ms at 96 points,
+# 0.43 against 0.38 ms at 128)
+CHAIN_MIN_POINTS = 128
+# a chain segment restarts before its running product leaves 2^(+-this),
+# so the scaled normals z L[i, i] / q and their sums stay finite
+CHAIN_SPAN_LOG2 = 500
+# residual covariances above -this are nonnegative up to rounding; they are
+# formed from correlations, which are at most 1 (measured: -4.4e-16)
+COV_ROUNDING_TOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -349,13 +366,63 @@ class LimitFieldSampler:
         return self.eta.variance(self.grid.points()).reshape(self.grid.shape)
 
 
+def _chain_plan(L: np.ndarray, free: np.ndarray):
+    """Segments of the first-order recursion that ``L`` factors, or None.
+
+    ``L`` is first order when each row's strictly lower part is a_i times
+    the row above, a_i = L[i, i-1] / L[i-1, i-1], to ``CHAIN_TOL`` of the
+    row's largest entry; then x_i = a_i x_{i-1} + L[i, i] z_i.  Within a
+    segment [k, e) the recursion is x = q * cumsum(z * L[i, i] / q), q the
+    running product of a_i since k (q[k] = 1), and x_k takes the carry
+    a_k x_{k-1}.  A segment ends where q would leave [2^-CHAIN_SPAN_LOG2,
+    2^CHAIN_SPAN_LOG2] (or reach 0) and where the free points stop being
+    contiguous on the grid, so each segment is one slice of the output.
+    Returns (segments, weights, q, a), a segment being (k, e, first column).
+    """
+    n = L.shape[0]
+    diag = np.diag(L)
+    if np.any(diag <= 0.0):
+        return None
+    a = np.zeros(n)
+    a[1:] = np.diag(L, -1) / diag[:-1]
+    defect = L[1:] - a[1:, None] * L[:-1]
+    defect[np.arange(n - 1), np.arange(1, n)] = 0.0  # the diagonal L[i, i]
+    if np.any(np.abs(defect).max(axis=1) > CHAIN_TOL * np.abs(L[1:]).max(axis=1)):
+        return None
+    cols = np.flatnonzero(free)
+    q = np.ones(n)
+    starts = [0]
+    for i in range(1, n):
+        step = q[i - 1] * a[i]
+        if (
+            cols[i] != cols[i - 1] + 1
+            or step == 0.0
+            or abs(math.log2(abs(step))) > CHAIN_SPAN_LOG2
+        ):
+            starts.append(i)
+        else:
+            q[i] = step
+    ends = starts[1:] + [n]
+    segments = [(k, e, int(cols[k])) for k, e in zip(starts, ends)]
+    return segments, diag / q, q, a
+
+
 class ResidualSampler:
     """Conditional residual R(t) = Z(t) - r(t,0) Z(0) of a family member.
 
     R(0) = 0 exactly and Cov(R(s), R(t)) = r(s,t) - r(s,0) r(t,0); Z(0) is
     never sampled, the residual covariance is factored directly.  ``_L``
     factors the free points; ``_factor`` is ``_L`` spread over the whole
-    grid with zero rows at the pinned points, so a sample is one product.
+    grid with zero rows at the pinned points.
+
+    The draw is picked from ``_L``: a first-order factor (a Gauss-Markov
+    residual, as every alpha = 1 family gives) with at least
+    ``CHAIN_MIN_POINTS`` free points is drawn by its recursion, O(n) a path;
+    every other factor by one product with ``_factor``, O(n^2) a path.  Both
+    read the same normals in the same order.  ``associated`` is True when
+    every residual covariance is nonnegative up to ``COV_ROUNDING_TOL``:
+    R is then associated (Pitt 1982), so an antithetic pair R, -R never has
+    more variance than two independent paths.
     """
 
     def __init__(
@@ -370,11 +437,26 @@ class ResidualSampler:
         free = np.diag(cov) > 1e-14
         self.grid = grid
         self.r0 = r0
+        self.associated = bool(cov.min() >= -COV_ROUNDING_TOL)
         self._L = _chol_psd(cov[np.ix_(free, free)]) if np.any(free) else None
         self._factor = np.zeros((grid.size, int(free.sum())))
+        self._chain = None
         if self._L is not None:
             self._factor[free] = self._L
+            if len(self._L) >= CHAIN_MIN_POINTS:
+                self._chain = _chain_plan(self._L, free)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self._factor.shape[1]))
-        return (z @ self._factor.T).reshape(size, *self.grid.shape)
+        if self._chain is None:
+            return (z @ self._factor.T).reshape(size, *self.grid.shape)
+        segments, weights, q, a = self._chain
+        z *= weights
+        out = np.zeros((size, self.grid.size))
+        for k, e, col in segments:
+            if k > 0:  # carry a_k x_{k-1}; q[k] = 1, so z[:, k] is on its scale
+                z[:, k] += a[k] * seg[:, -1]
+            seg = out[:, col : col + e - k]
+            np.cumsum(z[:, k:e], axis=1, out=seg)
+            seg *= q[k:e]
+        return out.reshape(size, *self.grid.shape)

@@ -22,14 +22,17 @@ Two estimators of P(Gamma(Z/(1+h)) > g):
   and compositions lie between the two and find w* by bisection.  B > 1,
   a grid point negatively correlated with the origin, is rejected.
 
-  Replications come in antithetic pairs (``mc.PathPairs``): the field paths
-  built from a residual path R and from -R share one draw.  R and -R have
-  one law, so the estimator stays unbiased.  Each per-path sample is
-  nondecreasing in R.  Where the residual
-  covariances are nonnegative, as for every preset's family (alpha = 1,
-  Markov), R is associated (Pitt 1982) and a pair never has more variance
-  than two independent paths.  With alpha > 1 on a grid that straddles the
-  origin some covariances are negative, and a pair can lose to two paths.
+  Where every residual covariance is nonnegative, as for every preset's
+  family (alpha = 1, Markov), replications come in antithetic pairs
+  (``mc.PathPairs``): the field paths built from a residual path R and
+  from -R share one draw.  R and -R have one law, so the estimator stays
+  unbiased.  Each per-path sample is nondecreasing in R, and R is
+  associated (Pitt 1982), so a pair never has more variance than two
+  independent paths.  With alpha > 1 on a grid that straddles the origin
+  some covariances are negative, a pair can lose to two paths, and every
+  path gets its own R.  For sup and inf, A/(1 - B) = m + c R with m and c
+  precomputed per cell, so a batch reduces m + c R and m - c R straight
+  from the residual rows.
 
 The module also houses the uniform-ratio audit (does P/Psi approach the
 generalized constant uniformly over the family index?) and the closed-form
@@ -116,6 +119,13 @@ class ConditionalSampler:
         (1+h) B(t) = 1 - r0 + h,
     R the residual of Z given Z(0).  chi_w(0) = 0 exactly.  B > 1, which
     only a point with r0 < 0 gives, is rejected; ``slope`` is 1 - B.
+
+    ``paired`` is True when the residual is associated (every residual
+    covariance nonnegative): field paths then come in antithetic pairs
+    built from R and -R, otherwise every path has its own R.  For the
+    closed-form crossing, A/(1 - B) = m + c R with m = mean_part / slope and
+    c = noise_scale / slope, precomputed per cell (0 at the flat points,
+    B = 1, whose A/(1 - B) is read from the sign of A).
     """
 
     family: ThresholdedFamilySpec
@@ -129,6 +139,7 @@ class ConditionalSampler:
             raise ModelError("conditioning identity requires a positive threshold")
         pts = self.grid.points()
         self._residual = ResidualSampler(self.family, self.u, self.tau, self.grid)
+        self.paired = self._residual.associated
         r0 = self._residual.r0
         h = self.family.drift_values(self.u, self.tau, pts).reshape(-1)
         denom = 1.0 + h
@@ -141,20 +152,63 @@ class ConditionalSampler:
             raise ModelError("a grid point has negative correlation to the origin")
         self.slope = 1.0 - self.b_part
         self.noise_scale = g / denom
+        self.flat = self.slope == 0.0
+        divisor = np.where(self.flat, 1.0, self.slope)
+        self._ratio_mean = np.where(self.flat, 0.0, self.mean_part / divisor)
+        self._ratio_scale = np.where(self.flat, 0.0, self.noise_scale / divisor)
+
+    def residual_rows(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """Residual paths R for ``size`` field paths, flattened per row.
+
+        One row a pair, (size + 1) // 2 rows, when ``paired``; one a path
+        otherwise.
+        """
+        rows = (size + 1) // 2 if self.paired else size
+        return self._residual.sample(gen, rows).reshape(rows, -1)
 
     def sample_a(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """(size, n_points) draws of the random part A of chi_w.
 
-        Rows 2k and 2k+1 are the antithetic pair mean_part +- noise_scale * R
-        of one residual path R; an odd ``size`` drops the last minus row.
+        When ``paired``, rows 2k and 2k+1 are the antithetic pair
+        mean_part +- noise_scale * R of one residual path R, and an odd
+        ``size`` drops the last minus row; otherwise row k is
+        mean_part + noise_scale * R_k.
         """
-        half = (size + 1) // 2
-        r = self._residual.sample(gen, half).reshape(half, -1)
+        r = self.residual_rows(gen, size)
         r *= self.noise_scale
-        a = np.empty((2 * half, r.shape[1]))
+        if not self.paired:
+            r += self.mean_part
+            return r
+        a = np.empty((2 * len(r), r.shape[1]))
         np.add(self.mean_part, r, out=a[0::2])
         np.subtract(self.mean_part, r, out=a[1::2])
         return a[:size]
+
+
+def _closed_crossing(sampler, gen, size, upper) -> np.ndarray:
+    """Per path, w* = max_t A/(1-B) (``upper``, for sup) or min_t (for inf).
+
+    Reduced from the residual rows directly: A/(1 - B) = m + c R, and a
+    pair's second path is m - c R.  A flat point (B = 1) hits for every w
+    when A > 0 and for none otherwise, so it reads +inf or -inf.
+    """
+    r = sampler.residual_rows(gen, size)
+    flat = sampler.flat
+    if flat.any():
+        noise = sampler.noise_scale[flat] * r[:, flat]
+        base = sampler.mean_part[flat]
+        flat_hits = (base + noise > 0.0, base - noise > 0.0)
+    ops = (np.add, np.subtract) if sampler.paired else (np.add,)
+    reduce = np.max if upper else np.min
+    r *= sampler._ratio_scale
+    field = np.empty_like(r)
+    w = np.empty((len(r), len(ops)))
+    for j, op in enumerate(ops):
+        op(sampler._ratio_mean, r, out=field)
+        if flat.any():
+            field[:, flat] = np.where(flat_hits[j], np.inf, -np.inf)
+        reduce(field, axis=1, out=w[:, j])
+    return w.reshape(-1)[:size]
 
 
 def _bisect_crossing(sampler, gamma, a, lo, hi) -> np.ndarray:
@@ -184,19 +238,21 @@ def _bisect_crossing(sampler, gamma, a, lo, hi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _crossing_point(sampler, gamma, a, divisor, flat) -> np.ndarray:
+def _crossing_point(sampler, gamma, gen, size) -> np.ndarray:
     """Per path, the end w* of the hit set {w : Gamma(A + w B) > w}.
 
-    A point with B = 1 (``flat``; its ``divisor`` is 1) hits for every w
-    when A > 0 and for none otherwise, so its A/(1 - B) reads +inf or -inf.
+    Closed form for sup and inf (and ``mix`` at weight 1 or 0); every other
+    functional is bisected between those two, from ``sample_a``'s A.
     """
-    ratio = a / divisor
+    if gamma.kind == "sup" or (gamma.kind == "mix" and gamma.weight == 1.0):
+        return _closed_crossing(sampler, gen, size, upper=True)
+    if gamma.kind == "inf" or (gamma.kind == "mix" and gamma.weight == 0.0):
+        return _closed_crossing(sampler, gen, size, upper=False)
+    a = sampler.sample_a(gen, size)
+    flat = sampler.flat
+    ratio = a / np.where(flat, 1.0, sampler.slope)
     if flat.any():
         ratio[:, flat] = np.where(a[:, flat] > 0.0, np.inf, -np.inf)
-    if gamma.kind == "sup" or (gamma.kind == "mix" and gamma.weight == 1.0):
-        return ratio.max(axis=1)
-    if gamma.kind == "inf" or (gamma.kind == "mix" and gamma.weight == 0.0):
-        return ratio.min(axis=1)
     # inf <= Gamma <= sup, so their crossing points bracket gamma's
     return _bisect_crossing(sampler, gamma, a, ratio.min(axis=1), ratio.max(axis=1))
 
@@ -213,19 +269,16 @@ def conditional_tail(
     sample is Psi(g - w*/g), w* = max_t A/(1-B) for sup, min_t A/(1-B) for
     inf, and bisected between the two for every other functional.
 
-    The replications are ``sampler.sample_a``'s antithetic pairs, counted
-    and averaged by :class:`~gexr.mc.PathPairs`: ``n_reps`` counts field
-    paths and an odd count rounds up to whole pairs.
+    Paths come in antithetic pairs when ``sampler.paired`` (the residual
+    covariances are nonnegative, so a pair cannot add variance) and are
+    independent otherwise; :class:`~gexr.mc.PathPairs` counts and averages
+    them.  ``n_reps`` counts field paths; with pairs an odd count rounds up.
     """
-    pairs = PathPairs(n_reps)
+    pairs = PathPairs(n_reps, paired=sampler.paired)
     g = sampler.g
-    flat = sampler.slope == 0.0
-    divisor = np.where(flat, 1.0, sampler.slope)
     samples = np.empty(pairs.n_reps)
     for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
-        # keep `a` bound across batches: freeing it early ran 1.3-1.4x slower
-        a = sampler.sample_a(gen, hi - lo)
-        w_star = _crossing_point(sampler, gamma, a, divisor, flat)
+        w_star = _crossing_point(sampler, gamma, gen, hi - lo)
         samples[lo:hi] = survival_psi(g - w_star / g)
     return pairs.estimate(samples, meta={"g": g})
 

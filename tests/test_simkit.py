@@ -316,6 +316,72 @@ def test_residual_sampler_matches_scatter_formulation(lo, hi, n):
     np.testing.assert_allclose(x, old, rtol=1e-12, atol=0.0)
 
 
+CHAIN_GRIDS = {
+    # formula-product-1d: the cross-origin a_i is about 1e-25
+    "two-sided-513": (
+        {"kind": "scaled-threshold", "alpha": 1.0, "exponent": 2.0, "gExponent": 4.0},
+        4.0, (-4.0, 4.0, 513),
+    ),
+    "ruin-demo-129": ({"kind": "ruin", "alpha": 1.0, "c": 1.0}, 16.0, (-0.5, 0.5, 129)),
+    "one-sided-513": ({"kind": "local", "alpha": 1.0}, 4.0, (0.0, 2.0, 513)),
+    # the running product of a_i falls below 2^-500 on each side
+    "long-800": ({"kind": "local", "alpha": 1.0}, 1.0, (-400.0, 400.0, 513)),
+}
+
+
+def _residual_draws(doc, u, axis, size, seed):
+    sampler = ResidualSampler(family_from_config(doc), u, 0.0, GridSpec.line(*axis))
+    x = sampler.sample(RngStream(2026, (seed,)).generator(), size)
+    z = RngStream(2026, (seed,)).generator().standard_normal(
+        (size, sampler._factor.shape[1])
+    )
+    return sampler, x, z @ sampler._factor.T
+
+
+@pytest.mark.parametrize("name", list(CHAIN_GRIDS))
+def test_chain_draws_match_the_product(name):
+    doc, u, axis = CHAIN_GRIDS[name]
+    sampler, x, product = _residual_draws(doc, u, axis, 500, 10)
+    assert sampler._chain is not None
+    segments, _, _, a = sampler._chain
+    if name == "two-sided-513":
+        assert np.abs(a[1:]).min() < 1e-20
+    if name == "long-800":
+        # a segment that starts right after the previous one: a restart
+        ends = [col + e - k for k, e, col in segments]
+        assert any(col == end for (_, _, col), end in zip(segments[1:], ends))
+    assert x.shape == product.shape
+    assert np.all(x[:, ~product.any(axis=0)] == 0.0)
+    scale = np.abs(product).max(axis=1, keepdims=True)
+    assert np.all(np.abs(x - product) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize(
+    "doc, u, axis",
+    [
+        ({"kind": "local", "alpha": 1.5}, 4.0, (-1.0, 1.0, 129)),
+        ({"kind": "stationary", "alpha": 2.0}, 3.0, (0.0, 2.0 / 3.0, 129)),
+    ],
+    ids=["local-1.5", "stationary-2"],
+)
+def test_non_first_order_factor_keeps_the_product(doc, u, axis):
+    sampler, x, product = _residual_draws(doc, u, axis, 200, 11)
+    assert sampler._chain is None
+    assert np.array_equal(x, product)
+
+
+def test_chain_covariance_is_the_residual_covariance():
+    doc, u, axis = CHAIN_GRIDS["ruin-demo-129"]
+    fam = family_from_config(doc)
+    grid = GridSpec.line(*axis)
+    sampler = ResidualSampler(fam, u, 0.0, grid)
+    assert sampler._chain is not None
+    x = sampler.sample(RngStream(2026, (12,)).generator(), N_COV)
+    target = fam.corr_matrix(u, 0.0, grid.points()) - np.outer(sampler.r0, sampler.r0)
+    emp = x.T @ x / N_COV
+    assert np.max(np.abs(emp - target)) < 6.0 / math.sqrt(N_COV) * max(1.0, target.max())
+
+
 def test_residual_fully_degenerate():
     fam = family_from_config({"kind": "stationary", "alpha": 1.0, "lengthScale": 1e12})
     grid = GridSpec.line(0.0, 1.0, 5)

@@ -1,8 +1,9 @@
 """Tail estimators, the conditioning identity, audits, closed-form evaluators.
 
 The strongest oracle here is the multivariate-normal orthant probability on
-small grids (scipy's qmc-based CDF), which gives the exact finite-threshold
-tail to compare both estimators against.
+small grids, which gives the exact finite-threshold tail to compare both
+estimators against: scipy's qmc-based CDF in general, and an exact 1-D
+transfer recursion where the cell is a Markov chain.
 """
 
 import math
@@ -144,14 +145,41 @@ def test_crude_low_confidence_flag():
     assert est.meta["low_confidence"]
 
 
+def markov_orthant_below(rho: float, n: int, level: float) -> float:
+    """P(X_i <= -level for i < n) for a unit-variance AR(1) chain, corr rho.
+
+    The transfer recursion f_i(y) = int_{x <= -level} f_{i-1}(x)
+    phi((y - rho x)/s)/s dx, s = sqrt(1 - rho^2), on composite
+    Gauss-Legendre nodes over [-level - 8, -level]: 40 panels of 8 nodes
+    agree with 320 panels of 20 to 3e-16 relative at rho = 0.993.
+    """
+    x, v = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(-level - 8.0, -level, 41)
+    half = np.diff(edges)[:, None] / 2
+    nodes = (edges[:-1, None] + half * (x + 1)).ravel()
+    weights = (half * v).ravel()
+    s = math.sqrt(1.0 - rho * rho)
+    kernel = norm.pdf((nodes[:, None] - rho * nodes[None, :]) / s) / s
+    f = norm.pdf(nodes)
+    for _ in range(n - 1):
+        f = kernel @ (weights * f)
+    return float(weights @ f)
+
+
 def test_conditional_matches_inf_orthant_oracle():
     # P(inf Z > u) = P(Z <= -u on every point), by symmetry
     fam = family_from_config({"kind": "local", "alpha": 1.0})
     u = 3.0
     grid = GridSpec.line(0.0, 0.5, 9)
     corr = fam.corr_matrix(u, 0.0, grid.points())
-    mvn = multivariate_normal(mean=np.zeros(9), cov=corr, seed=0, abseps=1e-12)
-    exact = float(mvn.cdf(np.full(9, -u)))
+    # exponential correlation on an even grid: the cell is an AR(1) chain
+    rho = corr[0, 1]
+    lags = np.abs(np.subtract.outer(np.arange(9), np.arange(9)))
+    np.testing.assert_allclose(corr, rho**lags, rtol=1e-14, atol=0.0)
+    exact = markov_orthant_below(rho, 9, u)
+    # scipy's randomized MVN CDF at abseps=1e-12 reads 6.178574e-4 (seed 0)
+    # and 6.178580e-4 (seed 1)
+    assert exact == pytest.approx(6.17857e-4, rel=2e-6)
     sampler = ConditionalSampler(fam, u, 0.0, grid)
     est = conditional_tail(sampler, FunctionalSpec.inf(), 100_000, RngStream(69))
     assert abs(est.value - exact) < 3 * est.stderr
@@ -270,6 +298,70 @@ def test_antithetic_pairs_do_not_add_variance():
     pairs = per_path.reshape(-1, 2).mean(axis=1)
     # Var(pair mean) = (Var + Cov) / 2 <= Var / 2 exactly when Cov <= 0
     assert pairs.var(ddof=1) <= 0.5 * per_path.var(ddof=1)
+
+
+def test_negative_residual_covariance_draws_independent_paths():
+    # alpha = 2 across the origin: some residual covariances are negative
+    fam = family_from_config({"kind": "local", "alpha": 2.0})
+    u = 3.0
+    grid = GridSpec.line(-2.0, 2.0, 33)
+    sampler = ConditionalSampler(fam, u, 0.0, grid)
+    assert not sampler.paired
+    cond = conditional_tail(sampler, SUP, 20_001, RngStream(91))
+    assert cond.n_reps == 20_001
+    crude = crude_mc_tail(fam, u, 0.0, SUP, grid, 200_000, RngStream(92))
+    assert abs(cond.value - crude.value) < 3 * math.hypot(cond.stderr, crude.stderr)
+
+
+def _formula_check_sampler():
+    """The formula-product-1d MC check: 513 points across the origin."""
+    fam = family_from_config(
+        {"kind": "scaled-threshold", "alpha": 1.0, "exponent": 2.0, "gExponent": 4.0}
+    )
+    return ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(-4.0, 4.0, 513))
+
+
+def _flat_sampler():
+    # exp(-1000) underflows, so B = 1 at both points away from the origin
+    fam = family_from_config({"kind": "stationary", "alpha": 1.0})
+    return ConditionalSampler(fam, 1.0, 0.0, GridSpec.line(0.0, 2000.0, 3))
+
+
+def _ruin_demo_sampler(u=16.0):
+    fam = family_from_config({"kind": "ruin", "alpha": 1.0, "c": 1.0})
+    return ConditionalSampler(fam, u, 0.0, GridSpec.line(-0.5, 0.5, 129))
+
+
+@pytest.mark.parametrize(
+    "make_sampler", [_audit_cell_sampler, _ruin_demo_sampler, _formula_check_sampler],
+    ids=["audit", "ruin-demo", "formula-product-1d"],
+)
+def test_preset_cells_stay_paired(make_sampler):
+    # their residual covariances are 0 up to rounding (down to -4.4e-16)
+    assert make_sampler().paired
+
+
+@pytest.mark.parametrize(
+    "make_sampler, upper",
+    [
+        (_audit_cell_sampler, True),
+        (_ruin_demo_sampler, False),
+        (_flat_sampler, True),
+        (_flat_sampler, False),
+    ],
+    ids=["sup", "inf-chain", "flat-sup", "flat-inf"],
+)
+def test_closed_crossing_matches_ratio_arithmetic(make_sampler, upper):
+    # the reduction before m and c were precomputed: (mean +- ns R) / slope
+    sampler = make_sampler()
+    w = tailprob._closed_crossing(sampler, RngStream(84).generator(), 999, upper)
+    a = sampler.sample_a(RngStream(84).generator(), 999)
+    flat = sampler.slope == 0.0
+    ratio = a / np.where(flat, 1.0, sampler.slope)
+    ratio[:, flat] = np.where(a[:, flat] > 0.0, np.inf, -np.inf)
+    old = ratio.max(axis=1) if upper else ratio.min(axis=1)
+    assert w.shape == (999,)
+    np.testing.assert_allclose(w, old, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
