@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .covmodels import ModelError
 from .mc import Estimate, PathPairs, batches
@@ -151,6 +150,8 @@ def estimate_double_maxima(
     distinct points of both grids serves every pivot; joint grids are
     capped at 2^12 points.
     """
+    from scipy import special
+
     box_a, box_b = cfg.boxes()
     pts, n_a, n_b = _joint_points(box_a, box_b, points_per_axis)
     n = len(pts)

@@ -12,12 +12,10 @@ estimates agree within max(relative stop rule, twice the combined stderr).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .covmodels import ModelError
 from .rng import RngStream
@@ -52,6 +50,8 @@ def cell_map(fn: Callable, items: Iterable, workers: int) -> list:
     substreams give the same list for every worker count.
     """
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -98,6 +98,8 @@ class Estimate:
         meta gains the hit count and the exact 95% Clopper-Pearson interval
         ``ci_exact`` (lo = 0 at no hits, hi = 1 when every trial hits).
         """
+        from scipy import special
+
         p = hits / n
         stderr = math.sqrt(max(p * (1 - p), 0.0) / n)
         lo = 0.0 if hits == 0 else float(special.betaincinv(hits, n - hits + 1, 0.025))

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
@@ -76,7 +75,17 @@ BISECTION_HALVINGS = 64
 
 
 def survival_psi(x):
-    """Upper tail of the standard normal law, accurate into the far tail."""
+    """Upper tail of the standard normal law, accurate into the far tail.
+
+    ``scipy.special`` is imported here and in the other three functions that
+    call it, not at module level: importing gexr then loads numpy only, and
+    the ``constants`` and ``list-presets`` commands, which never reach a
+    normal-tail, inverse-normal, Clopper-Pearson or incomplete-gamma call,
+    never pay for its import.  After the first call the statement is a
+    dictionary lookup.
+    """
+    from scipy import special
+
     out = special.ndtr(-np.asarray(x, dtype=float))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -432,6 +441,8 @@ class AsymptoticSetup:
 def _exp_power_integral(lo: float, hi: float, beta: float) -> float:
     """int_lo^hi exp(-|s|**beta) ds = Gamma(1 + 1/beta) (F(hi) - F(lo)),
     F(x) = sign(x) P(1/beta, |x|**beta), P the regularized lower gamma."""
+
+    from scipy import special
 
     def F(x):
         return math.copysign(special.gammainc(1.0 / beta, abs(x) ** beta), x)
