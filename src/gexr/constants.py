@@ -16,7 +16,9 @@ Four estimators live here:
   domain sizes and grid steps share one exp and four outward scans a path.
   Paths come in antithetic pairs built from eta and -eta, one draw for
   two paths, except for a rank-one field (the path t * Z), whose pair
-  would repeat one sample; ``n_reps`` counts paths either way.
+  would repeat one sample; ``n_reps`` counts paths either way.  The next
+  batch is drawn on one helper thread while the current one is reduced;
+  the results never depend on it, and at most two batches are held.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -40,7 +42,7 @@ from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFuncti
 from .functionals import FunctionalSpec, apply_functional
 from .mc import Estimate, ExtrapolationSchedule, PathPairs, batches, plateau_status
 from .rng import RngStream
-from .simkit import GridSpec, LimitFieldSampler, StatIncrSampler
+from .simkit import ROW_BLOCK, GridSpec, LimitFieldSampler, StatIncrSampler
 
 __all__ = [
     "estimate_generalized_constant",
@@ -54,9 +56,6 @@ __all__ = [
 
 # replications per batch; batch b draws from substream b, so this fixes the draws
 BATCH_SIZE = 2000
-
-# rows per block of the window reduction: one block's arrays stay in cache
-_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -143,22 +142,26 @@ def estimate_joint_constant(
 # an underflowed window divides 0 by 0: the estimator counts the NaN as an
 # overflow, so numpy's warning would only repeat it
 @np.errstate(invalid="ignore")
-def _window_ratio_levels(w: np.ndarray, counts: Sequence[int], refine: int) -> np.ndarray:
-    """The window ratio sums of :func:`window_sup_levels`, (levels, refine, batch).
+def _window_ratio_levels(
+    w: np.ndarray, var: np.ndarray, counts: Sequence[int], refine: int
+) -> np.ndarray:
+    """The window ratio sums of W = w - var, (levels, refine, batch).
 
-    ``w`` is (batch, 2N+1), N = max(counts); level n at stride s reads
-    w[:, N-n : N+n+1 : s].  Blocks of ``_ROW_BLOCK`` rows stay in cache.
+    ``w`` is (batch, 2N+1), N = max(counts), and ``var`` is Var eta on its
+    grid; level n at stride s reads W[:, N-n : N+n+1 : s].  W is formed per
+    block of ``ROW_BLOCK`` rows, and each block stays in cache.
     """
     batch, n_max = w.shape[0], max(counts)
-    rows = min(batch, _ROW_BLOCK)
+    rows = min(batch, ROW_BLOCK)
     e = np.empty((rows, 2 * n_max + 1))
     lmax, rmax, lsum, rsum, num, den = np.empty((6, rows, n_max + 1))
     out = np.empty((len(counts), refine, batch))
-    for lo in range(0, batch, _ROW_BLOCK):
-        wb = w[lo : lo + _ROW_BLOCK]
+    for lo in range(0, batch, ROW_BLOCK):
+        wb = w[lo : lo + ROW_BLOCK]
         k = wb.shape[0]
         eb = e[:k]
-        np.subtract(wb, wb.max(axis=1, keepdims=True), out=eb)
+        np.subtract(wb, var, out=eb)
+        eb -= eb.max(axis=1, keepdims=True)
         np.exp(eb, out=eb)
         for lv in range(refine):
             s = 2**lv
@@ -219,6 +222,13 @@ def window_sup_levels(
     keeps independent paths: there -eta is eta reflected, every window sum
     is invariant under the reflection, and a pair would repeat one sample.
 
+    Batch b+1 is drawn (and scaled by sqrt2) on one helper thread while this
+    thread reduces batch b (:func:`_draw_ahead`).  Batch b still draws from
+    substream b, so the results never depend on the thread: they equal the
+    serial loop bit for bit.  The draws go into two buffers allocated once,
+    and Var eta is subtracted per block of rows, so at most two batches are
+    held in memory.
+
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans
     outward from the center serve all levels: window j of level m has
@@ -250,15 +260,57 @@ def window_sup_levels(
     pairs = PathPairs(n_reps, paired=not sampler.rank_one)
     stride = 2 if pairs.paired else 1
     out = np.empty((len(counts), refine, pairs.n_reps))
-    for gen, lo, hi in batches(rng, pairs.n_reps, BATCH_SIZE):
-        x = sampler.sample(gen, (hi - lo) // stride)
+    rows = min(BATCH_SIZE, pairs.n_reps) // stride
+    slots = (np.empty((rows, grid.size)), np.empty((rows, grid.size)))
+
+    def draw(gen, size, slot):
+        x = slots[slot][: size // stride]
+        sampler.sample(gen, len(x), out=x)
         x *= math.sqrt(2.0)
-        out[:, :, lo:hi:stride] = _window_ratio_levels(x - var, counts, refine)
+        return x
+
+    def reduce(x, lo, hi):
+        out[:, :, lo:hi:stride] = _window_ratio_levels(x, var, counts, refine)
         if pairs.paired:
             np.negative(x, out=x)
-            x -= var
-            out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(x, counts, refine)
+            out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(x, var, counts, refine)
+
+    _draw_ahead(draw, reduce, rng, pairs.n_reps, BATCH_SIZE)
     return [list(level) for level in out], pairs
+
+
+def _draw_ahead(draw, reduce, rng: RngStream, n_reps: int, batch_size: int) -> None:
+    """``reduce(draw(gen, hi - lo, b % 2), lo, hi)`` for batch b of :func:`~gexr.mc.batches`.
+
+    Batch b+1 is drawn on one helper thread while the calling thread reduces
+    batch b, so a draw may write into slot ``b % 2`` of two buffers the
+    caller owns: two batches are held at most.  Draws run in order, each on
+    its own substream's generator, so the results are those of the serial
+    loop.  Each draw runs under the caller's numpy error state (kept per
+    thread or per context, not inherited by the helper); an exception in a
+    draw is raised to the caller at that batch, with its own type, and the
+    helper thread has ended when this returns or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    errstate = np.geterr()
+
+    def drawn(b, batch):
+        gen, lo, hi = batch
+        with np.errstate(**errstate):
+            return draw(gen, hi - lo, b % 2), lo, hi
+
+    todo = enumerate(batches(rng, n_reps, batch_size))
+    first = next(todo, None)
+    if first is None:
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(drawn, *first)
+        for item in todo:
+            done = ahead.result()
+            ahead = helper.submit(drawn, *item)
+            reduce(*done)
+        reduce(*ahead.result())
 
 
 def window_sup_constant(

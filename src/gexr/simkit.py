@@ -40,6 +40,10 @@ __all__ = [
 
 DEFAULT_POINT_BUDGET = 1 << 20
 
+# rows per block of the blockwise passes (white-noise draws, the window
+# reduction of gexr.constants): one block's arrays stay in cache
+ROW_BLOCK = 128
+
 # negative circulant eigenvalues below this (relative to gamma(0)) are a hard
 # error; smaller ones are numerical noise and get clipped
 EMBEDDING_TOL = 1e-8
@@ -250,15 +254,22 @@ class FbmSampler:
         """True when the path is t * Z: read off the increment autocovariance."""
         return self._noise.rank_one
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(size, n_points) paths, written into ``out`` when it is given."""
+        path = np.empty((size, self.n_points)) if out is None else out
         if self.rank_one:
-            return rng.standard_normal((size, 1)) * self.grid_values()
-        incr = self._noise.sample(rng, size)
-        path = np.empty((size, self.n_points))
+            return np.multiply(rng.standard_normal((size, 1)), self.grid_values(), out=path)
         path[:, 0] = 0.0
-        np.cumsum(incr, axis=1, out=path[:, 1:])
-        # recenter so that the value at the origin (index n_left) is 0
-        path -= path[:, self.n_left : self.n_left + 1].copy()
+        # white rows are drawn one after another, so blocks of rows read the
+        # same normals and hold one block's increments at a time
+        rows = ROW_BLOCK if self._noise.white else max(size, 1)
+        for lo in range(0, size, rows):
+            block = path[lo : lo + rows]
+            np.cumsum(self._noise.sample(rng, len(block)), axis=1, out=block[:, 1:])
+            # recenter so that the value at the origin (index n_left) is 0
+            block -= block[:, self.n_left : self.n_left + 1].copy()
         return path
 
     def grid_values(self) -> np.ndarray:
@@ -345,21 +356,37 @@ class LimitFieldSampler:
             isinstance(s, FbmSampler) and s.rank_one for _, s in self._samplers
         )
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(size, *grid.shape) draws, written into ``out`` when it is given.
+
+        On a line, a first component drawn by :class:`FbmSampler` is drawn
+        straight into ``out``; otherwise the sum is copied into it.
+        """
         full = (size, *self.grid.shape)
-        out = None
+        total = None
         for comp, sampler in self._samplers:
-            w = sampler.sample(rng, size)
+            if total is None and self.grid.dim == 1 and isinstance(sampler, FbmSampler):
+                w = sampler.sample(rng, size, out=out)
+            else:
+                w = sampler.sample(rng, size)
             w *= math.sqrt(comp.scale)
             shape = [size] + [1] * self.grid.dim
             shape[1 + comp.axis] = self.grid.shape[comp.axis]
             w = w.reshape(shape)
-            if out is None:
+            if total is None:
                 # the first component is assigned rather than added to zeros
-                out = w if w.shape == full else np.broadcast_to(w, full).copy()
+                total = w if w.shape == full else np.broadcast_to(w, full).copy()
             else:
-                out += w
-        return np.zeros(full) if out is None else out
+                total += w
+        if total is None:
+            total = np.zeros(full)
+        if out is None:
+            return total
+        if not np.may_share_memory(total, out):
+            out[...] = total
+        return out
 
     def variance(self) -> np.ndarray:
         """Analytic Var eta on the grid, shaped grid.shape."""

@@ -11,6 +11,7 @@ from gexr import tailprob
 from gexr.cli import main
 from gexr.mc import Estimate
 from gexr.presets import PRESETS
+from gexr.simkit import SimulationError
 
 SMOKE_BUDGET = "600"  # caps replication counts
 
@@ -128,6 +129,29 @@ def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
     code = run(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path)])
     assert code == 3
     assert "model rejected" in capsys.readouterr().err
+
+
+def test_window_draw_failure_on_the_helper_thread_is_numerical_failure(
+    monkeypatch, tmp_path, capsys
+):
+    # the window identity draws ahead on a helper thread; a generator failure
+    # there must still reach the runner as SimulationError, exit 3
+    real = constmod.LimitFieldSampler
+    draws = []
+
+    class FailingAtBatch3(real):
+        def sample(self, gen, size, out=None):
+            draws.append(size)
+            if len(draws) == 4:
+                raise SimulationError("negative circulant eigenvalue")
+            return super().sample(gen, size, out=out)
+
+    monkeypatch.setattr(constmod, "LimitFieldSampler", FailingAtBatch3)
+    monkeypatch.setenv("GEXR_BUDGET", "8000")
+    out = tmp_path / "out"
+    assert run(["constants", "--preset", "pickands-alpha-1", "--out", str(out)]) == 3
+    assert "negative circulant eigenvalue" in capsys.readouterr().err
+    assert len(draws) == 4 and not out.exists()
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):
@@ -342,10 +366,10 @@ def test_underflowed_window_fails_the_run(monkeypatch, tmp_path, capsys):
         def __init__(self, eta, grid):
             self.size = grid.size
 
-        def sample(self, gen, size):
-            w = np.zeros((size, self.size))
-            w[0, 0] = 1000.0
-            return w
+        def sample(self, gen, size, out):
+            out[...] = 0.0
+            out[0, 0] = 1000.0
+            return out
 
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     monkeypatch.setattr(constmod, "LimitFieldSampler", SpikedSampler)

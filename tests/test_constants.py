@@ -13,6 +13,7 @@ Oracles used here, all independent of the estimator code paths:
 import importlib
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from gexr.constants import (
 from gexr.functionals import FunctionalSpec, apply_functional
 from gexr.mc import Estimate, ExtrapolationSchedule, batches
 from gexr.rng import RngStream
-from gexr.simkit import GridSpec, LimitFieldSampler, StatIncrSampler
+from gexr.simkit import GridSpec, LimitFieldSampler, SimulationError, StatIncrSampler
 
 SUP = FunctionalSpec.sup()
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -163,7 +164,7 @@ def _window_paths(eta, n_max, step, gen, size, sign):
     """The window sums of sign * sqrt2 eta - Var eta for one batch of draws."""
     grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
     x = LimitFieldSampler(eta, grid).sample(gen, size) * math.sqrt(2.0)
-    return _window_ratio_levels(sign * x - eta.variance(grid.axis_values(0)), [n_max], 1)
+    return _window_ratio_levels(sign * x, eta.variance(grid.axis_values(0)), [n_max], 1)
 
 
 def test_paired_window_levels_match_the_random_walk_oracle(monkeypatch):
@@ -224,6 +225,122 @@ def test_rank_one_window_paths_stay_independent():
     assert pairs.estimate(got) == Estimate.from_samples(got)
 
 
+def _serial_window_levels(eta, s_levels, step, n_reps, rng, refine):
+    """The window identity as one serial loop: draw, scale, reduce, batch by batch."""
+    counts = [int(round(S / step)) for S in s_levels]
+    n_max = max(counts)
+    grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
+    sampler = LimitFieldSampler(eta, grid)
+    var = eta.variance(grid.axis_values(0))
+    zero = np.zeros_like(var)
+    stride = 1 if sampler.rank_one else 2
+    n_paths = n_reps + n_reps % stride
+    out = np.empty((len(counts), refine, n_paths))
+    for b, lo in enumerate(range(0, n_paths, BATCH_SIZE)):
+        hi = min(lo + BATCH_SIZE, n_paths)
+        gen = rng.substream(b).generator()
+        x = sampler.sample(gen, (hi - lo) // stride) * math.sqrt(2.0)
+        out[:, :, lo:hi:stride] = _window_ratio_levels(x - var, zero, counts, refine)
+        if stride == 2:
+            out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(-x - var, zero, counts, refine)
+    return out
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("n_reps", [600, 3 * BATCH_SIZE, 2 * BATCH_SIZE + 13])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_window_levels_drawn_ahead_equal_the_serial_loop(alpha, n_reps, refine):
+    # white noise, circulant embedding and the rank-one path t * Z (unpaired);
+    # one batch, three batches (a slot reused) and a ragged last batch
+    eta, sizes, step = LimitFieldSpec.fbm(alpha), [1.0, 2.0, 4.0], 1 / 8
+    levels, pairs = window_sup_levels(eta, sizes, step, n_reps, RngStream(19), refine)
+    want = _serial_window_levels(eta, sizes, step, n_reps, RngStream(19), refine)
+    assert pairs.n_reps == want.shape[2]
+    for got_level, want_level in zip(levels, want):
+        assert len(got_level) == refine
+        for got, wanted in zip(got_level, want_level):
+            assert np.array_equal(got, wanted)
+
+
+class _ScriptedSampler:
+    """Stands in for LimitFieldSampler: zero paths, and ``fail(out)`` at draw ``at``."""
+
+    rank_one = True  # unpaired: one reduction per batch
+
+    def __init__(self, at, fail):
+        self.at, self.fail, self.draws = at, fail, 0
+
+    def __call__(self, eta, grid):
+        return self
+
+    def sample(self, gen, size, out):
+        out[...] = 0.0
+        if self.draws == self.at:
+            self.fail(out)
+        self.draws += 1
+        return out
+
+
+def _counting_reductions(monkeypatch):
+    """Patch the window reduction to record the rows of each batch it reduces."""
+    reduced = []
+    real = constmod._window_ratio_levels
+
+    def counting(w, var, counts, refine):
+        reduced.append(len(w))
+        return real(w, var, counts, refine)
+
+    monkeypatch.setattr(constmod, "_window_ratio_levels", counting)
+    return reduced
+
+
+def test_failed_draw_raises_at_its_batch_with_its_own_type(monkeypatch):
+    # batches 0, 1 and 2 are reduced; the draw of batch 3 raises, and the
+    # caller sees that very exception, so the CLI still exits 3 for it
+    exc = SimulationError("draw failed")
+
+    def fail(out):
+        raise exc
+
+    monkeypatch.setattr(constmod, "LimitFieldSampler", _ScriptedSampler(3, fail))
+    reduced = _counting_reductions(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(SimulationError) as info:
+        window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 6 * BATCH_SIZE, RngStream(20))
+    assert info.value is exc
+    assert reduced == [BATCH_SIZE] * 3
+    assert threading.active_count() == before
+
+
+def test_drawn_ahead_batch_keeps_the_callers_numpy_error_state(monkeypatch):
+    def overflow(out):
+        out[0, 0] = 1e308
+        out *= 10.0
+
+    sampler = _ScriptedSampler(2, overflow)
+    monkeypatch.setattr(constmod, "LimitFieldSampler", sampler)
+    eta = LimitFieldSpec.fbm(1.0)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            window_sup_levels(eta, [1.0], 1 / 8, 4 * BATCH_SIZE, RngStream(21))
+    assert sampler.draws == 2
+
+
+def test_no_helper_thread_outlives_the_window_identity(monkeypatch):
+    before = threading.active_count()
+    window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 3 * BATCH_SIZE, RngStream(22))
+    assert threading.active_count() == before
+
+    def failing(w, var, counts, refine):
+        raise ZeroDivisionError("reduction failed")
+
+    # the caller raises while the helper draws the next batch
+    monkeypatch.setattr(constmod, "_window_ratio_levels", failing)
+    with pytest.raises(ZeroDivisionError):
+        window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 3 * BATCH_SIZE, RngStream(22))
+    assert threading.active_count() == before
+
+
 def _oracle_window_ratio_sums(w, n, stride):
     """Row by row: exact window maxima and math.fsum window sums of level n."""
     n_max = (w.shape[1] - 1) // 2
@@ -268,7 +385,7 @@ def _tilted_walk(batch, n, step, seed):
 
 
 def _assert_levels_match_oracles(w, counts, refine):
-    got = _window_ratio_levels(w, counts, refine)
+    got = _window_ratio_levels(w, np.zeros(w.shape[1]), counts, refine)
     assert got.shape == (len(counts), refine, w.shape[0])
     for li, n in enumerate(counts):
         for lv in range(refine):
@@ -299,7 +416,7 @@ def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
     w = _tilted_walk(3, n_max, 1 / 16, seed=5)
     w[0, n_max + 24] = spike
     with np.errstate(invalid="ignore"):
-        got = _window_ratio_levels(w, [8, 16, 32], refine=2)
+        got = _window_ratio_levels(w, np.zeros(w.shape[1]), [8, 16, 32], refine=2)
     assert np.isnan(got[:, :, 0]).all()
     assert np.isfinite(got[:, :, 1:]).all()
 
@@ -309,10 +426,10 @@ def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
         def __init__(self, eta, grid):
             self.size = grid.size
 
-        def sample(self, gen, size):
-            w = np.zeros((size, self.size))
-            w[0, -1] = spike  # the first row of every batch
-            return w
+        def sample(self, gen, size, out):
+            out[...] = 0.0
+            out[0, -1] = spike  # the first row of every batch
+            return out
 
     monkeypatch.setattr(constmod, "LimitFieldSampler", SpikedSampler)
     schedule = ExtrapolationSchedule(

@@ -200,6 +200,32 @@ def test_limit_field_sampler_bit_identical_to_sum_over_zeros(dim):
     assert np.array_equal(got, ref)
 
 
+_LINE_FIELDS = {
+    "white": (LimitFieldComponent(0, 0.7, 0.0, VarianceFunction.fbm(1.0)),),
+    "circulant": (LimitFieldComponent(0, 1.0, 0.0, VarianceFunction.fbm(1.5)),),
+    "rank-one": (LimitFieldComponent(0, 1.0, 0.0, VarianceFunction.fbm(2.0)),),
+    "path-then-cholesky": (
+        LimitFieldComponent(0, 0.5, 0.0, VarianceFunction.fbm(1.0)),
+        LimitFieldComponent(0, 0.5, 2.0, VarianceFunction.fbm(1.4)),
+    ),
+    "cholesky-first": (LimitFieldComponent(0, 1.0, 2.0, VarianceFunction.fbm(1.4)),),
+    "degenerate": (),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_LINE_FIELDS))
+def test_line_field_drawn_into_out_is_the_fresh_draw(field):
+    # out= is filled in place and returned; its old contents never leak in
+    comps = _LINE_FIELDS[field]
+    sampler = LimitFieldSampler(LimitFieldSpec(dim=1, components=comps), GridSpec.line(-1.0, 2.0, 49))
+    for size in (1, 7, 300):
+        stream = RngStream(23, (size,))
+        out = np.full((size, 49), np.nan)
+        got = sampler.sample(stream.generator(), size, out=out)
+        assert got is out
+        assert np.array_equal(out, sampler.sample(stream.generator(), size))
+
+
 # ---------------------------------------------------------------------------
 # covariance oracles (fixed seed, 6/sqrt(N) max-entry band)
 
