@@ -2,11 +2,12 @@
 """Run the benchmark on two checkouts in alternating pairs and record the result.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs K
-        [--first-seed S] [--seconds T] [--out BENCH.json]
+        [--first-seed S] [--out BENCH.json]
 
-Pair i (1-based) runs ``python3 bench/run.py --workload W --seed S+i-1`` once
-in each checkout, one run after the other: odd pairs run PARENT first, even
-pairs CHANGE first, so a drift in machine load does not favour one side.
+Pair i (1-based) runs ``python3 bench/run.py --workload W --seed S+i-1``, at
+the benchmark's own run length, once in each checkout, one run after the
+other: odd pairs run PARENT first, even pairs CHANGE first, so a drift in
+machine load does not favour one side.  K must be at least 2.
 Pick seeds that were not used while the change was written.  Each run uses
 its own checkout's ``bench/`` and ``src/``.
 
@@ -44,10 +45,8 @@ def machine() -> dict:
             "python": platform.python_version(), "platform": platform.platform()}
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -86,12 +85,12 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 2 (default 10)")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per run (default: bench/run.py's own)")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs a side")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
 
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
         order = ["parent", "change"] if i % 2 else ["change", "parent"]
         record = {"pair": i, "seed": seed, "first": order[0]}
         for side in order:
-            result = bench_run(sides[side], args.workload, seed, args.seconds)
+            result = bench_run(sides[side], args.workload, seed)
             ok &= bool(result["correct"]) and result["failed"] == 0
             record[side] = result
         pairs.append(record)
@@ -118,8 +117,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = machine()
     doc.setdefault("workloads", {})[args.workload] = {
-        "command": "python3 bench/run.py --workload W --seed SEED"
-                   + (f" --seconds {args.seconds}" if args.seconds is not None else ""),
+        "command": "python3 bench/run.py --workload W --seed SEED",
         "seeds": [p["seed"] for p in pairs],
         "all_correct": ok,
         "summary": summary,

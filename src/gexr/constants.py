@@ -18,7 +18,8 @@ Four estimators live here:
   two paths, except for a rank-one field (the path t * Z), whose pair
   would repeat one sample; ``n_reps`` counts paths either way.  The next
   batch is drawn on one helper thread while the current one is reduced;
-  the results never depend on it, and at most two batches are held.
+  the results never depend on it.  Two batches of paths are held, plus the
+  working arrays of the draw in progress.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -226,8 +227,11 @@ def window_sup_levels(
     thread reduces batch b (:func:`_draw_ahead`).  Batch b still draws from
     substream b, so the results never depend on the thread: they equal the
     serial loop bit for bit.  The draws go into two buffers allocated once,
-    and Var eta is subtracted per block of rows, so at most two batches are
-    held in memory.
+    and Var eta is subtracted per block of rows, so two batches of paths are
+    held.  On top of them the draw in progress holds its working arrays: for
+    an fBm path, one block of increments at alpha = 1, none at alpha = 2,
+    and at every other alpha its batch's circulant spectrum (as the serial
+    loop did), inverted one block of rows at a time.
 
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans
@@ -284,9 +288,9 @@ def _draw_ahead(draw, reduce, rng: RngStream, n_reps: int, batch_size: int) -> N
 
     Batch b+1 is drawn on one helper thread while the calling thread reduces
     batch b, so a draw may write into slot ``b % 2`` of two buffers the
-    caller owns: two batches are held at most.  Draws run in order, each on
-    its own substream's generator, so the results are those of the serial
-    loop.  Each draw runs under the caller's numpy error state (kept per
+    caller owns, never into the one being reduced.  Draws run in order,
+    each on its own substream's generator, so the results are those of the
+    serial loop.  Each draw runs under the caller's numpy error state (kept per
     thread or per context, not inherited by the helper); an exception in a
     draw is raised to the caller at that batch, with its own type, and the
     helper thread has ended when this returns or raises.

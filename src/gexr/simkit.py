@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ __all__ = [
 
 DEFAULT_POINT_BUDGET = 1 << 20
 
-# rows per block of the blockwise passes (white-noise draws, the window
+# rows per block of the blockwise passes (increment draws, the window
 # reduction of gexr.constants): one block's arrays stay in cache
 ROW_BLOCK = 128
 
@@ -199,12 +200,20 @@ class _CirculantNoise:
         # spectral weights for the Hermitian-symmetric normal draw
         self._sqrt_lam = np.sqrt(lam / m)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n_incr) stationary increments with the target covariance."""
+    def blocks(self, rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
+        """``size`` rows of stationary increments, in blocks of ROW_BLOCK rows.
+
+        White rows are drawn one after another, so each block draws its own
+        normals.  The embedding takes every row's real parts before any
+        imaginary part, so its spectrum is built for the whole batch and only
+        the inverse transform, a row at a time either way, goes by blocks.
+        """
         if self.white:
-            noise = rng.standard_normal((size, self.n_incr))
-            noise *= self._sd
-            return noise
+            for lo in range(0, size, ROW_BLOCK):
+                noise = rng.standard_normal((min(ROW_BLOCK, size - lo), self.n_incr))
+                noise *= self._sd
+                yield noise
+            return
         m = self.m
         half = m // 2
         root_m = math.sqrt(m)
@@ -222,9 +231,10 @@ class _CirculantNoise:
         del z
         parts[:, 0, 1] = 0.0
         parts[:, half, 1] = 0.0
-        noise = np.fft.irfft(spec, n=m, axis=1)
-        noise *= root_m
-        return noise[:, : self.n_incr]
+        for lo in range(0, size, ROW_BLOCK):
+            noise = np.fft.irfft(spec[lo : lo + ROW_BLOCK], n=m, axis=1)[:, : self.n_incr]
+            noise *= root_m
+            yield noise
 
 
 class FbmSampler:
@@ -262,12 +272,11 @@ class FbmSampler:
         if self.rank_one:
             return np.multiply(rng.standard_normal((size, 1)), self.grid_values(), out=path)
         path[:, 0] = 0.0
-        # white rows are drawn one after another, so blocks of rows read the
-        # same normals and hold one block's increments at a time
-        rows = ROW_BLOCK if self._noise.white else max(size, 1)
-        for lo in range(0, size, rows):
-            block = path[lo : lo + rows]
-            np.cumsum(self._noise.sample(rng, len(block)), axis=1, out=block[:, 1:])
+        lo = 0
+        for incr in self._noise.blocks(rng, size):
+            block = path[lo : lo + len(incr)]
+            lo += len(incr)
+            np.cumsum(incr, axis=1, out=block[:, 1:])
             # recenter so that the value at the origin (index n_left) is 0
             block -= block[:, self.n_left : self.n_left + 1].copy()
         return path

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -27,7 +29,7 @@ def test_pairs_alternate_and_summary_counts_wins(tmp_path, monkeypatch):
     walls = {parent: iter([2.0, 3.0, 4.0, 5.0]), change: iter([1.0, 3.0, 2.0, 9.0])}
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed):
         calls.append((checkout.name, seed))
         wall = next(walls[checkout])
         hits = wall + (checkout == change)
@@ -59,7 +61,7 @@ def test_pairs_alternate_and_summary_counts_wins(tmp_path, monkeypatch):
 def test_failed_check_makes_the_exit_code_1(tmp_path, monkeypatch):
     parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed):
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in METRICS}
         return {"correct": checkout == parent, "attempted": 1, "failed": 0,
                 "metrics": metrics}
@@ -69,3 +71,16 @@ def test_failed_check_makes_the_exit_code_1(tmp_path, monkeypatch):
     argv = [str(parent), str(change), "--workload", "mixed", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 1
     assert json.loads(out.read_text())["workloads"]["mixed"]["all_correct"] is False
+
+
+@pytest.mark.parametrize("pairs", ["0", "1"])
+def test_fewer_than_two_pairs_is_refused_before_any_run(tmp_path, monkeypatch, pairs):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    calls = []
+    monkeypatch.setattr(bench_pairs, "bench_run", lambda *args: calls.append(args))
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workload", "pickands", "--pairs", pairs, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()

@@ -21,6 +21,7 @@ from gexr.covmodels import (
 from gexr.configio import family_from_config
 from gexr.rng import RngStream
 from gexr.simkit import (
+    ROW_BLOCK,
     FbmSampler,
     GridSpec,
     LimitFieldSampler,
@@ -144,6 +145,16 @@ def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
         got = sampler.sample(stream.generator(), size)
         ref = _reference_fbm_sample(sampler, stream.generator(), size)
         assert np.array_equal(got, ref)
+
+
+# the batch's increments are never held whole: white rows are drawn, and the
+# embedding's spectrum inverted, one block of rows at a time
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_fbm_increments_come_in_row_blocks(alpha):
+    noise = FbmSampler(alpha, 1 / 64, n_right=63, n_left=64)._noise
+    sizes = [len(b) for b in noise.blocks(RngStream(3).generator(), 2 * ROW_BLOCK + 44)]
+    assert sizes == [ROW_BLOCK, ROW_BLOCK, 44]
+    assert [len(b) for b in noise.blocks(RngStream(3).generator(), 0)] == []
 
 
 @pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
