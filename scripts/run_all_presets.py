@@ -5,6 +5,9 @@ Each preset runs in its own subdirectory of --out (CSV, gnuplot script,
 results.json).  Set GEXR_BUDGET for a quick smoke pass; leave it unset for
 the full replication counts.  Exits nonzero if any preset ends in an
 unexpected state (the flat-correlation counterexample is expected to fail).
+An internal error (an exception out of the runner) is such a state: it is
+printed on that preset's line as ``INTERNAL ERROR <type>: <message>``, its
+traceback goes to stderr, and the sweep goes on with the next preset.
 The expected-verdict check is only meaningful at full replication counts;
 under a small GEXR_BUDGET the statistical verdicts are noise.
 
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from gexr.cli import main as gexr_main
 from gexr.presets import PRESETS
@@ -40,11 +44,16 @@ def run(argv=None) -> int:
                     "--workers", str(args.workers)]
         if args.seed is not None:
             cli_args += ["--seed", str(args.seed)]
-        t0 = time.time()
-        code = gexr_main(cli_args)
-        elapsed = time.time() - t0
         expected = 1 if name in EXPECTED_FAIL else 0
-        verdict = "ok" if code == expected else f"UNEXPECTED exit {code}"
+        t0 = time.time()
+        try:
+            code = gexr_main(cli_args)
+            verdict = "ok" if code == expected else f"UNEXPECTED exit {code}"
+        except Exception as exc:  # one internal error ends its preset only
+            traceback.print_exc()
+            code = None
+            verdict = f"INTERNAL ERROR {type(exc).__name__}: {exc}"
+        elapsed = time.time() - t0
         print(f"{name:28s} exit={code} ({elapsed:5.1f}s) {verdict}")
         if code != expected:
             bad.append(name)

@@ -7,19 +7,25 @@
 Subcommands: constants, tail, audit, doublesum, formula, ruin-demo.  Every
 run writes a CSV of per-level/per-cell rows, a results.json summary (with a
 config hash covering all numeric inputs), and a gnuplot script referencing
-the CSV.  Exit codes: 0 pass, 1 statistical fail, 2 config error (an
-unreadable --config or an --out that cannot be made a directory included:
---out is created before any estimator runs), 3 numerical/model rejection.
-A run that exits 2 or 3 removes the --out directories it created itself.
-The environment variable GEXR_BUDGET caps replication counts for smoke
-runs; results.json records the cap as "budget" (null when unset).  Any
-overflowed (non-finite) sample of a Monte Carlo estimate fails the run.
+the CSV.  A run reads its whole config before the first estimator call.
+
+Exit codes: 0 pass, 1 statistical fail, 2 ModelError: a missing or
+malformed config value, an unreadable or non-JSON --config, an --out that
+cannot be made a directory, a bad GEXR_BUDGET, --workers < 1, or a model an
+estimator rejects; 3 SimulationError, LinAlgError or FloatingPointError.
+Any other exception is an internal error and propagates with its
+traceback.  A run that does not finish removes the --out directories it
+created.  GEXR_BUDGET caps replication counts for smoke runs; results.json
+records it as "budget" (null when unset).  Any overflowed (non-finite)
+sample of a Monte Carlo estimate fails the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -65,9 +71,24 @@ def _budget() -> int | None:
     return val
 
 
+@contextlib.contextmanager
+def _config_boundary():
+    """The read phase of a run, where a Python error is a config error.
+
+    ``main`` and every runner read their config inside it, before the first
+    estimator call; the same error raised by an estimator propagates.
+    """
+    try:
+        yield
+    except ModelError:
+        raise
+    except KeyError as exc:
+        raise ModelError(f"config is missing {exc}") from exc
+    except (IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"malformed config value: {exc}") from exc
+
+
 def _reps(cfg: dict, key: str = "reps") -> int:
-    if key not in cfg:
-        raise ModelError(f"config is missing {key!r}")
     reps = int(cfg[key])
     if reps < 1:
         raise ModelError(f"{key} must be positive")
@@ -120,52 +141,62 @@ def _fail_on_overflow(status: str, summary: dict, counts) -> str:
     return status
 
 
-def _apply_target(status: str, value: float, cfg: dict) -> str:
-    """Tighten a passing status with the preset's declared target check."""
-    if status != "pass" or "target" not in cfg:
-        return status
-    target = float(cfg["target"])
-    tol = float(cfg.get("tolerance", 0.05))
-    return "pass" if abs(value - target) <= tol * abs(target) else "fail"
-
-
 # ---------------------------------------------------------------------------
-# per-kind runners: return (status, summary, files) where files is a list of
+# per-kind runners: each reads its whole config inside _config_boundary, then
+# runs, and returns (status, summary, files) where files is a list of
 # (filename, header, rows, plot-title, x-col, y-col)
 
 
-def _pickands_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+def _cell_csv(cells: list[dict], index: str = "tau"):
+    """Header and rows of ``tailprob.tail_row`` cells; ``index`` is column 2."""
+    header = ["u", index, "pHat", "stderr", "psi", "ratio"]
+    rows = [[c["u"], c[index], c["p_hat"], c["stderr"], c["psi"], c["ratio"]]
+            for c in cells]
+    return header, rows
+
+
+# Each constants reader returns the estimator as a function of (reps, rng).
+
+
+def _pickands_trace(cfg: dict):
     eta = eta_from_config(cfg["eta"])
     schedule = schedule_from_config(cfg["schedule"])
-    return constmod.estimate_pickands(eta, schedule, reps, rng)
+    return lambda reps, rng: constmod.estimate_pickands(eta, schedule, reps, rng)
 
 
-def _piterbarg_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+def _piterbarg_trace(cfg: dict):
     eta = eta_from_config(cfg["eta"])
     drift = drift_from_config(cfg.get("drift"))
     schedule = schedule_from_config(cfg["schedule"])
-    return constmod.estimate_piterbarg(
-        eta, drift, schedule, reps, rng, domain=cfg.get("domain", "right")
+    domain = cfg.get("domain", "right")
+    return lambda reps, rng: constmod.estimate_piterbarg(
+        eta, drift, schedule, reps, rng, domain=domain
     )
 
 
-def _sup_inf_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+def _sup_inf_trace(cfg: dict):
     vf = variance_function_from_json(cfg["varianceFunction"])
     schedule = schedule_from_config(cfg["tSchedule"])
     b, S, step = float(cfg["b"]), float(cfg["S"]), float(cfg["gridStep"])
-    return constmod.estimate_generalized_piterbarg(vf, b, S, schedule, step, reps, rng)
+    return lambda reps, rng: constmod.estimate_generalized_piterbarg(
+        vf, b, S, schedule, step, reps, rng
+    )
 
 
-def _generalized_trace(cfg: dict, reps: int, rng: RngStream) -> constmod.LevelTrace:
+def _generalized_trace(cfg: dict):
     eta = eta_from_config(cfg["eta"])
     drift = drift_from_config(cfg.get("drift"))
     gamma = functional_from_config(cfg.get("functional", "sup"))
     grid = grid_from_config(cfg["grid"])
-    est = constmod.estimate_generalized_constant(eta, drift, gamma, grid, reps, rng)
-    return constmod.LevelTrace((est,), est, "plateau")
+
+    def trace(reps, rng):
+        est = constmod.estimate_generalized_constant(eta, drift, gamma, grid, reps, rng)
+        return constmod.LevelTrace((est,), est, "plateau")
+
+    return trace
 
 
-# estimator -> (trace builder, meta keys of the level and step columns, plot
+# estimator -> (config reader, meta keys of the level and step columns, plot
 # title); a single estimate leaves both columns blank
 _CONSTANTS = {
     "pickands": (_pickands_trace, ("domain", "step"), "domain-growth trace"),
@@ -178,146 +209,133 @@ _CONSTANTS = {
 
 
 def run_constants(cfg: dict, seed: int, workers: int):
-    """Run one constants estimator; any overflowed sample fails the run."""
-    estimator = cfg.get("estimator")
-    reps = _reps(cfg)
-    if estimator not in _CONSTANTS:
-        raise ModelError(f"unknown constants estimator {estimator!r}")
-    build, keys, title = _CONSTANTS[estimator]
-    trace = build(cfg, reps, RngStream(seed))
+    """Run one constants estimator against the config's target, if any; any
+    overflowed sample fails the run."""
+    with _config_boundary():
+        estimator = cfg.get("estimator")
+        if estimator not in _CONSTANTS:
+            raise ModelError(f"unknown constants estimator {estimator!r}")
+        read, keys, title = _CONSTANTS[estimator]
+        trace_of = read(cfg)
+        reps = _reps(cfg)
+        target = float(cfg["target"]) if "target" in cfg else None
+        tol = float(cfg.get("tolerance", 0.05))
+    trace = trace_of(reps, RngStream(seed))
     est = trace.estimate
     status = "pass" if trace.status == "plateau" else trace.status
-    status = _apply_target(status, est.value, cfg)
+    if status == "pass" and target is not None:
+        status = "pass" if abs(est.value - target) <= tol * abs(target) else "fail"
     summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
     if "drift_warning" in est.meta:
         summary["warning"] = est.meta["drift_warning"]
     status = _fail_on_overflow(status, summary, map(_overflow, (*trace.levels, est)))
-    rows = [
-        [*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
-        for e in trace.levels
-    ]
+    rows = [[*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
+            for e in trace.levels]
     return status, summary, [
         ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows, title, 1, 3)
     ]
 
 
 def run_tail(cfg: dict, seed: int, workers: int):
-    family = family_from_config(cfg["family"])
-    gamma = functional_from_config(cfg.get("functional", "sup"))
-    grid = grid_from_config(cfg["grid"])
-    u, tau = float(cfg["u"]), float(cfg.get("tau", 0.0))
-    reps = _reps(cfg)
+    with _config_boundary():
+        family = family_from_config(cfg["family"])
+        gamma = functional_from_config(cfg.get("functional", "sup"))
+        grid = grid_from_config(cfg["grid"])
+        u, tau = float(cfg["u"]), float(cfg.get("tau", 0.0))
+        reps = _reps(cfg)
+        estimator = cfg.get("estimator", "conditional")
+        if estimator not in ("conditional", "crude"):
+            raise ModelError(f"unknown tail estimator {estimator!r}")
     rng = RngStream(seed)
-    estimator = cfg.get("estimator", "conditional")
+    status = "pass"
     if estimator == "conditional":
-        sampler = tailprob.ConditionalSampler(family, u, tau, grid)
-        est = tailprob.conditional_tail(sampler, gamma, reps, rng)
-        g = sampler.g
-    elif estimator == "crude":
-        est = tailprob.crude_mc_tail(family, u, tau, gamma, grid, reps, rng)
-        g = est.meta["g"]
+        cell = tailprob.tail_cell(family, gamma, u, tau, grid, reps, rng)
     else:
-        raise ModelError(f"unknown tail estimator {estimator!r}")
-    psi = tailprob.survival_psi(g)
-    ratio = est.value / psi if psi > 0 else math.inf
-    status = "low-confidence" if est.meta.get("low_confidence") else "pass"
-    summary = {
-        "pHat": est.value,
-        "stderr": est.stderr,
-        "psi": psi,
-        "ratio": ratio,
-        "status": status,
-    }
-    status = _fail_on_overflow(status, summary, [_overflow(est)])
-    rows = [[u, tau, est.value, est.stderr, psi, ratio]]
-    return status, summary, [
-        ("tail.csv", ["u", "tau", "pHat", "stderr", "psi", "ratio"], rows,
-         "tail ratio", 1, 6)
-    ]
+        est = tailprob.crude_mc_tail(family, u, tau, gamma, grid, reps, rng)
+        cell = tailprob.tail_row(u, tau, est)
+        if est.meta.get("low_confidence"):
+            status = "low-confidence"
+    summary = {"pHat": cell["p_hat"], "stderr": cell["stderr"], "psi": cell["psi"],
+               "ratio": cell["ratio"], "status": status}
+    status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
+    return status, summary, [("tail.csv", *_cell_csv([cell]), "tail ratio", 1, 6)]
 
 
-def _audit_constant(cfg: dict, grid_doc: dict, rng: RngStream) -> Estimate:
+def _audit_constant(cfg: dict, grid):
+    """Read the audit's constant: a given value (and stderr), or the window
+    constant of an interval as long as the grid, estimated from the stream
+    that the returned function is given."""
     doc = cfg["constant"]
     if "value" in doc:
-        return Estimate(float(doc["value"]), float(doc.get("stderr", 0.0)), 0)
-    if "windowConstant" in doc:
-        sub = doc["windowConstant"]
-        eta = eta_from_config(sub["eta"])
-        if len(grid_doc["perAxis"]) != 1:
-            raise ModelError("windowConstant needs a grid with one axis")
-        # the constant of [lo, hi] is that of [0, hi - lo]: stationary increments
-        lo, hi, n = grid_doc["perAxis"][0]
-        step = (hi - lo) / (n - 1)
+        given = Estimate(float(doc["value"]), float(doc.get("stderr", 0.0)), 0)
+        return lambda rng: given
+    if "windowConstant" not in doc:
+        raise ModelError("audit constant must give 'value' or 'windowConstant'")
+    sub = doc["windowConstant"]
+    eta = eta_from_config(sub["eta"])
+    reps = _reps(sub)
+    if grid.dim != 1:
+        raise ModelError("windowConstant needs a grid with one axis")
+    # the constant of [lo, hi] is that of [0, hi - lo]: stationary increments
+    lo, hi, _ = grid.per_axis[0]
+
+    def estimate(rng):
         levels, pairs = constmod.window_sup_levels(
-            eta, [float(hi - lo)], step, _reps(sub), rng
+            eta, [hi - lo], grid.steps[0], reps, rng
         )
         return pairs.estimate(levels[0][0])
-    raise ModelError("audit constant must give 'value' or 'windowConstant'")
+
+    return estimate
 
 
 def run_audit(cfg: dict, seed: int, workers: int):
-    family = family_from_config(cfg["family"])
-    gamma = functional_from_config(cfg.get("functional", "sup"))
-    grid = grid_from_config(cfg["grid"])
+    with _config_boundary():
+        family = family_from_config(cfg["family"])
+        gamma = functional_from_config(cfg.get("functional", "sup"))
+        grid = grid_from_config(cfg["grid"])
+        constant_of = _audit_constant(cfg, grid)
+        u_schedule = [float(u) for u in cfg["uSchedule"]]
+        reps = _reps(cfg)
+        tolerance = float(cfg.get("tolerance", 0.1))
     rng = RngStream(seed)
-    constant = _audit_constant(cfg, cfg["grid"], rng.substream(0))
+    constant = constant_of(rng.substream(0))
     report = tailprob.uniform_ratio_audit(
-        family,
-        gamma,
-        constant,
-        [float(u) for u in cfg["uSchedule"]],
-        grid,
-        _reps(cfg),
-        rng.substream(1),
-        tolerance=float(cfg.get("tolerance", 0.1)),
-        workers=workers,
+        family, gamma, constant, u_schedule, grid, reps, rng.substream(1),
+        tolerance=tolerance, workers=workers,
     )
     status = "pass" if report.passed else "fail"
-    rows = [
-        [r["u"], r["tau"], r["p_hat"], r["stderr"], r["psi"], r["ratio"]]
-        for r in report.rows
-    ]
     urows = [[r["u"], r["max_deviation"], r["passed"]] for r in report.per_u]
-    summary = {
-        "constant": constant.value,
-        "constantStderr": constant.stderr,
-        "maxDeviations": [r["max_deviation"] for r in report.per_u],
-        "status": status,
-    }
+    summary = {"constant": constant.value, "constantStderr": constant.stderr,
+               "maxDeviations": [r["max_deviation"] for r in report.per_u],
+               "status": status}
     counts = [_overflow(constant), *(r["overflow_count"] for r in report.rows)]
     status = _fail_on_overflow(status, summary, counts)
     return status, summary, [
-        ("ratios.csv", ["u", "tau", "pHat", "stderr", "psi", "ratio"], rows,
-         "tail ratios", 2, 6),
+        ("ratios.csv", *_cell_csv(report.rows), "tail ratios", 2, 6),
         ("audit.csv", ["u", "maxDeviation", "pass"], urows,
          "uniform deviation trace", 1, 2),
     ]
 
 
 def run_doublesum(cfg: dict, seed: int, workers: int):
-    corr = doublesum_correlation_from_config(cfg["model"])
-    c1, beta = float(cfg["c1"]), float(cfg["beta"])
-    ppu = int(cfg.get("pointsPerUnit", 4))
-    reps = _reps(cfg)
-    configs = []
-    for s2 in cfg["boxScales"]:
-        for u in cfg["uLevels"]:
-            for sep in cfg["separations"]:
-                dcfg = dsmod.DoubleMaximaConfig(
-                    correlation=corr,
-                    cell1=((0.0, float(s2)),),
-                    cell2=((0.0, float(s2)),),
-                    offset1=(0.0,),
-                    offset2=(float(s2) + float(sep),),
-                    m1_fn=lambda v: v,
-                    m2_fn=lambda v: v,
-                    c1=c1,
-                    beta=beta,
-                    s2=float(s2),
-                )
-                configs.append((dcfg, float(u)))
+    with _config_boundary():
+        corr = doublesum_correlation_from_config(cfg["model"])
+        c1, beta = float(cfg["c1"]), float(cfg["beta"])
+        ppu = int(cfg.get("pointsPerUnit", 4))
+        reps = _reps(cfg)
+        configs = []  # box scale outermost, separation innermost
+        for s2, u, sep in itertools.product(
+            cfg["boxScales"], cfg["uLevels"], cfg["separations"]
+        ):
+            box = ((0.0, float(s2)),)
+            dcfg = dsmod.DoubleMaximaConfig(
+                correlation=corr, cell1=box, cell2=box, offset1=(0.0,),
+                offset2=(float(s2) + float(sep),), m1_fn=lambda v: v,
+                m2_fn=lambda v: v, c1=c1, beta=beta, s2=float(s2),
+            )
+            configs.append((dcfg, float(u)))
+        ppa = [max(2, int(round(ppu * c.cell1[0][1])) + 1) for c, _ in configs]
     rng = RngStream(seed)
-    ppa = [max(2, int(round(ppu * c.cell1[0][1])) + 1) for c, _ in configs]
 
     def _one(i):
         c, u = configs[i]
@@ -331,12 +349,9 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
          estimates[i].stderr, r["bound"], r["slack"]]
         for i, r in enumerate(report.table)
     ]
-    summary = {
-        "fittedC": report.fitted_c,
-        "pass": report.passed,
-        "growingWithSeparation": report.growing_with_separation,
-        "status": status,
-    }
+    summary = {"fittedC": report.fitted_c, "pass": report.passed,
+               "growingWithSeparation": report.growing_with_separation,
+               "status": status}
     return status, summary, [
         ("doublesum.csv", ["sep", "S2", "u", "dHat", "stderr", "bound", "slack"], rows,
          "double-maxima vs bound", 1, 4)
@@ -344,81 +359,65 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
 
 
 def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
-    gammas = tuple(
-        math.inf if g in ("inf", "infinity") else float(g) for g in doc["gammas"]
-    )
-    g_fns = tuple(
-        (lambda u, p=float(p): u**p) for p in doc["gPowers"]
-    )
     m_power = float(doc.get("mPower", 1.0))
     return tailprob.AsymptoticSetup(
-        d=int(doc["d"]),
-        n=int(doc["n"]),
-        d1=int(doc["d1"]),
-        d2=int(doc["d2"]),
+        **{key: int(doc[key]) for key in ("d", "n", "d1", "d2")},
         betas=tuple(float(b) for b in doc["betas"]),
-        gammas=gammas,
-        g_fns=g_fns,
-        m_fn=lambda u: u**m_power,
-        y_ranges=tuple(
-            (float(lo), float(hi)) for lo, hi in doc.get("yRanges", [])
+        gammas=tuple(
+            math.inf if g in ("inf", "infinity") else float(g) for g in doc["gammas"]
         ),
+        g_fns=tuple((lambda u, p=float(p): u**p) for p in doc["gPowers"]),
+        m_fn=lambda u: u**m_power,
+        y_ranges=tuple((float(lo), float(hi)) for lo, hi in doc.get("yRanges", [])),
     )
 
 
 def run_formula(cfg: dict, seed: int, workers: int):
-    setup = _setup_from_config(cfg["setup"])
-    u = float(cfg["u"])
-    cdoc = cfg.get("constants", {})
-    constants = {
-        "per_unit": [float(x) for x in cdoc.get("perUnit", [])],
-        "drifted": [float(x) for x in cdoc.get("drifted", [])],
-    }
-    if "field" in cdoc:
-        constants["field"] = float(cdoc["field"])
+    """The product formula, cross-checked by the conditioned tail when the
+    config has an ``mcCheck``: on its grid, and extrapolated in sqrt(step)
+    from a ``coarseGrid`` when it gives one."""
+    with _config_boundary():
+        setup = _setup_from_config(cfg["setup"])
+        u = float(cfg["u"])
+        cdoc = cfg.get("constants", {})
+        constants = {
+            "per_unit": [float(x) for x in cdoc.get("perUnit", [])],
+            "drifted": [float(x) for x in cdoc.get("drifted", [])],
+        }
+        if "field" in cdoc:
+            constants["field"] = float(cdoc["field"])
+        grids = []  # the MC check's fine grid, then its coarse one
+        if "mcCheck" in cfg:
+            mc = cfg["mcCheck"]
+            family = family_from_config(mc["family"])
+            reps = _reps(mc)
+            grids.append(grid_from_config(mc["grid"]))
+            if "coarseGrid" in mc:
+                grids.append(grid_from_config(mc["coarseGrid"]))
+            tol = float(mc.get("tolerance", 0.15))
     result = tailprob.eval_mainm_formula(setup, u, constants)
     summary = {"value": result.value, "factors": result.factors, "status": "pass"}
     status = "pass"
     rows = [[u, result.value, "", ""]]
-    if "mcCheck" in cfg:
-        mc = cfg["mcCheck"]
-        family = family_from_config(mc["family"])
-        gamma = FunctionalSpec.sup()
-        rng = RngStream(seed)
-        reps = _reps(mc)
-        fine_grid = grid_from_config(mc["grid"])
-        fine = tailprob.conditional_tail(
-            tailprob.ConditionalSampler(family, u, 0.0, fine_grid),
-            gamma, reps, rng.substream(0),
-        )
-        estimates = [fine]
-        value, stderr = fine.value, fine.stderr
-        if "coarseGrid" in mc:
-            coarse_grid = grid_from_config(mc["coarseGrid"])
-            coarse = tailprob.conditional_tail(
-                tailprob.ConditionalSampler(family, u, 0.0, coarse_grid),
-                gamma, reps, rng.substream(1),
-            )
-            estimates.append(coarse)
+    if grids:
+        rng, sup = RngStream(seed), FunctionalSpec.sup()
+        cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(i))
+                 for i, grid in enumerate(grids)]
+        fine, coarse = cells[0], cells[-1]
+        value, stderr = fine["p_hat"], fine["stderr"]
+        if len(cells) == 2:
             # linear extrapolation in sqrt(step) removes the grid-sup deficit
-            x_f = math.sqrt(fine_grid.steps[0])
-            x_c = math.sqrt(coarse_grid.steps[0])
+            x_f, x_c = (math.sqrt(grid.steps[0]) for grid in grids)
             f = x_f / (x_c - x_f)
-            value = fine.value + (fine.value - coarse.value) * f
-            stderr = math.sqrt((1 + f) ** 2 * fine.stderr**2 + f**2 * coarse.stderr**2)
+            value = fine["p_hat"] + (fine["p_hat"] - coarse["p_hat"]) * f
+            stderr = math.sqrt((1 + f) ** 2 * stderr**2 + f**2 * coarse["stderr"] ** 2)
         deviation = abs(value - result.value) / result.value
-        tol = float(mc.get("tolerance", 0.15))
         status = "pass" if deviation <= tol + 3 * stderr / result.value else "fail"
-        summary.update(
-            {
-                "mcEstimate": value,
-                "mcStderr": stderr,
-                "relativeDeviation": deviation,
-                "status": status,
-            }
-        )
+        summary.update(mcEstimate=value, mcStderr=stderr,
+                       relativeDeviation=deviation, status=status)
         rows = [[u, result.value, value, stderr]]
-        status = _fail_on_overflow(status, summary, map(_overflow, estimates))
+        counts = [c["overflow_count"] for c in cells]
+        status = _fail_on_overflow(status, summary, counts)
     return status, summary, [
         ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
          "formula vs MC", 1, 2)
@@ -426,28 +425,20 @@ def run_formula(cfg: dict, seed: int, workers: int):
 
 
 def run_ruin_demo(cfg: dict, seed: int, workers: int):
-    family = family_from_config(cfg["family"])
-    grid = grid_from_config(cfg["grid"])
-    reps = _reps(cfg)
+    with _config_boundary():
+        family = family_from_config(cfg["family"])
+        grid = grid_from_config(cfg["grid"])
+        u_schedule = [float(u) for u in cfg["uSchedule"]]
+        reps = _reps(cfg)
     rng = RngStream(seed)
-    rows = []
-    ratios = []
-    counts = []
-    for ui, u in enumerate(cfg["uSchedule"]):
-        sampler = tailprob.ConditionalSampler(family, float(u), 0.0, grid)
-        est = tailprob.conditional_tail(
-            sampler, FunctionalSpec.sup(), reps, rng.substream(ui)
-        )
-        psi = tailprob.survival_psi(sampler.g)
-        ratio = est.value / psi
-        ratios.append(ratio)
-        counts.append(_overflow(est))
-        rows.append([u, sampler.g, est.value, est.stderr, psi, ratio])
-    summary = {"ratios": ratios, "status": "pass", "note": "qualitative"}
-    status = _fail_on_overflow("pass", summary, counts)
+    sup = FunctionalSpec.sup()
+    cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(ui))
+             for ui, u in enumerate(u_schedule)]
+    summary = {"ratios": [c["ratio"] for c in cells], "status": "pass",
+               "note": "qualitative"}
+    status = _fail_on_overflow("pass", summary, [c["overflow_count"] for c in cells])
     return status, summary, [
-        ("ruin.csv", ["u", "g", "pHat", "stderr", "psi", "ratio"], rows,
-         "level-crossing tail ratios", 1, 6)
+        ("ruin.csv", *_cell_csv(cells, "g"), "level-crossing tail ratios", 1, 6)
     ]
 
 
@@ -477,6 +468,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args) -> dict:
+    """The config of the run: the named preset, or the object in --config."""
+    if args.preset:
+        cfg = preset_config(args.preset)
+    elif args.config:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ModelError(f"cannot read --config {args.config!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"--config {args.config!r} is not JSON: {exc}") from exc
+    else:
+        raise ModelError("one of --config or --preset is required")
+    if not isinstance(cfg, dict):
+        raise ModelError("config must be a JSON object")
+    if cfg.get("kind") != args.command:
+        raise ModelError(f"config kind {cfg.get('kind')!r} does not match subcommand")
+    return cfg
+
+
+def _make_out(out: str, made: list[str]) -> None:
+    """Create --out; ``made`` gets the directories this creates, deepest first."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ModelError(f"cannot create --out {out!r}: {exc}") from exc
+
+
 def _remove_dirs(made: list[str]) -> None:
     """Remove the --out directories a failed run created, deepest first."""
     for path in made:
@@ -493,61 +517,33 @@ def main(argv=None) -> int:
             print(f"{name}: {desc}")
         return EXIT_PASS
     made: list[str] = []  # --out and its parents that this run creates
+    files = None  # the runner's output: until it returns, --out is not kept
     try:
-        if args.preset:
-            cfg = preset_config(args.preset)
-        elif args.config:
-            try:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                raise ModelError(f"cannot read --config {args.config!r}: {exc}") from exc
-        else:
-            raise ModelError("one of --config or --preset is required")
-        if not isinstance(cfg, dict):
-            raise ModelError("config must be a JSON object")
-        if cfg.get("kind") != args.command:
-            raise ModelError(
-                f"config kind {cfg.get('kind')!r} does not match subcommand"
-            )
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is None:
-            raise ModelError("config is missing 'seed' and no --seed was given")
+        with _config_boundary():
+            cfg = _load_config(args)
+            seed = int(cfg["seed"] if args.seed is None else args.seed)
         if args.workers < 1:
             raise ModelError("--workers must be at least 1")
         budget = _budget()
-        path = os.path.abspath(args.out)
-        while not os.path.lexists(path):
-            made.append(path)
-            path = os.path.dirname(path)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ModelError(f"cannot create --out {args.out!r}: {exc}") from exc
-        runner = _RUNNERS[args.command]
-        status, summary, files = runner(cfg, int(seed), args.workers)
-    # LinAlgError subclasses ValueError: numerical failures are caught first
+        _make_out(args.out, made)
+        status, summary, files = _RUNNERS[args.command](cfg, seed, args.workers)
+    except ModelError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SimulationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"model rejected: {exc}", file=sys.stderr)
-        _remove_dirs(made)
         return EXIT_NUMERIC
-    except (ModelError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _remove_dirs(made)
-        return EXIT_CONFIG
+    finally:
+        if files is None:  # the run failed, whatever the reason
+            _remove_dirs(made)
     for fname, header, rows, title, x, y in files:
         path = os.path.join(args.out, fname)
         _write_csv(path, header, rows)
         _write_plot(os.path.splitext(path)[0] + ".gp", fname, title, x, y)
-    record = {
-        "experiment": args.command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "configHash": _config_hash(cfg),
-        "seed": int(seed),
-        "budget": budget,
-        "workers": args.workers,
-        "summary": summary,
-    }
+    record = {"experiment": args.command,
+              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+              "configHash": _config_hash(cfg), "seed": seed, "budget": budget,
+              "workers": args.workers, "summary": summary}
     with open(os.path.join(args.out, "results.json"), "w") as fh:
         json.dump(record, fh, indent=2, default=str)
         fh.write("\n")

@@ -348,11 +348,12 @@ def estimate_pickands(
     """Long-run sup constant per unit length of a 1-D limit field.
 
     Per domain size S the grid constant over [0, S] is estimated by the
-    tilted window identity at the two finest schedule steps (nested paths)
-    and Richardson-extrapolated in step.  The headline estimate is the
-    difference quotient between the last two domain sizes, which cancels the
-    O(1) boundary term of the finite-domain constant; the per-unit ratios
-    are kept in the level trace.  Degenerate fields report a plateau at 0.
+    tilted window identity at the finest schedule step h and, when the
+    schedule has two steps, Richardson-extrapolated from h and 2h (nested
+    paths).  The headline estimate is the difference quotient between the
+    last two domain sizes, which cancels the O(1) boundary term of the
+    finite-domain constant; the per-unit ratios are kept in the level
+    trace.  Degenerate fields report a plateau at 0.
     """
     if eta.degenerate:
         levels = tuple(
@@ -361,7 +362,7 @@ def estimate_pickands(
         return LevelTrace(levels, Estimate(0.0, 0.0, n_reps, {"exact": True}), "plateau")
     exponent = local_step_exponent(eta)
     step = schedule.finest_step
-    refine = 2 if len(schedule.grid_steps) >= 2 else 1
+    refine = len(schedule.grid_steps)
     levels, pairs = window_sup_levels(
         eta, schedule.domain_sizes, step, n_reps, rng, refine
     )

@@ -17,7 +17,7 @@ assumption looks like numerically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,7 +206,6 @@ class BoundFitReport:
     table: tuple[dict, ...]  # separation, s2, u, d_hat, ci_upper, bound, slack, required_c
     passed: bool
     growing_with_separation: bool
-    detail: dict = field(default_factory=dict)
 
 
 def fit_bound_constant(
@@ -261,5 +260,4 @@ def fit_bound_constant(
         table=tuple(table),
         passed=math.isfinite(fitted) and not growing,
         growing_with_separation=growing,
-        detail={"near_required_c": base, "far_required_c": far},
     )

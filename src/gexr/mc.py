@@ -138,19 +138,24 @@ def combine_stderr(*estimates: Estimate) -> float:
 
 @dataclass(frozen=True)
 class ExtrapolationSchedule:
-    """Growth/refinement schedule for limits in domain size and grid step."""
+    """Growth/refinement schedule for limits in domain size and grid step.
+
+    ``grid_steps`` is one step h, or (2h, h): the window identity's coarse
+    level sits at exactly twice the finest step.
+    """
 
     domain_sizes: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
-    grid_steps: tuple[float, ...] = (1 / 16, 1 / 32, 1 / 64)
+    grid_steps: tuple[float, ...] = (1 / 32, 1 / 64)
     stop_rule: float = 0.01
 
     def __post_init__(self):
-        if len(self.domain_sizes) < 3 or len(self.grid_steps) < 1:
-            raise ModelError("schedule needs >= 3 domain sizes and >= 1 grid step")
+        if len(self.domain_sizes) < 3:
+            raise ModelError("schedule needs >= 3 domain sizes")
         if list(self.domain_sizes) != sorted(self.domain_sizes):
             raise ModelError("schedule domain sizes must be increasing")
-        if list(self.grid_steps) != sorted(self.grid_steps, reverse=True):
-            raise ModelError("schedule grid steps must be decreasing")
+        steps = self.grid_steps
+        if not (len(steps) == 1 or len(steps) == 2 and steps[0] == 2 * steps[1]):
+            raise ModelError(f"grid steps must be (h,) or (2h, h), got {steps}")
 
     @property
     def finest_step(self) -> float:

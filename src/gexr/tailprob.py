@@ -42,7 +42,7 @@ asymptotic evaluators, including the d1/d2/d product formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +58,8 @@ __all__ = [
     "crude_mc_tail",
     "ConditionalSampler",
     "conditional_tail",
+    "tail_cell",
+    "tail_row",
     "uniform_ratio_audit",
     "AuditReport",
     "AsymptoticSetup",
@@ -292,6 +294,31 @@ def conditional_tail(
     return pairs.estimate(samples, meta={"g": g})
 
 
+def tail_cell(
+    family: ThresholdedFamilySpec,
+    gamma: FunctionalSpec,
+    u: float,
+    tau: float,
+    grid: GridSpec,
+    n_reps: int,
+    rng: RngStream,
+) -> dict:
+    """The conditioned tail at (u, tau) on ``grid``, as a :func:`tail_row`."""
+    sampler = ConditionalSampler(family, u, tau, grid)
+    return tail_row(u, tau, conditional_tail(sampler, gamma, n_reps, rng))
+
+
+def tail_row(u: float, tau: float, est: Estimate) -> dict:
+    """u, tau, g, p_hat, stderr, psi = Psi(g), ratio = p_hat / psi (inf if
+    psi underflows) and overflow_count of a tail estimate at threshold g."""
+    g = est.meta["g"]
+    psi = survival_psi(g)
+    ratio = est.value / psi if psi > 0 else math.inf
+    overflow = est.meta.get("overflow_count", 0)
+    return dict(u=u, tau=tau, g=g, p_hat=est.value, stderr=est.stderr, psi=psi,
+                ratio=ratio, overflow_count=overflow)
+
+
 # ---------------------------------------------------------------------------
 # uniform-ratio audit
 
@@ -300,10 +327,9 @@ def conditional_tail(
 class AuditReport:
     """Per-(u, tau) ratios and the per-u worst-case deviation trace."""
 
-    rows: tuple[dict, ...]  # u, tau, p_hat, stderr, psi, ratio, overflow_count
+    rows: tuple[dict, ...]  # tail_row of each cell
     per_u: tuple[dict, ...]  # u, max_deviation, stderr, passed
     passed: bool
-    detail: dict = field(default_factory=dict)
 
 
 def uniform_ratio_audit(
@@ -333,34 +359,17 @@ def uniform_ratio_audit(
         for ti, tau in enumerate(family.index_grid(u))
     ]
 
-    def _cell(args):
-        ui, u, ti, tau = args
-        cond = ConditionalSampler(family, u, tau, grid)
-        est = conditional_tail(cond, gamma, n_reps, rng.substream(ui, ti))
-        psi = survival_psi(cond.g)
-        return {
-            "u": u,
-            "tau": tau,
-            "p_hat": est.value,
-            "stderr": est.stderr,
-            "psi": psi,
-            "ratio": est.value / psi,
-            "overflow_count": est.meta.get("overflow_count", 0),
-        }
+    def _cell(cell):
+        ui, u, ti, tau = cell
+        return tail_cell(family, gamma, u, tau, grid, n_reps, rng.substream(ui, ti))
 
     rows = cell_map(_cell, cells, workers)
     per_u: list[dict] = []
     for u in u_schedule:
         u_rows = [r for r in rows if r["u"] == u]
-        worst_row = max(u_rows, key=lambda r: abs(r["ratio"] - h_hat))
-        per_u.append(
-            {
-                "u": u,
-                "max_deviation": abs(worst_row["ratio"] - h_hat),
-                "stderr": worst_row["stderr"] / worst_row["psi"],
-            }
-        )
-    devs = [row["max_deviation"] for row in per_u]
+        worst = max(u_rows, key=lambda r: abs(r["ratio"] - h_hat))
+        per_u.append({"u": u, "max_deviation": abs(worst["ratio"] - h_hat),
+                      "stderr": worst["stderr"] / worst["psi"]})
     # monotone decrease up to twice the combined noise of adjacent levels
     shrinking = all(
         b["max_deviation"]
@@ -369,20 +378,10 @@ def uniform_ratio_audit(
         for a, b in zip(per_u, per_u[1:])
     )
     combined = math.sqrt(per_u[-1]["stderr"] ** 2 + constant_estimate.stderr**2)
-    final_ok = devs[-1] < tolerance * abs(h_hat) + 3.0 * combined
+    final_ok = per_u[-1]["max_deviation"] < tolerance * abs(h_hat) + 3.0 * combined
     for row, ok in zip(per_u, [True] * (len(per_u) - 1) + [final_ok]):
         row["passed"] = ok
-    return AuditReport(
-        rows=tuple(rows),
-        per_u=tuple(per_u),
-        passed=shrinking and final_ok,
-        detail={
-            "tolerance": tolerance,
-            "constant": h_hat,
-            "combined_stderr": combined,
-            "shrinking": shrinking,
-        },
-    )
+    return AuditReport(tuple(rows), tuple(per_u), shrinking and final_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gexr import constants as constmod
+from gexr import doublesum as dsmod
 from gexr import tailprob
 from gexr.cli import main
 from gexr.mc import Estimate
@@ -206,6 +207,84 @@ def test_failed_run_keeps_an_existing_out(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(tailprob, "conditional_tail", _linalg_broken)
     assert run(["tail", "--preset", "short-interval-tail", "--out", str(kept)]) == 3
     assert kept.is_dir()
+
+
+_DROP = object()  # the key is removed instead of set
+
+# (preset, key path, value): each case is one missing key or one wrong-typed
+# value; audit's uSchedule and tolerance, formula's mcCheck entries and the
+# constants target used to be read only after an estimator had run
+_BAD_CONFIGS = [
+    ("pickands-alpha-1", ("schedule",), _DROP),
+    ("pickands-alpha-1", ("target",), "one"),
+    ("short-interval-tail", ("u",), _DROP),
+    ("short-interval-tail", ("u",), [5.0]),
+    ("uniform-audit-stationary", ("uSchedule",), _DROP),
+    ("uniform-audit-stationary", ("tolerance",), "tight"),
+    ("doublesum-gaussian", ("separations",), _DROP),
+    ("doublesum-gaussian", ("uLevels",), [2.5, "high"]),
+    ("formula-product-1d", ("mcCheck", "reps"), _DROP),
+    ("formula-product-1d", ("mcCheck", "tolerance"), "loose"),
+    ("ruin-demo", ("uSchedule",), _DROP),
+    ("ruin-demo", ("uSchedule",), [4.0, "nine"]),
+]
+
+
+def _no_estimator_may_run(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    for module, names in (
+        (constmod, ["estimate_pickands", "estimate_piterbarg",
+                    "estimate_generalized_piterbarg",
+                    "estimate_generalized_constant", "window_sup_levels"]),
+        (tailprob, ["conditional_tail", "crude_mc_tail", "uniform_ratio_audit",
+                    "eval_mainm_formula"]),
+        (dsmod, ["estimate_double_maxima", "fit_bound_constant"]),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, unreachable)
+
+
+@pytest.mark.parametrize(
+    "name,path,value", _BAD_CONFIGS,
+    ids=[f"{n}-{'.'.join(p)}-{'missing' if v is _DROP else 'wrong-type'}"
+         for n, p, v in _BAD_CONFIGS],
+)
+def test_bad_config_is_rejected_before_any_estimator(
+    name, path, value, monkeypatch, tmp_path, capsys
+):
+    _no_estimator_may_run(monkeypatch)
+    cfg = json.loads(json.dumps(PRESETS[name][1]))
+    doc = cfg
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is _DROP:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([cfg["kind"], "--config", str(config), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+def test_internal_error_propagates_and_removes_its_out(
+    error, monkeypatch, tmp_path, capsys
+):
+    def buggy(*args, **kwargs):
+        raise error("a bug inside the estimator")
+
+    monkeypatch.setattr(tailprob, "conditional_tail", buggy)
+    out = tmp_path / "made" / "out"
+    with pytest.raises(error) as caught:
+        run(["tail", "--preset", "short-interval-tail", "--out", str(out)])
+    assert caught.type is error  # not turned into ModelError
+    assert "config error" not in capsys.readouterr().err
+    assert not (tmp_path / "made").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def test_schedule_validation():
         ExtrapolationSchedule(domain_sizes=(4.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         ExtrapolationSchedule(grid_steps=(1 / 32, 1 / 16))
+    with pytest.raises(ValueError):  # accepted once, then run at 1/32
+        ExtrapolationSchedule(grid_steps=(1 / 16, 1 / 64))
     sched = ExtrapolationSchedule()
     assert sched.finest_step == 1 / 64
 
