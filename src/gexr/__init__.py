@@ -22,7 +22,6 @@ from .constants import (
     estimate_joint_constant,
     estimate_pickands,
     estimate_piterbarg,
-    window_sup_constant,
 )
 from .doublesum import (
     DoubleMaximaConfig,

@@ -175,11 +175,13 @@ def _piterbarg_trace(cfg: dict):
 
 
 def _sup_inf_trace(cfg: dict):
+    if "gridStep" in cfg:
+        raise ModelError("gridStep is not read: give the step in tSchedule.gridSteps")
     vf = variance_function_from_json(cfg["varianceFunction"])
     schedule = schedule_from_config(cfg["tSchedule"])
-    b, S, step = float(cfg["b"]), float(cfg["S"]), float(cfg["gridStep"])
+    b, S = float(cfg["b"]), float(cfg["S"])
     return lambda reps, rng: constmod.estimate_generalized_piterbarg(
-        vf, b, S, schedule, step, reps, rng
+        vf, b, S, schedule, reps, rng
     )
 
 

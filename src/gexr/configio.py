@@ -54,7 +54,13 @@ def grid_from_config(doc: dict) -> GridSpec:
 
 
 def schedule_from_config(doc: dict) -> ExtrapolationSchedule:
-    """{"domainSizes": [...], "gridSteps": [...], "stopRule": 0.01}"""
+    """{"domainSizes": [...], "gridSteps": [...], "stopRule": 0.01}
+
+    Only the Pickands constant takes "gridSteps" [2h, h]; the drifted
+    constants take one step [h], and generalized-piterbarg reads its step
+    from "tSchedule"'s "gridSteps".  Every domain size, window and horizon
+    must be a whole number of steps.
+    """
     kwargs = {}
     if "domainSizes" in doc:
         kwargs["domain_sizes"] = tuple(float(s) for s in doc["domainSizes"])
@@ -198,11 +204,8 @@ def _scaled_threshold_family(doc: dict) -> ThresholdedFamilySpec:
         t = np.atleast_2d(np.asarray(t, dtype=float))
         return (np.abs(t) ** exponent).sum(axis=1) / u**g_power
 
-    drift = DriftFunction(
-        fn=lambda t: np.zeros(np.atleast_2d(t).shape[0]), family=h_family
-    )
     return ThresholdedFamilySpec(
-        correlation=corr, threshold=lambda u, tau: u, drift=drift
+        correlation=corr, threshold=lambda u, tau: u, drift=h_family
     )
 
 
@@ -251,11 +254,8 @@ def _ruin_family(doc: dict) -> ThresholdedFamilySpec:
     def h_family(u, tau, v):
         return level(u, _times(v)) / threshold(u, tau) - 1.0
 
-    drift = DriftFunction(
-        fn=lambda t: np.zeros(np.atleast_2d(t).shape[0]), family=h_family
-    )
     return ThresholdedFamilySpec(
-        correlation=corr, threshold=threshold, drift=drift
+        correlation=corr, threshold=threshold, drift=h_family
     )
 
 

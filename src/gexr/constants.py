@@ -34,7 +34,7 @@ Both the plain per-level values and the corrected ones are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ from .simkit import ROW_BLOCK, GridSpec, LimitFieldSampler, StatIncrSampler
 __all__ = [
     "estimate_generalized_constant",
     "estimate_joint_constant",
-    "window_sup_constant",
     "estimate_pickands",
     "estimate_piterbarg",
     "estimate_generalized_piterbarg",
@@ -70,6 +69,14 @@ class LevelTrace:
     @property
     def value(self) -> float:
         return self.estimate.value
+
+
+def _grid_count(length: float, step: float) -> int:
+    """The number of grid steps in ``length``; ModelError unless step divides it."""
+    n = round(length / step)
+    if not math.isclose(n * step, length, rel_tol=1e-9, abs_tol=1e-12):
+        raise ModelError(f"grid step {step:g} does not divide length {length:g}")
+    return n
 
 
 def local_step_exponent(eta: LimitFieldSpec) -> float:
@@ -248,15 +255,9 @@ def window_sup_levels(
     if eta.degenerate:
         ones = [[np.ones(n_reps) for _ in range(refine)] for _ in s_levels]
         return ones, PathPairs(n_reps, paired=False)
-    counts = []
-    for S in s_levels:
-        n = int(round(S / step))
-        if not math.isclose(n * step, S, rel_tol=1e-9):
-            raise ModelError("step must divide every domain size")
-        for lv in range(1, refine):
-            if n % (2**lv):
-                raise ModelError("refinement levels need step-halving to stay nested")
-        counts.append(n)
+    # the coarsened subgrids stay nested when the coarsest step divides every S
+    nest = 2 ** (refine - 1)
+    counts = [nest * _grid_count(S, nest * step) for S in s_levels]
     n_max = max(counts)
     grid = GridSpec.line(-n_max * step, n_max * step, 2 * n_max + 1)
     sampler = LimitFieldSampler(eta, grid)
@@ -315,21 +316,6 @@ def _draw_ahead(draw, reduce, rng: RngStream, n_reps: int, batch_size: int) -> N
             ahead = helper.submit(drawn, *item)
             reduce(*done)
         reduce(*ahead.result())
-
-
-def window_sup_constant(
-    eta: LimitFieldSpec,
-    S: float,
-    step: float,
-    n_reps: int,
-    rng: RngStream,
-    refine: int = 1,
-) -> list[np.ndarray]:
-    """Single-domain convenience wrapper around :func:`window_sup_levels`.
-
-    Returns the per-path arrays only; paired paths sit side by side.
-    """
-    return window_sup_levels(eta, [S], step, n_reps, rng, refine)[0][0]
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray, step: float, exponent: float):
@@ -404,15 +390,18 @@ def estimate_piterbarg(
 
     ``domain`` is "right" ([0, S]) or "symmetric" ([-S, S]).  If h does not
     grow along the domain the limit may be infinite; the trace then ends in
-    "diverging" rather than a number.
+    "diverging" rather than a number.  The schedule takes one grid step h
+    (only the Pickands constant takes (2h, h)), and every domain size must
+    be a whole number of steps; each level reports its step in
+    ``meta["step"]``.
     """
     if domain not in ("right", "symmetric"):
         raise ModelError("domain must be 'right' or 'symmetric'")
-    step = schedule.finest_step
+    step = schedule.step
+    counts = [_grid_count(S, step) for S in schedule.domain_sizes]
     levels: list[Estimate] = []
     gamma = FunctionalSpec.sup()
-    for li, S in enumerate(schedule.domain_sizes):
-        n = int(round(S / step))
+    for li, (S, n) in enumerate(zip(schedule.domain_sizes, counts)):
         grid = (
             GridSpec.line(0.0, S, n + 1)
             if domain == "right"
@@ -421,7 +410,7 @@ def estimate_piterbarg(
         est = estimate_generalized_constant(
             eta, h, gamma, grid, n_reps, rng.substream(li)
         )
-        levels.append(Estimate(est.value, est.stderr, est.n_reps, {**est.meta, "domain": S}))
+        levels.append(replace(est, meta={**est.meta, "domain": S, "step": step}))
     status = plateau_status(levels, schedule.stop_rule)
     ends = [schedule.domain_sizes[-1]]
     if domain == "symmetric":
@@ -438,7 +427,6 @@ def estimate_generalized_piterbarg(
     b: float,
     S: float,
     t_schedule: ExtrapolationSchedule,
-    grid_step: float,
     n_reps: int,
     rng: RngStream,
 ) -> LevelTrace:
@@ -448,22 +436,19 @@ def estimate_generalized_piterbarg(
     - (1+b) sigma2(|t-s|))].  All horizons share the same simulated paths on
     [-S, T_max], so the level trace is nondecreasing sample by sample (sup
     over nested domains); the status reports the plateau of the last two
-    levels.
+    levels.  The grid step is the one step of ``t_schedule``, in a config
+    ``tSchedule.gridSteps`` (only the Pickands constant takes (2h, h)); the
+    window S and every horizon must be a whole number of steps.
     """
     if b <= 0 or S < 0:
         raise ModelError("need b > 0 and S >= 0")
-    t_max = t_schedule.domain_sizes[-1]
-    n_s = int(round(S / grid_step))
-    n_t = int(round(t_max / grid_step))
-    if not (
-        math.isclose(n_s * grid_step, S, rel_tol=1e-9, abs_tol=1e-12)
-        and math.isclose(n_t * grid_step, t_max, rel_tol=1e-9)
-    ):
-        raise ModelError("grid step must divide S and the largest horizon")
-    x_vals = np.arange(-n_s, n_t + 1) * grid_step
+    step = t_schedule.step
+    n_s = _grid_count(S, step)
+    t_indices = [_grid_count(T, step) for T in t_schedule.domain_sizes]
+    n_t = t_indices[-1]
+    x_vals = np.arange(-n_s, n_t + 1) * step
     sampler = StatIncrSampler(vf, x_vals)
     penalty = (1.0 + b) * vf(np.abs(x_vals))
-    t_indices = [int(round(T / grid_step)) for T in t_schedule.domain_sizes]
     per_level = [np.empty(n_reps) for _ in t_indices]
     for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
         x = sampler.sample(gen, hi - lo)
@@ -476,7 +461,7 @@ def estimate_generalized_piterbarg(
         for k, ti in enumerate(t_indices):
             per_level[k][lo:hi] = np.exp(run[:, ti])
     levels = [
-        Estimate.from_samples(sam, meta={"horizon": T, "step": grid_step})
+        Estimate.from_samples(sam, meta={"horizon": T, "step": step})
         for sam, T in zip(per_level, t_schedule.domain_sizes)
     ]
     status = plateau_status(levels, t_schedule.stop_rule)

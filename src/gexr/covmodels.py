@@ -174,14 +174,9 @@ def fgn_autocovariance(alpha: float, step: float, lag: int) -> float:
 
 @dataclass(frozen=True)
 class DriftFunction:
-    """A drift h on the index set, h(0) = 0, optionally threshold-dependent.
-
-    ``family(u, tau, t)`` gives the pre-limit drift h_{u,tau}; the
-    normalized family g**2 * h_{u,tau} is expected to converge to ``fn``.
-    """
+    """The limit drift h(t) on the index set, h(0) = 0, of the constants."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    family: Callable[[float, float, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
@@ -280,14 +275,14 @@ class ThresholdedFamilySpec:
     ``correlation(u, tau, s, t)`` evaluates the correlation between field
     values at point arrays s (N, d) and t (M, d), returning an (N, M) matrix.
     ``threshold(u, tau)`` is the exceedance level; ``index_grid(u)`` the
-    finite set of tau values active at u.  ``drift`` (optional) holds the
-    denominator perturbation h_{u,tau}; absent means h == 0.
+    finite set of tau values active at u.  ``drift(u, tau, points)``
+    (optional) is the denominator perturbation h_{u,tau}; absent means h == 0.
     """
 
     correlation: Callable[[float, float, np.ndarray, np.ndarray], np.ndarray]
     threshold: Callable[[float, float], float]
     index_grid: Callable[[float], Sequence[float]] = field(default=lambda u: (0.0,))
-    drift: DriftFunction | None = None
+    drift: Callable[[float, float, np.ndarray], np.ndarray] | None = None
 
     def corr_matrix(self, u: float, tau: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -300,6 +295,6 @@ class ThresholdedFamilySpec:
         return r
 
     def drift_values(self, u: float, tau: float, points: np.ndarray) -> np.ndarray:
-        if self.drift is None or self.drift.family is None:
+        if self.drift is None:
             return np.zeros(len(points))
-        return np.asarray(self.drift.family(u, tau, np.asarray(points, dtype=float)))
+        return np.asarray(self.drift(u, tau, np.asarray(points, dtype=float)))

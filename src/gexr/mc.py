@@ -140,8 +140,12 @@ def combine_stderr(*estimates: Estimate) -> float:
 class ExtrapolationSchedule:
     """Growth/refinement schedule for limits in domain size and grid step.
 
-    ``grid_steps`` is one step h, or (2h, h): the window identity's coarse
-    level sits at exactly twice the finest step.
+    The schedule is the level grid: its steps are the only source of a
+    level trace's grid step.  Only the Pickands constant takes (2h, h),
+    extrapolating from the coarse level at exactly twice the finest step;
+    the drifted constants take one step h and read it through ``step``
+    (generalized-piterbarg from ``tSchedule.gridSteps``).  Every domain
+    size, window and horizon must be a whole number of steps.
     """
 
     domain_sizes: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
@@ -156,10 +160,21 @@ class ExtrapolationSchedule:
         steps = self.grid_steps
         if not (len(steps) == 1 or len(steps) == 2 and steps[0] == 2 * steps[1]):
             raise ModelError(f"grid steps must be (h,) or (2h, h), got {steps}")
+        if steps[-1] <= 0:
+            raise ModelError(f"grid steps must be positive, got {steps}")
 
     @property
     def finest_step(self) -> float:
         return self.grid_steps[-1]
+
+    @property
+    def step(self) -> float:
+        """The one step of a schedule that does not extrapolate in step."""
+        if len(self.grid_steps) != 1:
+            raise ModelError(
+                f"only the Pickands constant takes two grid steps, got {self.grid_steps}"
+            )
+        return self.grid_steps[0]
 
 
 def plateau_status(levels: Sequence[Estimate], stop_rule: float) -> str:

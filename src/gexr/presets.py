@@ -84,7 +84,6 @@ PRESETS: dict[str, tuple[str, dict]] = {
                 "gridSteps": [1 / 8],
                 "stopRule": 0.02,
             },
-            "gridStep": 1 / 8,
             "reps": 60000,
             "seed": 20260804,
         },

@@ -20,7 +20,7 @@ from gexr.constants import (
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
     estimate_pickands,
-    window_sup_constant,
+    window_sup_levels,
 )
 from gexr.covmodels import (
     DriftFunction,
@@ -158,9 +158,9 @@ def test_criterion_3_short_interval_asymptotics(alpha, n_reps, capsys):
     ratio = Estimate(cond.value / psi, cond.stderr / psi, n_reps)
     # same local increments: u^2 (1 - r) ~ (matched step)^alpha on [0, T]
     step = T / (n_pts - 1)
-    h_samples = window_sup_constant(
-        LimitFieldSpec.fbm(alpha), T, step, 100_000, RngStream(20260813, (int(alpha),))
-    )[0]
+    h_samples = window_sup_levels(
+        LimitFieldSpec.fbm(alpha), [T], step, 100_000, RngStream(20260813, (int(alpha),))
+    )[0][0][0]
     h_est = Estimate.from_samples(h_samples)
     comb = combine_stderr(ratio, h_est)
     ok = abs(ratio.value - h_est.value) <= 3 * comb
@@ -183,7 +183,9 @@ def test_criterion_4_uniform_ratio_audit(capsys):
     )
     rng = RngStream(20260805)
     h_est = Estimate.from_samples(
-        window_sup_constant(LimitFieldSpec.fbm(1.0), 2.0, 1 / 32, 20_000, rng.substream(0))[0]
+        window_sup_levels(
+            LimitFieldSpec.fbm(1.0), [2.0], 1 / 32, 20_000, rng.substream(0)
+        )[0][0][0]
     )
     audit = uniform_ratio_audit(
         fam,
@@ -213,7 +215,7 @@ def test_criterion_5_sup_inf_constant_plateau(capsys):
         domain_sizes=(1.0, 2.0, 4.0, 8.0), grid_steps=(1 / 8,), stop_rule=0.02
     )
     trace = estimate_generalized_piterbarg(
-        VarianceFunction.fbm(0.8), 1.0, 2.0, schedule, 1 / 8, 60_000, RngStream(20260804)
+        VarianceFunction.fbm(0.8), 1.0, 2.0, schedule, 60_000, RngStream(20260804)
     )
     vals = [e.value for e in trace.levels]
     tol_pairs = [

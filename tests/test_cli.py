@@ -211,9 +211,11 @@ def test_failed_run_keeps_an_existing_out(monkeypatch, tmp_path, capsys):
 
 _DROP = object()  # the key is removed instead of set
 
-# (preset, key path, value): each case is one missing key or one wrong-typed
-# value; audit's uSchedule and tolerance, formula's mcCheck entries and the
-# constants target used to be read only after an estimator had run
+# (preset, key path, value): each case is one missing key, one wrong-typed
+# value or one key the dialect no longer reads (generalized-piterbarg's
+# gridStep: its step is tSchedule.gridSteps); audit's uSchedule and
+# tolerance, formula's mcCheck entries and the constants target used to be
+# read only after an estimator had run
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP),
     ("pickands-alpha-1", ("target",), "one"),
@@ -227,6 +229,7 @@ _BAD_CONFIGS = [
     ("formula-product-1d", ("mcCheck", "tolerance"), "loose"),
     ("ruin-demo", ("uSchedule",), _DROP),
     ("ruin-demo", ("uSchedule",), [4.0, "nine"]),
+    ("generalized-piterbarg", ("gridStep",), 0.125),
 ]
 
 
@@ -291,10 +294,18 @@ def test_internal_error_propagates_and_removes_its_out(
 # output files
 
 
-def test_tail_outputs(monkeypatch, tmp_path, capsys):
+def _tail_config(tmp_path, **changes):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**PRESETS["short-interval-tail"][1], **changes}))
+    return str(config)
+
+
+@pytest.mark.parametrize("estimator", ["conditional", "crude"])
+def test_tail_outputs(estimator, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     out = tmp_path / "run"
-    code = run(["tail", "--preset", "short-interval-tail", "--out", str(out)])
+    config = _tail_config(tmp_path, estimator=estimator)
+    code = run(["tail", "--config", config, "--out", str(out)])
     assert code in (0, 1)
     csv = (out / "tail.csv").read_text()
     lines = csv.split("\n")
@@ -309,6 +320,16 @@ def test_tail_outputs(monkeypatch, tmp_path, capsys):
     assert len(record["configHash"]) == 16
     assert {"pHat", "stderr", "psi", "ratio", "status"} <= set(record["summary"])
     assert (out / "tail.gp").exists()
+
+
+def test_crude_tail_without_hits_is_low_confidence(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("GEXR_BUDGET", raising=False)
+    out = tmp_path / "run"
+    config = _tail_config(tmp_path, estimator="crude", u=8.0, reps=2000)
+    assert run(["tail", "--config", config, "--out", str(out)]) == 1
+    summary = json.loads((out / "results.json").read_text())["summary"]
+    assert summary["status"] == "low-confidence"
+    assert summary["pHat"] == 0
 
 
 def test_audit_csv_cells_parse_as_numbers(monkeypatch, tmp_path, capsys):

@@ -38,7 +38,6 @@ from gexr.constants import (
     estimate_pickands,
     estimate_piterbarg,
     local_step_exponent,
-    window_sup_constant,
     window_sup_levels,
 )
 from gexr.functionals import FunctionalSpec, apply_functional
@@ -133,7 +132,7 @@ def test_generalized_constant_quadrature_oracle_alpha2():
 
 def test_window_identity_matches_direct_mc():
     eta = LimitFieldSpec.fbm(1.0)
-    sams = window_sup_constant(eta, 1.0, 1 / 8, 40_000, RngStream(12))[0]
+    sams = window_sup_levels(eta, [1.0], 1 / 8, 40_000, RngStream(12))[0][0][0]
     win = Estimate.from_samples(sams)
     direct = estimate_generalized_constant(
         eta, DriftFunction.zero(), SUP, GridSpec.line(0.0, 1.0, 9), 40_000, RngStream(13)
@@ -144,7 +143,9 @@ def test_window_identity_matches_direct_mc():
 
 def test_window_identity_exact_alpha2():
     grid = GridSpec.line(0.0, 2.0, 65)
-    sams = window_sup_constant(LimitFieldSpec.fbm(2.0), 2.0, 1 / 32, 60_000, RngStream(8))[0]
+    sams = window_sup_levels(
+        LimitFieldSpec.fbm(2.0), [2.0], 1 / 32, 60_000, RngStream(8)
+    )[0][0][0]
     est = Estimate.from_samples(sams)
     exact = quadratic_grid_constant(grid.axis_values(0))
     assert abs(est.value - exact) < 3 * est.stderr
@@ -152,7 +153,7 @@ def test_window_identity_exact_alpha2():
 
 def test_window_validation():
     with pytest.raises(ModelError):
-        window_sup_constant(LimitFieldSpec.fbm(1.0), 1.0, 0.3, 10, RngStream(1))
+        window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 0.3, 10, RngStream(1))[0][0]
     with pytest.raises(ModelError):
         # refinement needs step-halving divisibility
         window_sup_levels(
@@ -581,6 +582,12 @@ def test_piterbarg_domain_validation():
             RngStream(1),
             domain="left",
         )
+    h = DriftFunction(fn=lambda t: np.atleast_2d(t)[:, 0] ** 2)
+    # only the Pickands constant takes (2h, h); 0.3 divides no domain size
+    for steps in [(1 / 8, 1 / 16), (0.3,)]:
+        schedule = ExtrapolationSchedule(domain_sizes=(1.0, 2.0, 4.0), grid_steps=steps)
+        with pytest.raises(ModelError):
+            estimate_piterbarg(LimitFieldSpec.fbm(2.0), h, schedule, 10, RngStream(1))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +600,7 @@ def test_generalized_piterbarg_zero_window_zero_horizon():
         domain_sizes=(0.0, 1.0, 2.0), grid_steps=(1 / 8,), stop_rule=0.05
     )
     trace = estimate_generalized_piterbarg(
-        vf, 1.0, 0.0, schedule, 1 / 8, 500, RngStream(51)
+        vf, 1.0, 0.0, schedule, 500, RngStream(51)
     )
     # horizon 0, window 0: the functional is exp(X(0)) = 1 exactly
     assert trace.levels[0].value == 1.0 and trace.levels[0].stderr == 0.0
@@ -607,7 +614,7 @@ def test_generalized_piterbarg_matches_per_t_slice_minimum(S):
     vf, b, step, n_reps = VarianceFunction.fbm(0.8), 0.5, 1 / 8, BATCH_SIZE + 500
     schedule = ExtrapolationSchedule(domain_sizes=(0.5, 1.0, 2.0), grid_steps=(step,))
     trace = estimate_generalized_piterbarg(
-        vf, b, S, schedule, step, n_reps, RngStream(52)
+        vf, b, S, schedule, n_reps, RngStream(52)
     )
     n_s, n_t = round(S / step), round(2.0 / step)
     x_vals = np.arange(-n_s, n_t + 1) * step
@@ -629,9 +636,18 @@ def test_generalized_piterbarg_validation():
     vf = VarianceFunction.fbm(0.8)
     schedule = ExtrapolationSchedule(domain_sizes=(1.0, 2.0, 4.0), grid_steps=(1 / 8,))
     with pytest.raises(ModelError):
-        estimate_generalized_piterbarg(vf, 0.0, 1.0, schedule, 1 / 8, 10, RngStream(1))
+        estimate_generalized_piterbarg(vf, 0.0, 1.0, schedule, 10, RngStream(1))
     with pytest.raises(ModelError):
-        estimate_generalized_piterbarg(vf, 1.0, 0.3, schedule, 1 / 8, 10, RngStream(1))
+        estimate_generalized_piterbarg(vf, 1.0, 0.3, schedule, 10, RngStream(1))
+    two_steps = ExtrapolationSchedule(
+        domain_sizes=(1.0, 2.0, 4.0), grid_steps=(1 / 4, 1 / 8)
+    )
+    with pytest.raises(ModelError):
+        estimate_generalized_piterbarg(vf, 1.0, 1.0, two_steps, 10, RngStream(1))
+    # 0.3 divides S = 0.6 and the last horizon 6, but not the horizons 1 and 2
+    coarse = ExtrapolationSchedule(domain_sizes=(1.0, 2.0, 6.0), grid_steps=(0.3,))
+    with pytest.raises(ModelError):
+        estimate_generalized_piterbarg(vf, 1.0, 0.6, coarse, 10, RngStream(1))
 
 
 def test_local_step_exponent():

@@ -7,6 +7,7 @@ import pytest
 
 from scipy import stats
 
+from gexr.covmodels import ModelError
 from gexr.mc import (
     Estimate,
     ExtrapolationSchedule,
@@ -118,6 +119,15 @@ def test_schedule_validation():
         ExtrapolationSchedule(grid_steps=(1 / 16, 1 / 64))
     sched = ExtrapolationSchedule()
     assert sched.finest_step == 1 / 64
+
+
+def test_schedule_step_is_the_one_step():
+    assert ExtrapolationSchedule(grid_steps=(1 / 16,)).step == 1 / 16
+    with pytest.raises(ModelError, match="Pickands"):
+        ExtrapolationSchedule().step  # (2h, h) is for step extrapolation only
+    for steps in [(0.0,), (-1 / 8,), (-1 / 4, -1 / 8)]:
+        with pytest.raises(ModelError, match="positive"):
+            ExtrapolationSchedule(grid_steps=steps)
 
 
 def test_plateau_status():
