@@ -16,10 +16,10 @@ Four estimators live here:
   domain sizes and grid steps share one exp and four outward scans a path.
   Paths come in antithetic pairs built from eta and -eta, one draw for
   two paths, except for a rank-one field (the path t * Z), whose pair
-  would repeat one sample; ``n_reps`` counts paths either way.  The next
-  batch is drawn on one helper thread while the current one is reduced;
-  the results never depend on it.  Two batches of paths are held, plus the
-  working arrays of the draw in progress.
+  would repeat one sample; ``n_reps`` counts paths either way.  Half the
+  batches are drawn and reduced on one helper thread; the results never
+  depend on it.  Two batches of paths are held, one per thread, plus the
+  working arrays of each thread's draw.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -41,7 +41,7 @@ import numpy as np
 
 from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFunction
 from .functionals import FunctionalSpec, apply_functional
-from .mc import Estimate, ExtrapolationSchedule, PathPairs, batches, plateau_status
+from .mc import Estimate, ExtrapolationSchedule, PathPairs, batch_map, plateau_status
 from .rng import RngStream
 from .simkit import ROW_BLOCK, GridSpec, LimitFieldSampler, StatIncrSampler
 
@@ -131,13 +131,16 @@ def estimate_joint_constant(
     sampler = LimitFieldSampler(eta, grid)
     var = sampler.variance()
     samples = np.empty(n_reps)
-    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+
+    def body(gen, lo, hi, slot):
         w = sampler.sample(gen, hi - lo)
         w *= math.sqrt(2.0)
         w -= var
         w -= drift
         vals = np.stack([apply_functional(g, w, grid_ndim=grid.dim) for g in gammas])
         samples[lo:hi] = np.exp(vals.min(axis=0))
+
+    batch_map(body, rng, n_reps, BATCH_SIZE)
     return Estimate.from_samples(
         samples, meta={"grid_steps": grid.steps, "domain": grid.per_axis}
     )
@@ -230,15 +233,14 @@ def window_sup_levels(
     keeps independent paths: there -eta is eta reflected, every window sum
     is invariant under the reflection, and a pair would repeat one sample.
 
-    Batch b+1 is drawn (and scaled by sqrt2) on one helper thread while this
-    thread reduces batch b (:func:`_draw_ahead`).  Batch b still draws from
-    substream b, so the results never depend on the thread: they equal the
-    serial loop bit for bit.  The draws go into two buffers allocated once,
-    and Var eta is subtracted per block of rows, so two batches of paths are
-    held.  On top of them the draw in progress holds its working arrays: for
-    an fBm path, one block of increments at alpha = 1, none at alpha = 2,
-    and at every other alpha its batch's circulant spectrum (as the serial
-    loop did), inverted one block of rows at a time.
+    Half the batches are drawn and reduced on one helper thread
+    (:func:`~gexr.mc.batch_map`); batch b still draws from substream b, so
+    the results equal the serial loop bit for bit.  Each thread draws into
+    its own buffer, allocated once, and Var eta is subtracted per block of
+    rows, so two batches of paths are held, plus each draw's working
+    arrays: for an fBm path, one block of increments at alpha = 1, none at
+    alpha = 2, and at every other alpha its batch's circulant spectrum,
+    inverted one block of rows at a time.
 
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans
@@ -268,54 +270,17 @@ def window_sup_levels(
     rows = min(BATCH_SIZE, pairs.n_reps) // stride
     slots = (np.empty((rows, grid.size)), np.empty((rows, grid.size)))
 
-    def draw(gen, size, slot):
-        x = slots[slot][: size // stride]
+    def body(gen, lo, hi, slot):
+        x = slots[slot][: (hi - lo) // stride]
         sampler.sample(gen, len(x), out=x)
         x *= math.sqrt(2.0)
-        return x
-
-    def reduce(x, lo, hi):
         out[:, :, lo:hi:stride] = _window_ratio_levels(x, var, counts, refine)
         if pairs.paired:
             np.negative(x, out=x)
             out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(x, var, counts, refine)
 
-    _draw_ahead(draw, reduce, rng, pairs.n_reps, BATCH_SIZE)
+    batch_map(body, rng, pairs.n_reps, BATCH_SIZE)
     return [list(level) for level in out], pairs
-
-
-def _draw_ahead(draw, reduce, rng: RngStream, n_reps: int, batch_size: int) -> None:
-    """``reduce(draw(gen, hi - lo, b % 2), lo, hi)`` for batch b of :func:`~gexr.mc.batches`.
-
-    Batch b+1 is drawn on one helper thread while the calling thread reduces
-    batch b, so a draw may write into slot ``b % 2`` of two buffers the
-    caller owns, never into the one being reduced.  Draws run in order,
-    each on its own substream's generator, so the results are those of the
-    serial loop.  Each draw runs under the caller's numpy error state (kept per
-    thread or per context, not inherited by the helper); an exception in a
-    draw is raised to the caller at that batch, with its own type, and the
-    helper thread has ended when this returns or raises.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    errstate = np.geterr()
-
-    def drawn(b, batch):
-        gen, lo, hi = batch
-        with np.errstate(**errstate):
-            return draw(gen, hi - lo, b % 2), lo, hi
-
-    todo = enumerate(batches(rng, n_reps, batch_size))
-    first = next(todo, None)
-    if first is None:
-        return
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(drawn, *first)
-        for item in todo:
-            done = ahead.result()
-            ahead = helper.submit(drawn, *item)
-            reduce(*done)
-        reduce(*ahead.result())
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray, step: float, exponent: float):
@@ -450,7 +415,8 @@ def estimate_generalized_piterbarg(
     sampler = StatIncrSampler(vf, x_vals)
     penalty = (1.0 + b) * vf(np.abs(x_vals))
     per_level = [np.empty(n_reps) for _ in t_indices]
-    for gen, lo, hi in batches(rng, n_reps, BATCH_SIZE):
+
+    def body(gen, lo, hi, slot):
         x = sampler.sample(gen, hi - lo)
         y = math.sqrt(2.0) * x - penalty
         # inf over s in [0, S] of y(t - s) at t = i * step: y's columns i..i+n_s
@@ -460,6 +426,8 @@ def estimate_generalized_piterbarg(
         run = np.maximum.accumulate(infs, axis=1)
         for k, ti in enumerate(t_indices):
             per_level[k][lo:hi] = np.exp(run[:, ti])
+
+    batch_map(body, rng, n_reps, BATCH_SIZE)
     levels = [
         Estimate.from_samples(sam, meta={"horizon": T, "step": step})
         for sam, T in zip(per_level, t_schedule.domain_sizes)

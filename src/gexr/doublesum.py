@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covmodels import ModelError
-from .mc import Estimate, PathPairs, batches
+from .mc import Estimate, PathPairs, batch_map
 from .rng import RngStream
 from .simkit import _chol_psd
 from .tailprob import survival_psi
@@ -163,7 +163,8 @@ def estimate_double_maxima(
     psi1 = survival_psi(m1)
     pairs = PathPairs(n_reps)
     samples = np.empty(pairs.n_reps)
-    for gen, lo, hi in batches(rng, pairs.n_reps, BATCH_SIZE):
+
+    def body(gen, lo, hi, slot):
         half = (hi - lo) // 2
         cycles = -(-half // n_a)
         pivots = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
@@ -181,6 +182,8 @@ def estimate_double_maxima(
             n_exc = np.maximum((path[..., :n_a] > m1).sum(axis=-1), 1)
             hit_b = path[..., n - n_b :].max(axis=-1) > m2
             samples[first:hi:2] = (n_a * psi1 * hit_b / n_exc).reshape(-1)[:half]
+
+    batch_map(body, rng, pairs.n_reps, BATCH_SIZE)
     meta = {"separation": separation(box_a, box_b), "thresholds": (m1, m2)}
     return pairs.estimate(samples, meta=meta)
 

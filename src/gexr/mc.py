@@ -1,6 +1,8 @@
 """Monte Carlo bookkeeping: batches, estimates, extrapolation, cell maps.
 
-``batches`` is the one batch loop: batch b draws from substream b.
+``batch_map`` is the one batch loop: batch b draws from substream b and
+writes only its own rows, so running half the batches on a helper thread
+changes no result.
 ``Estimate`` is the universal return type of the estimators: a point value
 with a batch-means or binomial standard error, replication count and 95%
 confidence interval.  ``PathPairs`` is the bookkeeping of paths drawn in
@@ -12,6 +14,7 @@ estimates agree within max(relative stop rule, twice the combined stderr).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -24,6 +27,7 @@ __all__ = [
     "Estimate",
     "ExtrapolationSchedule",
     "PathPairs",
+    "batch_map",
     "batches",
     "cell_map",
     "combine_stderr",
@@ -33,14 +37,50 @@ __all__ = [
 MIN_BATCHES = 30
 
 
-def batches(rng: RngStream, n_reps: int, batch_size: int) -> Iterator[tuple]:
+# set on the threads of cell_map's pool and batch_map's helper: no nested pool
+_POOL = threading.local()
+
+
+def _in_pool(errstate: dict) -> None:
+    np.seterr(**errstate)
+    _POOL.inline = True
+
+
+def batches(rng: RngStream, n_reps: int, batch_size: int, which=None) -> Iterator[tuple]:
     """Yield (generator, lo, hi) for replications [lo, hi) in batches.
 
     Batch b draws from ``rng.substream(b)``, so the batch size fixes which
-    draws each replication sees: changing it changes the results.
+    draws each replication sees.  ``which`` picks batch indices (default all).
     """
-    for b, lo in enumerate(range(0, n_reps, batch_size)):
+    for b in range(-(-n_reps // batch_size)) if which is None else which:
+        lo = b * batch_size
         yield rng.substream(b).generator(), lo, min(lo + batch_size, n_reps)
+
+
+def batch_map(body: Callable, rng: RngStream, n_reps: int, batch_size: int) -> None:
+    """``body(gen, lo, hi, slot)`` for every batch of :func:`batches`.
+
+    Of n batches, [0, ceil(n/2)) run on the calling thread (slot 0) and the
+    rest on one helper thread (slot 1) under the caller's numpy error state;
+    each half builds its generators.  With fewer than two batches, or in a
+    :func:`cell_map` worker, all run inline in slot 0 and no thread starts.
+    The caller sees the first failing batch's exception after the helper ends.
+    """
+    n = -(-n_reps // batch_size)
+
+    def run(which, slot):
+        for gen, lo, hi in batches(rng, n_reps, batch_size, which):
+            body(gen, lo, hi, slot)
+
+    if n < 2 or getattr(_POOL, "inline", False):
+        return run(range(n), 0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    k = -(-n // 2)
+    with ThreadPoolExecutor(1, initializer=_in_pool, initargs=(np.geterr(),)) as pool:
+        second = pool.submit(run, range(k, n), 1)
+        run(range(k), 0)
+        second.result()
 
 
 def cell_map(fn: Callable, items: Iterable, workers: int) -> list:
@@ -52,7 +92,8 @@ def cell_map(fn: Callable, items: Iterable, workers: int) -> list:
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        errstate = np.geterr()
+        with ThreadPoolExecutor(workers, initializer=_in_pool, initargs=(errstate,)) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 

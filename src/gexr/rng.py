@@ -2,8 +2,8 @@
 
 Every Monte Carlo routine in this package takes an :class:`RngStream` and
 derives per-batch / per-cell substreams from it, so results are
-bit-reproducible for a fixed root seed and do not depend on how cells are
-distributed over workers.  They do depend on the batch size, which is why
+bit-reproducible for a fixed root seed, whatever the worker count or the
+thread that runs a batch.  They do depend on the batch size, which is why
 it is a module constant of each estimator: batch b draws from substream b.
 """
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
-from .mc import Estimate, PathPairs, batches, cell_map
+from .mc import Estimate, PathPairs, batch_map, cell_map
 from .rng import RngStream
 from .simkit import GridSpec, ResidualSampler, _chol_psd
 
@@ -111,12 +111,16 @@ def crude_mc_tail(
     r = family.corr_matrix(u, tau, pts)
     L = _chol_psd(r)
     h = family.drift_values(u, tau, pts).reshape(grid.shape)
-    hits = 0
-    for gen, lo, hi in batches(rng, n_reps, CRUDE_BATCH):
+    hit = np.empty(n_reps, dtype=bool)
+
+    def body(gen, lo, hi, slot):
         size = hi - lo
         z = (gen.standard_normal((size, len(pts))) @ L.T).reshape(size, *grid.shape)
         vals = apply_functional(gamma, z / (1.0 + h), grid_ndim=grid.dim)
-        hits += int(np.count_nonzero(vals > g))
+        hit[lo:hi] = vals > g
+
+    batch_map(body, rng, n_reps, CRUDE_BATCH)
+    hits = int(np.count_nonzero(hit))
     meta = {"g": g, "low_confidence": True} if hits == 0 else {"g": g}
     return Estimate.binomial(hits, n_reps, meta)
 
@@ -288,9 +292,12 @@ def conditional_tail(
     pairs = PathPairs(n_reps, paired=sampler.paired)
     g = sampler.g
     samples = np.empty(pairs.n_reps)
-    for gen, lo, hi in batches(rng, pairs.n_reps, CONDITIONAL_BATCH):
+
+    def body(gen, lo, hi, slot):
         w_star = _crossing_point(sampler, gamma, gen, hi - lo)
         samples[lo:hi] = survival_psi(g - w_star / g)
+
+    batch_map(body, rng, pairs.n_reps, CONDITIONAL_BATCH)
     return pairs.estimate(samples, meta={"g": g})
 
 

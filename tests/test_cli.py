@@ -135,15 +135,16 @@ def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
 def test_window_draw_failure_on_the_helper_thread_is_numerical_failure(
     monkeypatch, tmp_path, capsys
 ):
-    # the window identity draws ahead on a helper thread; a generator failure
-    # there must still reach the runner as SimulationError, exit 3
+    # of the window identity's four batches the helper thread draws 2 and 3;
+    # a generator failure there must still reach the runner as
+    # SimulationError, exit 3
     real = constmod.LimitFieldSampler
     draws = []
 
     class FailingAtBatch3(real):
         def sample(self, gen, size, out=None):
             draws.append(size)
-            if len(draws) == 4:
+            if gen.bit_generator.seed_seq.spawn_key[-1] == 3:
                 raise SimulationError("negative circulant eigenvalue")
             return super().sample(gen, size, out=out)
 

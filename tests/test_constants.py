@@ -252,7 +252,8 @@ def _serial_window_levels(eta, s_levels, step, n_reps, rng, refine):
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_window_levels_drawn_ahead_equal_the_serial_loop(alpha, n_reps, refine):
     # white noise, circulant embedding and the rank-one path t * Z (unpaired);
-    # one batch, three batches (a slot reused) and a ragged last batch
+    # one batch (inline), three batches (two on the calling thread, one on
+    # the helper, so slot 0 is reused) and a ragged last batch
     eta, sizes, step = LimitFieldSpec.fbm(alpha), [1.0, 2.0, 4.0], 1 / 8
     levels, pairs = window_sup_levels(eta, sizes, step, n_reps, RngStream(19), refine)
     want = _serial_window_levels(eta, sizes, step, n_reps, RngStream(19), refine)
@@ -264,21 +265,27 @@ def test_window_levels_drawn_ahead_equal_the_serial_loop(alpha, n_reps, refine):
 
 
 class _ScriptedSampler:
-    """Stands in for LimitFieldSampler: zero paths, and ``fail(out)`` at draw ``at``."""
+    """Stands in for LimitFieldSampler: zero paths, and ``fail(out)`` in batch ``at``.
+
+    The batch is read off the generator's substream, not off a count of
+    draws, because two threads draw.  ``drawn`` lists the batches whose
+    draw returned.
+    """
 
     rank_one = True  # unpaired: one reduction per batch
 
     def __init__(self, at, fail):
-        self.at, self.fail, self.draws = at, fail, 0
+        self.at, self.fail, self.drawn = at, fail, []
 
     def __call__(self, eta, grid):
         return self
 
     def sample(self, gen, size, out):
         out[...] = 0.0
-        if self.draws == self.at:
+        batch = gen.bit_generator.seed_seq.spawn_key[-1]
+        if batch == self.at:
             self.fail(out)
-        self.draws += 1
+        self.drawn.append(batch)
         return out
 
 
@@ -296,24 +303,28 @@ def _counting_reductions(monkeypatch):
 
 
 def test_failed_draw_raises_at_its_batch_with_its_own_type(monkeypatch):
-    # batches 0, 1 and 2 are reduced; the draw of batch 3 raises, and the
-    # caller sees that very exception, so the CLI still exits 3 for it
+    # the calling thread reduces batches 0, 1 and 2; the helper's first draw,
+    # batch 3, raises, and the caller sees that very exception, so the CLI
+    # still exits 3 for it
     exc = SimulationError("draw failed")
 
     def fail(out):
         raise exc
 
-    monkeypatch.setattr(constmod, "LimitFieldSampler", _ScriptedSampler(3, fail))
+    sampler = _ScriptedSampler(3, fail)
+    monkeypatch.setattr(constmod, "LimitFieldSampler", sampler)
     reduced = _counting_reductions(monkeypatch)
     before = threading.active_count()
     with pytest.raises(SimulationError) as info:
         window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 6 * BATCH_SIZE, RngStream(20))
     assert info.value is exc
     assert reduced == [BATCH_SIZE] * 3
+    assert sorted(sampler.drawn) == [0, 1, 2]
     assert threading.active_count() == before
 
 
 def test_drawn_ahead_batch_keeps_the_callers_numpy_error_state(monkeypatch):
+    # batch 2 is the helper's first: its overflow raises under the caller's state
     def overflow(out):
         out[0, 0] = 1e308
         out *= 10.0
@@ -324,7 +335,7 @@ def test_drawn_ahead_batch_keeps_the_callers_numpy_error_state(monkeypatch):
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             window_sup_levels(eta, [1.0], 1 / 8, 4 * BATCH_SIZE, RngStream(21))
-    assert sampler.draws == 2
+    assert sorted(sampler.drawn) == [0, 1]
 
 
 def test_no_helper_thread_outlives_the_window_identity(monkeypatch):
@@ -335,7 +346,7 @@ def test_no_helper_thread_outlives_the_window_identity(monkeypatch):
     def failing(w, var, counts, refine):
         raise ZeroDivisionError("reduction failed")
 
-    # the caller raises while the helper draws the next batch
+    # both threads raise; the caller, reducing batch 0, holds the first
     monkeypatch.setattr(constmod, "_window_ratio_levels", failing)
     with pytest.raises(ZeroDivisionError):
         window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 3 * BATCH_SIZE, RngStream(22))

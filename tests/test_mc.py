@@ -1,22 +1,30 @@
 """Estimate bookkeeping, batch-means errors, schedules, plateau logic."""
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from scipy import stats
 
-from gexr.covmodels import ModelError
+from gexr import constants, doublesum, tailprob
+from gexr.configio import family_from_config
+from gexr.covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFunction
+from gexr.functionals import FunctionalSpec
 from gexr.mc import (
     Estimate,
     ExtrapolationSchedule,
+    batch_map,
     batches,
     cell_map,
     combine_stderr,
     plateau_status,
 )
 from gexr.rng import RngStream
+from gexr.simkit import GridSpec
 
 
 def test_from_samples_mean_and_ci():
@@ -59,6 +67,205 @@ def test_batches_split_and_substreams():
         expected = rng.substream(b).generator().standard_normal(hi - lo)
         assert np.array_equal(gen.standard_normal(hi - lo), expected)
     assert list(batches(rng, 0, 2000)) == []
+
+
+def _recording_body(log):
+    """A batch body that records (batch, lo, hi, slot, thread, draws) in ``log``."""
+
+    def body(gen, lo, hi, slot):
+        batch = gen.bit_generator.seed_seq.spawn_key[-1]
+        draws = gen.standard_normal(hi - lo)
+        log.append((batch, lo, hi, slot, threading.get_ident(), draws))
+
+    return body
+
+
+@pytest.mark.parametrize("n_reps", [0, 1000, 2000, 3000, 9 * 1000 + 37])
+def test_batch_map_equals_the_serial_loop(n_reps):
+    # 0, 1, 2, 3 and a ragged 10 batches: the first ceil(n/2) on the calling
+    # thread in slot 0, the rest on one other thread in slot 1
+    log = []
+    batch_map(_recording_body(log), RngStream(24), n_reps, 1000)
+    got = sorted(log, key=lambda row: row[0])
+    serial = list(batches(RngStream(24), n_reps, 1000))
+    assert [row[:3] for row in got] == [(b, lo, hi) for b, (_, lo, hi) in enumerate(serial)]
+    for row, (gen, lo, hi) in zip(got, serial):
+        assert np.array_equal(row[5], gen.standard_normal(hi - lo))
+    n, k = len(serial), -(-len(serial) // 2)
+    caller = threading.get_ident()
+    if n < 2:
+        assert all(row[3] == 0 and row[4] == caller for row in got)
+        return
+    assert [row[3] for row in got] == [0] * k + [1] * (n - k)
+    assert {row[4] for row in got[:k]} == {caller}
+    assert len({row[4] for row in got[k:]}) == 1 and got[k][4] != caller
+
+
+class _BatchFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [{1}, {3}, {4}, {1, 4}, {3, 4}, {0, 2}])
+def test_batch_map_raises_the_first_failing_batch(failing):
+    # five batches: 0-2 on the calling thread, 3-4 on the helper
+    excs = {b: _BatchFailure(f"batch {b}") for b in failing}
+
+    def body(gen, lo, hi, slot):
+        if lo // 100 in excs:
+            raise excs[lo // 100]
+
+    before = threading.active_count()
+    with pytest.raises(_BatchFailure) as info:
+        batch_map(body, RngStream(25), 500, 100)
+    assert info.value is excs[min(failing)]
+    assert threading.active_count() == before
+
+
+def test_batch_map_helper_keeps_the_callers_numpy_error_state():
+    states = []
+
+    def body(gen, lo, hi, slot):
+        states.append((slot, np.geterr()))
+        if slot == 1:
+            np.array([1e308]) * 10.0  # overflows on the helper only
+
+    with np.errstate(over="raise", under="ignore"):
+        caller = np.geterr()
+        with pytest.raises(FloatingPointError):
+            batch_map(body, RngStream(26), 200, 100)
+    assert sorted(slot for slot, _ in states) == [0, 1]
+    assert all(state == caller for _, state in states)
+
+
+def test_batch_loops_inside_a_pooled_cell_start_no_helper(monkeypatch):
+    # --workers K runs at most K threads: a cell of cell_map's pool runs its
+    # batches inline, so only the pool itself may start
+    fam = family_from_config({"kind": "stationary", "alpha": 1.0})
+    sampler = tailprob.ConditionalSampler(fam, 3.0, 0.0, GridSpec.line(0.0, 0.5, 9))
+    sup = FunctionalSpec.sup()
+
+    def cell(i):
+        return tailprob.conditional_tail(sampler, sup, 3000, RngStream(27, (i,)))
+
+    want = [cell(i) for i in range(3)]
+    pools = []
+
+    class OnePool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            if pools:
+                raise AssertionError("a batch loop started a pool inside a pooled cell")
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", OnePool)
+    assert cell_map(cell, range(3), 2) == want
+    assert len(pools) == 1
+
+
+# ---------------------------------------------------------------------------
+# every estimator's batches on two threads equal one serial loop
+
+
+def _serial_batch_map(body, rng, n_reps, batch_size):
+    for gen, lo, hi in batches(rng, n_reps, batch_size):
+        body(gen, lo, hi, 0)
+
+
+def _two_threads_then_serial(monkeypatch, module, run):
+    """``run()`` with the module's batch loop split over two threads, then serial.
+
+    The threaded run switches threads as often as the interpreter allows, so
+    that a write one thread makes into the other's rows or buffer shows.
+    """
+    slots = []
+
+    def split(body, rng, n_reps, batch_size):
+        def tagged(gen, lo, hi, slot):
+            slots.append(slot)
+            body(gen, lo, hi, slot)
+
+        batch_map(tagged, rng, n_reps, batch_size)
+
+    monkeypatch.setattr(module, "batch_map", split)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(slots) >= 3 and 1 in slots  # the helper ran
+    monkeypatch.setattr(module, "batch_map", _serial_batch_map)
+    return threaded, run()
+
+
+@pytest.mark.parametrize(
+    "gamma", [FunctionalSpec.sup(), FunctionalSpec.inf(), FunctionalSpec.mix(0.5)]
+)
+def test_conditional_tail_equals_its_serial_loop(monkeypatch, gamma):
+    # closed-form sup and inf crossings and the bisected mix, over 3 batches
+    fam = family_from_config({"kind": "local", "alpha": 1.0})
+    sampler = tailprob.ConditionalSampler(fam, 3.0, 0.0, GridSpec.line(-1.0, 1.0, 17))
+    threaded, serial = _two_threads_then_serial(
+        monkeypatch, tailprob,
+        lambda: tailprob.conditional_tail(sampler, gamma, 2500, RngStream(28)),
+    )
+    assert threaded == serial
+
+
+def test_crude_tail_hits_equal_its_serial_loop(monkeypatch):
+    fam = family_from_config({"kind": "stationary", "alpha": 1.0})
+    threaded, serial = _two_threads_then_serial(
+        monkeypatch, tailprob,
+        lambda: tailprob.crude_mc_tail(
+            fam, 1.0, 0.0, FunctionalSpec.sup(), GridSpec.line(0.0, 0.5, 7),
+            3 * tailprob.CRUDE_BATCH + 7, RngStream(29),
+        ),
+    )
+    assert threaded.meta["hits"] == serial.meta["hits"] > 0
+    assert threaded == serial
+
+
+def test_double_maxima_equal_its_serial_loop(monkeypatch):
+    def corr(u, s, t):
+        s, t = np.atleast_2d(s), np.atleast_2d(t)
+        return np.exp(-(((s[:, None, :] - t[None, :, :]) ** 2).sum(axis=-1)) / 4.0)
+
+    cell = ((0.0, 1.0),)
+    cfg = doublesum.DoubleMaximaConfig(
+        correlation=corr, cell1=cell, cell2=cell, offset1=(0.0,), offset2=(2.0,),
+        m1_fn=lambda u: 1.2, m2_fn=lambda u: 1.2, c1=1.0, beta=2.0, s2=2.0,
+    )
+    threaded, serial = _two_threads_then_serial(
+        monkeypatch, doublesum,
+        lambda: doublesum.estimate_double_maxima(
+            cfg, 0.0, 3, 2 * doublesum.BATCH_SIZE + 101, RngStream(30)
+        ),
+    )
+    assert threaded == serial
+
+
+def test_joint_constant_equals_its_serial_loop(monkeypatch):
+    gammas = [FunctionalSpec.sup(), FunctionalSpec.mix(0.8)]
+    threaded, serial = _two_threads_then_serial(
+        monkeypatch, constants,
+        lambda: constants.estimate_joint_constant(
+            LimitFieldSpec.fbm(1.0), DriftFunction.zero(), gammas,
+            GridSpec.line(0.0, 1.0, 9), 2 * constants.BATCH_SIZE + 3, RngStream(31),
+        ),
+    )
+    assert threaded == serial
+
+
+def test_generalized_piterbarg_equals_its_serial_loop(monkeypatch):
+    schedule = ExtrapolationSchedule(domain_sizes=(0.5, 1.0, 2.0), grid_steps=(1 / 8,))
+    threaded, serial = _two_threads_then_serial(
+        monkeypatch, constants,
+        lambda: constants.estimate_generalized_piterbarg(
+            VarianceFunction.fbm(0.8), 0.5, 0.75, schedule,
+            2 * constants.BATCH_SIZE + 3, RngStream(32),
+        ),
+    )
+    assert threaded == serial
 
 
 def test_binomial_no_hits():
