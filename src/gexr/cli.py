@@ -88,6 +88,13 @@ def _config_boundary():
         raise ModelError(f"malformed config value: {exc}") from exc
 
 
+def _u_schedule(cfg: dict) -> list[float]:
+    u_schedule = [float(u) for u in cfg["uSchedule"]]
+    if not u_schedule:
+        raise ModelError("uSchedule must list at least one level")
+    return u_schedule
+
+
 def _reps(cfg: dict, key: str = "reps") -> int:
     reps = int(cfg[key])
     if reps < 1:
@@ -296,7 +303,7 @@ def run_audit(cfg: dict, seed: int, workers: int):
         gamma = functional_from_config(cfg.get("functional", "sup"))
         grid = grid_from_config(cfg["grid"])
         constant_of = _audit_constant(cfg, grid)
-        u_schedule = [float(u) for u in cfg["uSchedule"]]
+        u_schedule = _u_schedule(cfg)
         reps = _reps(cfg)
         tolerance = float(cfg.get("tolerance", 0.1))
     rng = RngStream(seed)
@@ -375,9 +382,8 @@ def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
 
 
 def run_formula(cfg: dict, seed: int, workers: int):
-    """The product formula, cross-checked by the conditioned tail when the
-    config has an ``mcCheck``: on its grid, and extrapolated in sqrt(step)
-    from a ``coarseGrid`` when it gives one."""
+    """The product formula, cross-checked by the conditioned tail on the
+    grid of the config's ``mcCheck`` when it has one."""
     with _config_boundary():
         setup = _setup_from_config(cfg["setup"])
         u = float(cfg["u"])
@@ -388,38 +394,29 @@ def run_formula(cfg: dict, seed: int, workers: int):
         }
         if "field" in cdoc:
             constants["field"] = float(cdoc["field"])
-        grids = []  # the MC check's fine grid, then its coarse one
-        if "mcCheck" in cfg:
+        check = "mcCheck" in cfg
+        if check:
             mc = cfg["mcCheck"]
+            if "coarseGrid" in mc:
+                raise ModelError("mcCheck.coarseGrid is not read: give one grid")
             family = family_from_config(mc["family"])
             reps = _reps(mc)
-            grids.append(grid_from_config(mc["grid"]))
-            if "coarseGrid" in mc:
-                grids.append(grid_from_config(mc["coarseGrid"]))
+            grid = grid_from_config(mc["grid"])
             tol = float(mc.get("tolerance", 0.15))
     result = tailprob.eval_mainm_formula(setup, u, constants)
     summary = {"value": result.value, "factors": result.factors, "status": "pass"}
     status = "pass"
     rows = [[u, result.value, "", ""]]
-    if grids:
-        rng, sup = RngStream(seed), FunctionalSpec.sup()
-        cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(i))
-                 for i, grid in enumerate(grids)]
-        fine, coarse = cells[0], cells[-1]
-        value, stderr = fine["p_hat"], fine["stderr"]
-        if len(cells) == 2:
-            # linear extrapolation in sqrt(step) removes the grid-sup deficit
-            x_f, x_c = (math.sqrt(grid.steps[0]) for grid in grids)
-            f = x_f / (x_c - x_f)
-            value = fine["p_hat"] + (fine["p_hat"] - coarse["p_hat"]) * f
-            stderr = math.sqrt((1 + f) ** 2 * stderr**2 + f**2 * coarse["stderr"] ** 2)
+    if check:
+        cell = tailprob.tail_cell(family, FunctionalSpec.sup(), u, 0.0, grid, reps,
+                                  RngStream(seed).substream(0))
+        value, stderr = cell["p_hat"], cell["stderr"]
         deviation = abs(value - result.value) / result.value
         status = "pass" if deviation <= tol + 3 * stderr / result.value else "fail"
         summary.update(mcEstimate=value, mcStderr=stderr,
                        relativeDeviation=deviation, status=status)
         rows = [[u, result.value, value, stderr]]
-        counts = [c["overflow_count"] for c in cells]
-        status = _fail_on_overflow(status, summary, counts)
+        status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
     return status, summary, [
         ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
          "formula vs MC", 1, 2)
@@ -430,7 +427,7 @@ def run_ruin_demo(cfg: dict, seed: int, workers: int):
     with _config_boundary():
         family = family_from_config(cfg["family"])
         grid = grid_from_config(cfg["grid"])
-        u_schedule = [float(u) for u in cfg["uSchedule"]]
+        u_schedule = _u_schedule(cfg)
         reps = _reps(cfg)
     rng = RngStream(seed)
     sup = FunctionalSpec.sup()

@@ -11,6 +11,7 @@ command-line runner; presets are expressed in the same dialect.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -145,6 +146,8 @@ def _stationary_family(doc: dict) -> ThresholdedFamilySpec:
     scale = float(doc.get("lengthScale", 1.0))
     if not 0 < alpha <= 2:
         raise ModelError("stationary family exponent must lie in (0, 2]")
+    if not scale > 0:
+        raise ModelError("stationary family lengthScale must be positive")
 
     def corr(u, tau, s, t):
         return np.exp(-((_pairwise_dist(s, t) / scale) ** alpha))
@@ -189,24 +192,19 @@ def _local_family(doc: dict) -> ThresholdedFamilySpec:
 def _scaled_threshold_family(doc: dict) -> ThresholdedFamilySpec:
     """Variable-threshold family of the product-formula demo.
 
-    Unit-variance field with r_u = exp(-|d| / u^2) (so u^2 (1 - r) -> |d|,
-    one cell per unit length) and threshold surface u (1 + |s|^p / g(u))
-    realized as drift h_{u}(s) = |s|^p / g(u), g(u) = u^gExponent.
+    The local family (r_u = exp(-|d|^alpha / u^2), so at alpha = 1 one cell
+    per unit length) read at tau = 0, with threshold surface
+    u (1 + |s|^p / g(u)) realized as drift h_{u}(s) = |s|^p / g(u),
+    g(u) = u^gExponent.
     """
     exponent = float(doc.get("exponent", 2.0))
     g_power = float(doc.get("gExponent", 4.0))
-    alpha = float(doc.get("alpha", 1.0))
-
-    def corr(u, tau, s, t):
-        return np.exp(-(_pairwise_dist(s, t) ** alpha) / u**2)
 
     def h_family(u, tau, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         return (np.abs(t) ** exponent).sum(axis=1) / u**g_power
 
-    return ThresholdedFamilySpec(
-        correlation=corr, threshold=lambda u, tau: u, drift=h_family
-    )
+    return replace(_local_family(doc), drift=h_family)
 
 
 def _ruin_family(doc: dict) -> ThresholdedFamilySpec:

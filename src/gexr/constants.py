@@ -80,12 +80,8 @@ def _grid_count(length: float, step: float) -> int:
 
 
 def local_step_exponent(eta: LimitFieldSpec) -> float:
-    """Rate exponent for grid-bias extrapolation: step**(min alpha0 / 2)."""
-    exps = []
-    for c in eta.components:
-        if c.scale <= 0:
-            continue
-        exps.append(c.base.alpha_inf if math.isinf(c.mode) else c.base.alpha0)
+    """Rate exponent for grid-bias extrapolation: step**(min local power / 2)."""
+    exps = [c.local_power for c in eta.components if c.scale > 0]
     return (min(exps) if exps else 2.0) / 2.0
 
 

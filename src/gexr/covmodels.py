@@ -78,8 +78,6 @@ class VarianceFunction:
     @staticmethod
     def fbm(alpha: float) -> "VarianceFunction":
         """sigma2(t) = t**alpha, alpha in (0, 2]."""
-        if not 0.0 < alpha <= 2.0:
-            raise ModelError(f"fBm exponent must lie in (0, 2], got {alpha}")
         return VarianceFunction(
             fn=lambda t: t**alpha, alpha0=alpha, alpha_inf=alpha, kind=f"fbm({alpha})"
         )
@@ -91,9 +89,8 @@ class VarianceFunction:
         a = np.asarray(alphas, dtype=float)
         if len(w) != len(a) or len(w) == 0 or np.any(w <= 0):
             raise ModelError("sum_of_fbm needs matching positive weights and exponents")
-        if np.any((a <= 0) | (a > 2)):
-            raise ModelError("sum_of_fbm exponents must lie in (0, 2]")
-        # near 0 the smallest exponent dominates; near infinity the largest
+        # near 0 the smallest exponent dominates, near infinity the largest;
+        # checking those two checks every exponent
         return VarianceFunction(
             fn=lambda t: (w * t[..., None] ** a).sum(axis=-1),
             alpha0=float(a.min()),
@@ -206,13 +203,26 @@ class LimitFieldComponent:
         if self.mode < 0:
             raise ModelError("component mode must be nonnegative (possibly inf)")
 
+    @property
+    def power(self) -> float | None:
+        """Exponent of W when W is an fBm (alpha0 at mode 0, alpha_inf at mode
+        inf); None at a finite mode."""
+        if self.mode == 0.0:
+            return self.base.alpha0
+        if math.isinf(self.mode):
+            return self.base.alpha_inf
+        return None
+
+    @property
+    def local_power(self) -> float:
+        """Index of ``unit_variance`` at 0: the grid-bias rate exponent."""
+        return self.base.alpha0 if self.power is None else self.power
+
     def unit_variance(self, t) -> np.ndarray:
         """Variance of the component's unit process W at coordinate t."""
         t = np.abs(np.asarray(t, dtype=float))
-        if self.mode == 0.0:
-            return t**self.base.alpha0
-        if math.isinf(self.mode):
-            return t**self.base.alpha_inf
+        if self.power is not None:
+            return t**self.power
         return self.base(self.mode * t) / self.base(self.mode)
 
     def variance(self, t) -> np.ndarray:
@@ -290,7 +300,7 @@ class ThresholdedFamilySpec:
             pts = pts[:, None]
         r = np.asarray(self.correlation(u, tau, pts, pts), dtype=float)
         d = np.diag(r)
-        if np.any(np.abs(d - 1.0) > 1e-8):
+        if not np.all(np.abs(d - 1.0) <= 1e-8):  # NaN fails too
             raise ModelError("family correlation is not unit-variance on the grid")
         return r
 

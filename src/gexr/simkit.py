@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .covmodels import (
     LimitFieldSpec,
     ModelError,
     ThresholdedFamilySpec,
-    VarianceFunction,
     fgn_autocovariance,
 )
 
@@ -288,11 +287,12 @@ class FbmSampler:
 class StatIncrSampler:
     """Cholesky sampler for a stationary-increment process on arbitrary lags.
 
-    Cov(X(s), X(t)) = (sigma2(|s|) + sigma2(|t|) - sigma2(|t-s|)) / 2.
-    Points with zero variance (the origin) are pinned to 0 exactly.
+    Cov(X(s), X(t)) = (sigma2(|s|) + sigma2(|t|) - sigma2(|t-s|)) / 2, with
+    ``vf`` any callable sigma2 of nonnegative lags (a ``VarianceFunction``
+    is one).  Points with zero variance (the origin) are pinned to 0 exactly.
     """
 
-    def __init__(self, vf: VarianceFunction, t_values: np.ndarray):
+    def __init__(self, vf: Callable[[np.ndarray], np.ndarray], t_values: np.ndarray):
         t = np.asarray(t_values, dtype=float)
         var = vf(np.abs(t))
         dist = np.abs(t[:, None] - t[None, :])
@@ -314,26 +314,18 @@ class StatIncrSampler:
 
 
 def _component_sampler(comp: LimitFieldComponent, axis_values: np.ndarray):
-    """Sampler for the unit process W of one limit-field component."""
+    """Sampler for the unit process W of one limit-field component.
+
+    An fBm component on a uniform axis through 0 goes by circulant
+    embedding; every other one by Cholesky of its own ``unit_variance``.
+    """
     t = np.asarray(axis_values, dtype=float)
     uniform = len(t) >= 2 and np.allclose(np.diff(t), t[1] - t[0], rtol=0, atol=1e-12)
-    if comp.mode == 0.0 or math.isinf(comp.mode):
-        alpha = comp.base.alpha0 if comp.mode == 0.0 else comp.base.alpha_inf
-        if uniform and np.any(t == 0.0):
-            step = float(t[1] - t[0])
-            n_left = int(np.argmin(np.abs(t)))
-            return FbmSampler(alpha, step, len(t) - 1 - n_left, n_left)
-        return StatIncrSampler(VarianceFunction.fbm(alpha), t)
-    scale = 1.0 / math.sqrt(float(comp.base(comp.mode)))
-
-    class _Scaled:
-        def __init__(self):
-            self._inner = StatIncrSampler(comp.base, comp.mode * t)
-
-        def sample(self, rng, size):
-            return self._inner.sample(rng, size) * scale
-
-    return _Scaled()
+    if comp.power is not None and uniform and np.any(t == 0.0):
+        step = float(t[1] - t[0])
+        n_left = int(np.argmin(np.abs(t)))
+        return FbmSampler(comp.power, step, len(t) - 1 - n_left, n_left)
+    return StatIncrSampler(comp.unit_variance, t)
 
 
 class LimitFieldSampler:

@@ -1,6 +1,7 @@
 """End-to-end runner tests: exit codes, file outputs, determinism, presets."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -10,9 +11,17 @@ from gexr import constants as constmod
 from gexr import doublesum as dsmod
 from gexr import tailprob
 from gexr.cli import main
+from gexr.covmodels import (
+    DriftFunction,
+    LimitFieldComponent,
+    LimitFieldSpec,
+    VarianceFunction,
+)
+from gexr.functionals import FunctionalSpec
 from gexr.mc import Estimate
 from gexr.presets import PRESETS
-from gexr.simkit import SimulationError
+from gexr.rng import RngStream
+from gexr.simkit import GridSpec, SimulationError
 
 SMOKE_BUDGET = "600"  # caps replication counts
 
@@ -212,25 +221,33 @@ def test_failed_run_keeps_an_existing_out(monkeypatch, tmp_path, capsys):
 
 _DROP = object()  # the key is removed instead of set
 
-# (preset, key path, value): each case is one missing key, one wrong-typed
-# value or one key the dialect no longer reads (generalized-piterbarg's
-# gridStep: its step is tSchedule.gridSteps); audit's uSchedule and
-# tolerance, formula's mcCheck entries and the constants target used to be
-# read only after an estimator had run
+# (preset, key path, value, what is wrong): each case is one missing key, one
+# wrong-typed, empty or out-of-range value, or one key the dialect no longer
+# reads (generalized-piterbarg's gridStep: its step is tSchedule.gridSteps;
+# formula's mcCheck.coarseGrid: the check runs on one grid); audit's
+# uSchedule and tolerance, formula's mcCheck entries and the constants target
+# used to be read only after an estimator had run
 _BAD_CONFIGS = [
-    ("pickands-alpha-1", ("schedule",), _DROP),
-    ("pickands-alpha-1", ("target",), "one"),
-    ("short-interval-tail", ("u",), _DROP),
-    ("short-interval-tail", ("u",), [5.0]),
-    ("uniform-audit-stationary", ("uSchedule",), _DROP),
-    ("uniform-audit-stationary", ("tolerance",), "tight"),
-    ("doublesum-gaussian", ("separations",), _DROP),
-    ("doublesum-gaussian", ("uLevels",), [2.5, "high"]),
-    ("formula-product-1d", ("mcCheck", "reps"), _DROP),
-    ("formula-product-1d", ("mcCheck", "tolerance"), "loose"),
-    ("ruin-demo", ("uSchedule",), _DROP),
-    ("ruin-demo", ("uSchedule",), [4.0, "nine"]),
-    ("generalized-piterbarg", ("gridStep",), 0.125),
+    ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
+    ("pickands-alpha-1", ("target",), "one", "wrong-type"),
+    ("short-interval-tail", ("u",), _DROP, "missing"),
+    ("short-interval-tail", ("u",), [5.0], "wrong-type"),
+    ("short-interval-tail", ("family",), {"kind": "stationary", "lengthScale": -1},
+     "out-of-range"),
+    ("uniform-audit-stationary", ("uSchedule",), _DROP, "missing"),
+    ("uniform-audit-stationary", ("uSchedule",), [], "empty"),
+    ("uniform-audit-stationary", ("tolerance",), "tight", "wrong-type"),
+    ("doublesum-gaussian", ("separations",), _DROP, "missing"),
+    ("doublesum-gaussian", ("uLevels",), [2.5, "high"], "wrong-type"),
+    ("formula-product-1d", ("mcCheck", "reps"), _DROP, "missing"),
+    ("formula-product-1d", ("mcCheck", "tolerance"), "loose", "wrong-type"),
+    ("formula-product-1d", ("mcCheck", "family", "alpha"), 3, "out-of-range"),
+    ("formula-product-1d", ("mcCheck", "coarseGrid"), {"perAxis": [[-4.0, 4.0, 129]]},
+     "unread"),
+    ("ruin-demo", ("uSchedule",), _DROP, "missing"),
+    ("ruin-demo", ("uSchedule",), [4.0, "nine"], "wrong-type"),
+    ("ruin-demo", ("uSchedule",), [], "empty"),
+    ("generalized-piterbarg", ("gridStep",), 0.125, "wrong-type"),
 ]
 
 
@@ -251,9 +268,8 @@ def _no_estimator_may_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,path,value", _BAD_CONFIGS,
-    ids=[f"{n}-{'.'.join(p)}-{'missing' if v is _DROP else 'wrong-type'}"
-         for n, p, v in _BAD_CONFIGS],
+    "name,path,value", [case[:3] for case in _BAD_CONFIGS],
+    ids=[f"{n}-{'.'.join(p)}-{what}" for n, p, _, what in _BAD_CONFIGS],
 )
 def test_bad_config_is_rejected_before_any_estimator(
     name, path, value, monkeypatch, tmp_path, capsys
@@ -434,6 +450,54 @@ def test_generalized_constant_writes_one_level_row(tmp_path, capsys):
     assert float(value) > 1.0 and float(stderr) > 0.0 and n_reps == "300"
     summary = json.loads((out / "results.json").read_text())["summary"]
     assert summary["status"] == "pass" and "overflowCount" not in summary
+
+
+def test_generalized_constant_of_component_field_matches_the_estimator(
+    tmp_path, capsys
+):
+    # a finite-mode component and a mode-inf one, both read from the config
+    base = {"kind": "sumOfFbm", "weights": [1.0, 2.0], "alphas": [0.6, 1.4]}
+    cfg = {
+        "kind": "constants",
+        "estimator": "generalized",
+        "seed": 11,
+        "reps": 400,
+        "eta": {"dim": 2, "components": [
+            {"axis": 0, "scale": 0.5, "mode": 2.0, "base": base},
+            {"axis": 1, "scale": 1.5, "mode": "inf", "base": base},
+        ]},
+        "grid": {"perAxis": [[0.0, 1.0, 5], [-1.0, 1.0, 9]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["constants", "--config", str(path), "--out", str(out)]) == 0
+    _, row = (out / "levels.csv").read_text().splitlines()
+    vf = VarianceFunction.sum_of_fbm([1.0, 2.0], [0.6, 1.4])
+    eta = LimitFieldSpec(dim=2, components=(
+        LimitFieldComponent(0, 0.5, 2.0, vf),
+        LimitFieldComponent(1, 1.5, math.inf, vf),
+    ))
+    est = constmod.estimate_generalized_constant(
+        eta, DriftFunction.zero(), FunctionalSpec.sup(),
+        GridSpec(((0.0, 1.0, 5), (-1.0, 1.0, 9))), 400, RngStream(11),
+    )
+    assert float(row.split(",")[2]) == est.value > 1.0
+
+
+def test_audit_given_constant_is_not_estimated(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    monkeypatch.setattr(constmod, "window_sup_levels", _linalg_broken)
+    cfg = json.loads(json.dumps(PRESETS["uniform-audit-stationary"][1]))
+    cfg["constant"] = {"value": 3.5, "stderr": 0.25}
+    cfg["uSchedule"] = [3]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["audit", "--config", str(path), "--out", str(out)]) in (0, 1)
+    summary = json.loads((out / "results.json").read_text())["summary"]
+    assert (summary["constant"], summary["constantStderr"]) == (3.5, 0.25)
+    assert len(summary["maxDeviations"]) == 1
 
 
 @pytest.mark.parametrize("overflow", [0, 3])

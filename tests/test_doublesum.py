@@ -223,6 +223,12 @@ def test_separation_zero_factor_needs_no_jitter(model, monkeypatch):
         assert math.isfinite(est.value)
 
 
+def test_nan_correlation_diagonal_is_rejected():
+    nan_corr = lambda u, s, t: np.full((len(s), len(t)), np.nan)  # noqa: E731
+    with pytest.raises(ModelError, match="unit-variance"):
+        estimate_double_maxima(make_config((3.0,), corr=nan_corr), 0.0, 5, 100, RngStream(1))
+
+
 def test_double_maxima_point_cap():
     cfg = make_config((0.0, 0.0), dim=2)
     with pytest.raises(ModelError):
@@ -268,10 +274,10 @@ def test_bound_exponential_factor():
 
 def test_fit_single_config_is_tight():
     cfg = make_config((3.0,))
-    est = Estimate(1e-3, 1e-4, 1000, {"ci_exact": (8e-4, 1.2e-3)})
+    est = Estimate(1e-3, 1e-4, 1000)
     report = fit_bound_constant([(cfg, 0.0)], [est])
     unit = eval_double_bound(cfg, 0.0, c=1.0)
-    assert report.fitted_c == pytest.approx(1.2e-3 / unit, rel=1e-12)
+    assert report.fitted_c == pytest.approx(1.196e-3 / unit, rel=1e-12)  # ci95 upper end
     assert report.table[0]["slack"] == pytest.approx(0.0, abs=1e-15)
     assert report.passed
 

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gexr.configio import family_from_config
 from gexr.covmodels import (
     LimitFieldComponent,
     LimitFieldSpec,
     ModelError,
+    ThresholdedFamilySpec,
     VarianceFunction,
     fgn_autocovariance,
     variance_function_from_json,
@@ -74,6 +76,9 @@ def test_sum_of_fbm_validation():
         VarianceFunction.sum_of_fbm([1.0], [0.5, 1.5])
     with pytest.raises(ModelError):
         VarianceFunction.sum_of_fbm([-1.0], [0.5])
+    for alphas in ([0.0, 1.0], [1.0, 2.5], [1.0, math.nan]):
+        with pytest.raises(ModelError):
+            VarianceFunction.sum_of_fbm([1.0, 1.0], alphas)
 
 
 def test_table_interpolation_exact_on_powerlaw():
@@ -123,6 +128,10 @@ def test_component_modes():
     assert np.allclose(local.unit_variance(t), t**0.5)
     glob = LimitFieldComponent(0, 1.0, math.inf, base)
     assert np.allclose(glob.unit_variance(t), t**1.5)
+    assert (local.power, local.local_power) == (0.5, 0.5)
+    assert (glob.power, glob.local_power) == (1.5, 1.5)
+    frozen = LimitFieldComponent(0, 1.0, 2.0, base)
+    assert (frozen.power, frozen.local_power) == (None, 0.5)
 
 
 def test_component_finite_mode_scaling():
@@ -156,3 +165,28 @@ def test_degenerate_field():
     spec = LimitFieldSpec.degenerate_field(2)
     assert spec.degenerate
     assert np.allclose(spec.variance(np.zeros((3, 2))), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# threshold-dependent families
+
+
+def test_nan_correlation_diagonal_is_rejected():
+    fam = ThresholdedFamilySpec(
+        correlation=lambda u, tau, s, t: np.full((len(s), len(t)), np.nan),
+        threshold=lambda u, tau: u,
+    )
+    with pytest.raises(ModelError, match="unit-variance"):
+        fam.corr_matrix(2.0, 0.0, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "stationary", "lengthScale": -1.0},
+    {"kind": "stationary", "lengthScale": 0.0},
+    {"kind": "scaled-threshold", "alpha": 0.0},
+    {"kind": "scaled-threshold", "alpha": 2.05},
+    {"kind": "scaled-threshold", "alpha": 3.0},
+], ids=lambda doc: "-".join(map(str, doc.values())))
+def test_out_of_range_family_is_rejected(doc):
+    with pytest.raises(ModelError):
+        family_from_config(doc)

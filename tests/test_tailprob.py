@@ -313,6 +313,19 @@ def test_negative_residual_covariance_draws_independent_paths():
     assert abs(cond.value - crude.value) < 3 * math.hypot(cond.stderr, crude.stderr)
 
 
+def test_bisection_on_unpaired_sampler_matches_crude():
+    # mix bisects from sample_a, whose rows are independent paths here
+    fam = family_from_config({"kind": "local", "alpha": 2.0})
+    u = 3.0
+    grid = GridSpec.line(-2.0, 2.0, 33)
+    sampler = ConditionalSampler(fam, u, 0.0, grid)
+    assert not sampler.paired
+    mix = FunctionalSpec.mix(0.5)
+    cond = conditional_tail(sampler, mix, 20_000, RngStream(93))
+    crude = crude_mc_tail(fam, u, 0.0, mix, grid, 400_000, RngStream(94))
+    assert abs(cond.value - crude.value) < 3 * math.hypot(cond.stderr, crude.stderr)
+
+
 def _formula_check_sampler():
     """The formula-product-1d MC check: 513 points across the origin."""
     fam = family_from_config(
