@@ -166,23 +166,35 @@ def estimate_double_maxima(
     psi1 = survival_psi(m1)
     pairs = PathPairs(n_reps)
     samples = np.empty(pairs.n_reps)
+    # one workspace per batch_map slot: pivot levels, the residual draw z,
+    # the path (first holding the normals) and its exceedances on A
+    rows = -(-min(BATCH_SIZE, pairs.n_reps) // 2 // n_a) * n_a
+    slots = [
+        (np.empty(rows), np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n_a), bool))
+        for _ in range(2)
+    ]
 
     def body(gen, lo, hi, slot):
         half = (hi - lo) // 2
         cycles = -(-half // n_a)
+        x, z, path, exc = (a[: cycles * n_a] for a in slots[slot])
         pivots = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
-        # rows past `half` pad the last cycle and are dropped
-        x = np.full(cycles * n_a, m1)
+        # rows past `half` pad the last cycle, stay finite and are dropped
         x[:half] = -special.ndtri((1.0 - gen.random(half)) * psi1)
-        z = np.zeros((cycles * n_a, n))
-        np.matmul(gen.standard_normal((half, n)), L.T, out=z[:half])
+        x[half:] = m1
+        gen.standard_normal(out=path[:half])
+        np.matmul(path[:half], L.T, out=z[:half])
+        z[half:] = 0.0
         x, z = x.reshape(cycles, n_a, 1), z.reshape(cycles, n_a, n)
+        path, exc = path.reshape(cycles, n_a, n), exc.reshape(cycles, n_a, n_a)
         z_i = z[:, np.arange(n_a), pivots][..., None]
         c = cov[pivots]  # row j is the pivot column of the rows j mod n_A
         # rows 2k and 2k+1 are the pair x c + R and x c - R, R = z - z_i c
-        for first, path in ((lo, z + (x - z_i) * c), (lo + 1, (x + z_i) * c - z)):
+        for first, to_x, to_z in ((lo, np.subtract, np.add), (lo + 1, np.add, np.subtract)):
+            np.multiply(to_x(x, z_i), c, out=path)
+            to_z(path, z, out=path)
             # the pivot itself exceeds m1, which rounding can hide when x ~ m1
-            n_exc = np.maximum((path[..., :n_a] > m1).sum(axis=-1), 1)
+            n_exc = np.maximum(np.greater(path[..., :n_a], m1, out=exc).sum(axis=-1), 1)
             hit_b = path[..., n - n_b :].max(axis=-1) > m2
             samples[first:hi:2] = (n_a * psi1 * hit_b / n_exc).reshape(-1)[:half]
 
