@@ -5,6 +5,12 @@ derives per-batch / per-cell substreams from it, so results are
 bit-reproducible for a fixed root seed, whatever the worker count or the
 thread that runs a batch.  They do depend on the batch size, which is why
 it is a module constant of each estimator: batch b draws from substream b.
+
+A stream's bits come from numpy's SFC64 generator, seeded through
+``SeedSequence(root_seed, spawn_key=stream_id)``.  Streams are independent
+through that seeding: the spawn key is hashed into the generator's state,
+as for every numpy bit generator.  A change of bit generator changes every
+draw, so ``tests/test_rng.py`` pins the first normals of one stream.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named substream of a counter-based RNG.
+    """A named substream: an SFC64 generator seeded by its spawn key.
 
     Same (root_seed, stream_id) always reproduces the same output;
-    distinct stream ids give statistically independent streams
-    (numpy SeedSequence spawn-key contract).
+    distinct stream ids give statistically independent streams, because
+    SeedSequence hashes the spawn key into the seed state (numpy's
+    spawn-key contract, which holds for every bit generator).
     """
 
     root_seed: int
@@ -28,7 +35,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.root_seed, spawn_key=self.stream_id)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, *indices: int) -> "RngStream":
         return RngStream(self.root_seed, self.stream_id + tuple(indices))
