@@ -198,9 +198,9 @@ class LimitFieldComponent:
     base: VarianceFunction
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:  # NaN fails too
             raise ModelError("component scale must be nonnegative")
-        if self.mode < 0:
+        if not self.mode >= 0:
             raise ModelError("component mode must be nonnegative (possibly inf)")
 
     @property

@@ -119,12 +119,10 @@ class Estimate:
         x = np.where(finite, x, 0.0)
         mean = float(x.mean()) if n else math.nan
         n_batches = min(max(MIN_BATCHES, int(math.sqrt(n))), max(n, 1))
-        if n >= n_batches and n_batches > 1:
+        if n_batches > 1:  # every n >= 2: then 2 <= n_batches <= n
             trimmed = x[: (n // n_batches) * n_batches]
             bm = trimmed.reshape(n_batches, -1).mean(axis=1)
             stderr = float(bm.std(ddof=1) / math.sqrt(n_batches))
-        elif n > 1:
-            stderr = float(x.std(ddof=1) / math.sqrt(n))
         else:
             stderr = math.nan
         meta = dict(meta or {})
@@ -201,7 +199,7 @@ class ExtrapolationSchedule:
         steps = self.grid_steps
         if not (len(steps) == 1 or len(steps) == 2 and steps[0] == 2 * steps[1]):
             raise ModelError(f"grid steps must be (h,) or (2h, h), got {steps}")
-        if steps[-1] <= 0:
+        if not steps[-1] > 0:  # NaN fails too
             raise ModelError(f"grid steps must be positive, got {steps}")
 
     @property

@@ -394,6 +394,25 @@ def test_audit_window_constant_on_two_axes_is_config_error(monkeypatch, tmp_path
     assert "one axis" in capsys.readouterr().err
 
 
+def test_audit_window_constant_of_degenerate_field_is_one(monkeypatch, tmp_path, capsys):
+    # the zero field: every window ratio is 1, and the paths are not paired
+    levels, pairs = constmod.window_sup_levels(
+        LimitFieldSpec.degenerate_field(1), [1.0, 2.0], 1 / 8, 7, RngStream(3), refine=2
+    )
+    assert not pairs.paired and pairs.n_reps == 7
+    assert [[a.tolist() for a in level] for level in levels] == [[[1.0] * 7] * 2] * 2
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    cfg = json.loads(json.dumps(PRESETS["uniform-audit-stationary"][1]))
+    cfg["constant"] = {"windowConstant": {"eta": {"degenerate": 1}, "reps": 100}}
+    cfg["uSchedule"] = [3]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["audit", "--config", str(path), "--out", str(out)]) in (0, 1)
+    summary = json.loads((out / "results.json").read_text())["summary"]
+    assert (summary["constant"], summary["constantStderr"]) == (1.0, 0.0)
+
+
 def test_rerun_is_byte_identical(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -483,6 +502,26 @@ def test_generalized_constant_of_component_field_matches_the_estimator(
         GridSpec(((0.0, 1.0, 5), (-1.0, 1.0, 9))), 400, RngStream(11),
     )
     assert float(row.split(",")[2]) == est.value > 1.0
+
+
+@pytest.mark.parametrize("key", ["mode", "scale"])
+def test_nan_component_is_config_error(key, monkeypatch, tmp_path, capsys):
+    _no_estimator_may_run(monkeypatch)
+    component = {"axis": 0, "scale": 1.0, "mode": 0.0, "base": {"kind": "fbm", "alpha": 1.0}}
+    cfg = {
+        "kind": "constants",
+        "estimator": "generalized",
+        "seed": 5,
+        "reps": 300,
+        "eta": {"dim": 1, "components": [{**component, key: "nan"}]},
+        "grid": {"perAxis": [[0.0, 1.0, 5]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["constants", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_given_constant_is_not_estimated(monkeypatch, tmp_path, capsys):

@@ -52,6 +52,18 @@ def test_stderr_scaling_with_n():
     assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.15)
 
 
+@pytest.mark.parametrize("n", [2, 29])
+def test_fewer_samples_than_batches_give_the_iid_stderr(n):
+    # n < 30 batches: one sample per batch, so the batch means are the samples
+    x = np.random.default_rng(n).standard_normal(n)
+    assert Estimate.from_samples(x).stderr == x.std(ddof=1) / math.sqrt(n)
+
+
+def test_one_sample_has_no_stderr():
+    est = Estimate.from_samples(np.array([0.5]))
+    assert est.value == 0.5 and math.isnan(est.stderr)
+
+
 def test_overflow_samples_excluded_and_counted():
     x = np.array([1.0, np.inf, 2.0, np.nan, 3.0])
     est = Estimate.from_samples(x)
@@ -326,6 +338,11 @@ def test_schedule_validation():
         ExtrapolationSchedule(grid_steps=(1 / 16, 1 / 64))
     sched = ExtrapolationSchedule()
     assert sched.finest_step == 1 / 64
+
+
+def test_schedule_rejects_a_nan_step():
+    with pytest.raises(ModelError):
+        ExtrapolationSchedule(grid_steps=(float("nan"),))
 
 
 def test_schedule_step_is_the_one_step():
