@@ -166,9 +166,10 @@ def estimate_double_maxima(
     psi1 = survival_psi(m1)
     pairs = PathPairs(n_reps)
     samples = np.empty(pairs.n_reps)
-    # one workspace per batch_map slot: pivot levels, the residual draw z,
-    # the path (first holding the normals) and its exceedances on A
-    rows = -(-min(BATCH_SIZE, pairs.n_reps) // 2 // n_a) * n_a
+    # one workspace per batch_map slot, sized for the largest batch's pairs:
+    # pivot levels, the residual draw z, the path (first holding the normals)
+    # and its exceedances on A
+    rows = -(-(min(BATCH_SIZE, pairs.n_reps) // 2) // n_a) * n_a
     slots = [
         (np.empty(rows), np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n_a), bool))
         for _ in range(2)

@@ -6,11 +6,8 @@ bit-reproducible for a fixed root seed, whatever the worker count or the
 thread that runs a batch.  They do depend on the batch size, which is why
 it is a module constant of each estimator: batch b draws from substream b.
 
-A stream's bits come from numpy's SFC64 generator, seeded through
-``SeedSequence(root_seed, spawn_key=stream_id)``.  Streams are independent
-through that seeding: the spawn key is hashed into the generator's state,
-as for every numpy bit generator.  A change of bit generator changes every
-draw, so ``tests/test_rng.py`` pins the first normals of one stream.
+The bit generator is SFC64.  Changing it changes every draw, so
+``tests/test_rng.py`` pins the first normals of one stream.
 """
 
 from __future__ import annotations

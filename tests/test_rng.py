@@ -17,12 +17,5 @@ def test_stream_content_is_pinned():
 
 def test_sibling_substreams_draw_distinct_values():
     root = RngStream(1)
-    first = [root.substream(b).generator().standard_normal(2).tolist() for b in range(64)]
-    assert len({tuple(draws) for draws in first}) == 64
-    assert len({draws[0] for draws in first}) == 64
-
-
-def test_a_substream_is_its_stream_id():
-    a = RngStream(7).substream(3, 1).generator().standard_normal(3)
-    b = RngStream(7, (3, 1)).generator().standard_normal(3)
-    assert a.tolist() == b.tolist()
+    first = {root.substream(b).generator().standard_normal() for b in range(64)}
+    assert len(first) == 64
