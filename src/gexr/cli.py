@@ -13,9 +13,12 @@ Exit codes: 0 pass, 1 statistical fail, 2 ModelError: a missing or
 malformed config value, an unreadable or non-JSON --config, an --out that
 cannot be made a directory, a bad GEXR_BUDGET, --workers < 1, or a model an
 estimator rejects; 3 SimulationError, LinAlgError or FloatingPointError.
-Any other exception is an internal error and propagates with its
-traceback.  A run that does not finish removes the --out directories it
-created.  GEXR_BUDGET caps replication counts for smoke runs; results.json
+Every number in a config must be finite, and a count a whole number;
+infinity is spelled "inf" (or "infinity"), for a component's mode and the
+formula setup's gammas only.  Any other exception is an internal error and
+propagates with its traceback, so the interpreter exits 1, the code of a
+statistical fail.  A run that does not finish removes the --out directories
+it created.  GEXR_BUDGET caps replication counts for smoke runs; results.json
 records it as "budget" (null when unset).  Any overflowed (non-finite)
 sample of a Monte Carlo estimate fails the run.
 """
@@ -27,7 +30,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -38,11 +40,13 @@ from . import constants as constmod
 from . import doublesum as dsmod
 from . import tailprob
 from .configio import (
+    count,
     doublesum_correlation_from_config,
     drift_from_config,
     eta_from_config,
     family_from_config,
     grid_from_config,
+    number,
     schedule_from_config,
 )
 from .covmodels import ModelError, variance_function_from_json
@@ -60,15 +64,7 @@ EXIT_NUMERIC = 3
 
 def _budget() -> int | None:
     raw = os.environ.get("GEXR_BUDGET")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ModelError(f"GEXR_BUDGET must be an integer, got {raw!r}")
-    if val < 1:
-        raise ModelError("GEXR_BUDGET must be positive")
-    return val
+    return None if raw is None else count(raw, "GEXR_BUDGET")
 
 
 @contextlib.contextmanager
@@ -89,17 +85,14 @@ def _config_boundary():
 
 
 def _u_schedule(cfg: dict) -> list[float]:
-    u_schedule = [float(u) for u in cfg["uSchedule"]]
+    u_schedule = [number(u, "uSchedule", gt=0) for u in cfg["uSchedule"]]
     if not u_schedule:
         raise ModelError("uSchedule must list at least one level")
     return u_schedule
 
 
-def _reps(cfg: dict, key: str = "reps") -> int:
-    reps = int(cfg[key])
-    if reps < 1:
-        raise ModelError(f"{key} must be positive")
-    cap = _budget()
+def _reps(cfg: dict) -> int:
+    reps, cap = count(cfg["reps"], "reps"), _budget()
     return min(reps, cap) if cap else reps
 
 
@@ -168,6 +161,8 @@ def _cell_csv(cells: list[dict], index: str = "tau"):
 def _pickands_trace(cfg: dict):
     eta = eta_from_config(cfg["eta"])
     schedule = schedule_from_config(cfg["schedule"])
+    if not schedule.domain_sizes[0] > 0:  # the constant is per unit length
+        raise ModelError("Pickands domain sizes must be positive")
     return lambda reps, rng: constmod.estimate_pickands(eta, schedule, reps, rng)
 
 
@@ -186,7 +181,7 @@ def _sup_inf_trace(cfg: dict):
         raise ModelError("gridStep is not read: give the step in tSchedule.gridSteps")
     vf = variance_function_from_json(cfg["varianceFunction"])
     schedule = schedule_from_config(cfg["tSchedule"])
-    b, S = float(cfg["b"]), float(cfg["S"])
+    b, S = number(cfg["b"], "b"), number(cfg["S"], "S")
     return lambda reps, rng: constmod.estimate_generalized_piterbarg(
         vf, b, S, schedule, reps, rng
     )
@@ -227,8 +222,8 @@ def run_constants(cfg: dict, seed: int, workers: int):
         read, keys, title = _CONSTANTS[estimator]
         trace_of = read(cfg)
         reps = _reps(cfg)
-        target = float(cfg["target"]) if "target" in cfg else None
-        tol = float(cfg.get("tolerance", 0.05))
+        target = number(cfg["target"], "target") if "target" in cfg else None
+        tol = number(cfg.get("tolerance", 0.05), "tolerance")
     trace = trace_of(reps, RngStream(seed))
     est = trace.estimate
     status = "pass" if trace.status == "plateau" else trace.status
@@ -250,7 +245,7 @@ def run_tail(cfg: dict, seed: int, workers: int):
         family = family_from_config(cfg["family"])
         gamma = functional_from_config(cfg.get("functional", "sup"))
         grid = grid_from_config(cfg["grid"])
-        u, tau = float(cfg["u"]), float(cfg.get("tau", 0.0))
+        u, tau = number(cfg["u"], "u", gt=0), number(cfg.get("tau", 0.0), "tau")
         reps = _reps(cfg)
         estimator = cfg.get("estimator", "conditional")
         if estimator not in ("conditional", "crude"):
@@ -276,7 +271,8 @@ def _audit_constant(cfg: dict, grid):
     that the returned function is given."""
     doc = cfg["constant"]
     if "value" in doc:
-        given = Estimate(float(doc["value"]), float(doc.get("stderr", 0.0)), 0)
+        given = Estimate(number(doc["value"], "value"),
+                         number(doc.get("stderr", 0.0), "stderr"), 0)
         return lambda rng: given
     if "windowConstant" not in doc:
         raise ModelError("audit constant must give 'value' or 'windowConstant'")
@@ -305,7 +301,7 @@ def run_audit(cfg: dict, seed: int, workers: int):
         constant_of = _audit_constant(cfg, grid)
         u_schedule = _u_schedule(cfg)
         reps = _reps(cfg)
-        tolerance = float(cfg.get("tolerance", 0.1))
+        tolerance = number(cfg.get("tolerance", 0.1), "tolerance")
     rng = RngStream(seed)
     constant = constant_of(rng.substream(0))
     report = tailprob.uniform_ratio_audit(
@@ -329,21 +325,23 @@ def run_audit(cfg: dict, seed: int, workers: int):
 def run_doublesum(cfg: dict, seed: int, workers: int):
     with _config_boundary():
         corr = doublesum_correlation_from_config(cfg["model"])
-        c1, beta = float(cfg["c1"]), float(cfg["beta"])
-        ppu = int(cfg.get("pointsPerUnit", 4))
+        c1, beta = number(cfg["c1"], "c1"), number(cfg["beta"], "beta")
+        ppu = count(cfg.get("pointsPerUnit", 4), "pointsPerUnit")
         reps = _reps(cfg)
         configs = []  # box scale outermost, separation innermost
         for s2, u, sep in itertools.product(
-            cfg["boxScales"], cfg["uLevels"], cfg["separations"]
+            [number(s2, "boxScales") for s2 in cfg["boxScales"]],
+            [number(u, "uLevels", gt=0) for u in cfg["uLevels"]],
+            [number(sep, "separations") for sep in cfg["separations"]],
         ):
-            box = ((0.0, float(s2)),)
+            box = ((0.0, s2),)
             dcfg = dsmod.DoubleMaximaConfig(
                 correlation=corr, cell1=box, cell2=box, offset1=(0.0,),
-                offset2=(float(s2) + float(sep),), m1_fn=lambda v: v,
-                m2_fn=lambda v: v, c1=c1, beta=beta, s2=float(s2),
+                offset2=(s2 + sep,), m1_fn=lambda v: v,
+                m2_fn=lambda v: v, c1=c1, beta=beta, s2=s2,
             )
-            configs.append((dcfg, float(u)))
-        ppa = [max(2, int(round(ppu * c.cell1[0][1])) + 1) for c, _ in configs]
+            configs.append((dcfg, u))
+        ppa = [round(ppu * c.s2) + 1 for c, _ in configs]
     rng = RngStream(seed)
 
     def _one(i):
@@ -368,16 +366,15 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
 
 
 def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
-    m_power = float(doc.get("mPower", 1.0))
+    m_power = number(doc.get("mPower", 1.0), "mPower")
     return tailprob.AsymptoticSetup(
-        **{key: int(doc[key]) for key in ("d", "n", "d1", "d2")},
-        betas=tuple(float(b) for b in doc["betas"]),
-        gammas=tuple(
-            math.inf if g in ("inf", "infinity") else float(g) for g in doc["gammas"]
-        ),
-        g_fns=tuple((lambda u, p=float(p): u**p) for p in doc["gPowers"]),
+        **{key: count(doc[key], key, ge=0) for key in ("d", "n", "d1", "d2")},
+        betas=tuple(number(b, "betas") for b in doc["betas"]),
+        gammas=tuple(number(g, "gammas", inf=True) for g in doc["gammas"]),
+        g_fns=tuple((lambda u, p=number(p, "gPowers"): u**p) for p in doc["gPowers"]),
         m_fn=lambda u: u**m_power,
-        y_ranges=tuple((float(lo), float(hi)) for lo, hi in doc.get("yRanges", [])),
+        y_ranges=tuple((number(lo, "yRanges"), number(hi, "yRanges"))
+                       for lo, hi in doc.get("yRanges", [])),
     )
 
 
@@ -386,14 +383,14 @@ def run_formula(cfg: dict, seed: int, workers: int):
     grid of the config's ``mcCheck`` when it has one."""
     with _config_boundary():
         setup = _setup_from_config(cfg["setup"])
-        u = float(cfg["u"])
+        u = number(cfg["u"], "u", gt=0)
         cdoc = cfg.get("constants", {})
         constants = {
-            "per_unit": [float(x) for x in cdoc.get("perUnit", [])],
-            "drifted": [float(x) for x in cdoc.get("drifted", [])],
+            "per_unit": [number(x, "perUnit", gt=0) for x in cdoc.get("perUnit", [])],
+            "drifted": [number(x, "drifted", gt=0) for x in cdoc.get("drifted", [])],
         }
         if "field" in cdoc:
-            constants["field"] = float(cdoc["field"])
+            constants["field"] = number(cdoc["field"], "field", gt=0)
         check = "mcCheck" in cfg
         if check:
             mc = cfg["mcCheck"]
@@ -402,7 +399,7 @@ def run_formula(cfg: dict, seed: int, workers: int):
             family = family_from_config(mc["family"])
             reps = _reps(mc)
             grid = grid_from_config(mc["grid"])
-            tol = float(mc.get("tolerance", 0.15))
+            tol = number(mc.get("tolerance", 0.15), "tolerance")
     result = tailprob.eval_mainm_formula(setup, u, constants)
     summary = {"value": result.value, "factors": result.factors, "status": "pass"}
     status = "pass"
@@ -520,12 +517,10 @@ def main(argv=None) -> int:
     try:
         with _config_boundary():
             cfg = _load_config(args)
-            seed = int(cfg["seed"] if args.seed is None else args.seed)
-        if args.workers < 1:
-            raise ModelError("--workers must be at least 1")
-        budget = _budget()
+            seed = count(cfg["seed"] if args.seed is None else args.seed, "seed", ge=0)
+        workers, budget = count(args.workers, "--workers"), _budget()
         _make_out(args.out, made)
-        status, summary, files = _RUNNERS[args.command](cfg, seed, args.workers)
+        status, summary, files = _RUNNERS[args.command](cfg, seed, workers)
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -542,7 +537,7 @@ def main(argv=None) -> int:
     record = {"experiment": args.command,
               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
               "configHash": _config_hash(cfg), "seed": seed, "budget": budget,
-              "workers": args.workers, "summary": summary}
+              "workers": workers, "summary": summary}
     with open(os.path.join(args.out, "results.json"), "w") as fh:
         json.dump(record, fh, indent=2, default=str)
         fh.write("\n")

@@ -27,6 +27,8 @@ from .mc import ExtrapolationSchedule
 from .simkit import GridSpec
 
 __all__ = [
+    "number",
+    "count",
     "grid_from_config",
     "schedule_from_config",
     "eta_from_config",
@@ -36,21 +38,38 @@ __all__ = [
 ]
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise ModelError(f"{context}: missing required key {key!r}")
-    return doc[key]
+def number(value, name: str, *, gt=-math.inf, ge=-math.inf, lt=math.inf, le=math.inf,
+           inf=False) -> float:
+    """The config number ``value``: finite and within the bounds given;
+    with ``inf``, also "inf"/"infinity", the dialect's spelling of infinity.
+    Anything else, NaN or "nan" included, raises ModelError naming ``name``."""
+    if inf and value in ("inf", "infinity"):
+        return math.inf
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and gt < x < lt and ge <= x <= le):
+        bounds = {">": gt, ">=": ge, "<": lt, "<=": le}
+        want = "".join(f", {op} {b:g}" for op, b in bounds.items() if math.isfinite(b))
+        raise ModelError(f"{name} must be a finite number{want}, got {value!r}")
+    return x
+
+
+def count(value, name: str, ge: int = 1) -> int:
+    """The config count ``value``: a whole number at or above ``ge``."""
+    x = value if isinstance(value, int) else number(value, name)
+    if x != int(x) or x < ge:
+        raise ModelError(f"{name} must be a whole number >= {ge}, got {value!r}")
+    return int(x)
 
 
 def grid_from_config(doc: dict) -> GridSpec:
     """{"perAxis": [[lo, hi, nPoints], ...], "pointBudget": n (optional)}"""
-    per_axis = _require(doc, "perAxis", "grid")
-    try:
-        axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in per_axis)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"grid perAxis entries must be [lo, hi, n] triples: {exc}")
+    axes = tuple((number(lo, "perAxis"), number(hi, "perAxis"), count(n, "perAxis"))
+                 for lo, hi, n in doc["perAxis"])
     if "pointBudget" in doc:
-        return GridSpec(axes, point_budget=int(doc["pointBudget"]))
+        return GridSpec(axes, point_budget=count(doc["pointBudget"], "pointBudget"))
     return GridSpec(axes)
 
 
@@ -63,44 +82,38 @@ def schedule_from_config(doc: dict) -> ExtrapolationSchedule:
     must be a whole number of steps.
     """
     kwargs = {}
-    if "domainSizes" in doc:
-        kwargs["domain_sizes"] = tuple(float(s) for s in doc["domainSizes"])
-    if "gridSteps" in doc:
-        kwargs["grid_steps"] = tuple(float(s) for s in doc["gridSteps"])
+    for key, arg in (("domainSizes", "domain_sizes"), ("gridSteps", "grid_steps")):
+        if key in doc:
+            kwargs[arg] = tuple(number(s, key) for s in doc[key])
     if "stopRule" in doc:
-        kwargs["stop_rule"] = float(doc["stopRule"])
+        kwargs["stop_rule"] = number(doc["stopRule"], "stopRule")
     return ExtrapolationSchedule(**kwargs)
-
-
-def _mode_value(raw) -> float:
-    if raw in ("inf", "infinity"):
-        return math.inf
-    return float(raw)
 
 
 def eta_from_config(doc: dict) -> LimitFieldSpec:
     """{"dim": d, "components": [{"axis", "scale", "mode", "base"}]} or {"fbm": a}.
 
-    "mode" accepts a number or the string "inf"; "base" is a variance-model
+    "mode" accepts a number or the string "inf"/"infinity"; "base" is a variance-model
     document ({"kind": "fbm", ...} etc.).  {"degenerate": d} gives the zero
     field in dimension d.
     """
     if "fbm" in doc:
-        return LimitFieldSpec.fbm(float(doc["fbm"]), float(doc.get("scale", 1.0)))
-    if "degenerate" in doc:
-        return LimitFieldSpec.degenerate_field(int(doc["degenerate"]))
-    dim = int(_require(doc, "dim", "limit field"))
-    comps = []
-    for c in doc.get("components", []):
-        comps.append(
-            LimitFieldComponent(
-                axis=int(c.get("axis", 0)),
-                scale=float(c.get("scale", 1.0)),
-                mode=_mode_value(c.get("mode", 0.0)),
-                base=variance_function_from_json(_require(c, "base", "field component")),
-            )
+        return LimitFieldSpec.fbm(
+            number(doc["fbm"], "fbm"), number(doc.get("scale", 1.0), "scale")
         )
-    return LimitFieldSpec(dim=dim, components=tuple(comps))
+    if "degenerate" in doc:
+        dim = count(doc["degenerate"], "degenerate", ge=0)
+        return LimitFieldSpec.degenerate_field(dim)
+    comps = tuple(
+        LimitFieldComponent(
+            axis=count(c.get("axis", 0), "axis", ge=0),
+            scale=number(c.get("scale", 1.0), "scale"),
+            mode=number(c.get("mode", 0.0), "mode", inf=True),
+            base=variance_function_from_json(c["base"]),
+        )
+        for c in doc.get("components", [])
+    )
+    return LimitFieldSpec(dim=count(doc["dim"], "dim"), components=comps)
 
 
 def drift_from_config(doc: dict | None) -> DriftFunction:
@@ -112,10 +125,8 @@ def drift_from_config(doc: dict | None) -> DriftFunction:
     if doc is None or doc.get("kind", "zero") == "zero":
         return DriftFunction.zero()
     if doc["kind"] == "power":
-        coeff = float(_require(doc, "coeff", "drift"))
-        exponent = float(_require(doc, "exponent", "drift"))
-        if coeff < 0:
-            raise ModelError("drift coefficient must be nonnegative")
+        coeff = number(doc["coeff"], "drift coeff", ge=0)
+        exponent = number(doc["exponent"], "drift exponent")
 
         def fn(t):
             t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -142,12 +153,8 @@ def _pairwise_dist(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _stationary_family(doc: dict) -> ThresholdedFamilySpec:
     """Unit-variance stationary field, r = exp(-(|d|/l)^alpha), threshold u."""
-    alpha = float(doc.get("alpha", 1.0))
-    scale = float(doc.get("lengthScale", 1.0))
-    if not 0 < alpha <= 2:
-        raise ModelError("stationary family exponent must lie in (0, 2]")
-    if not scale > 0:
-        raise ModelError("stationary family lengthScale must be positive")
+    alpha = number(doc.get("alpha", 1.0), "alpha", gt=0, le=2)
+    scale = number(doc.get("lengthScale", 1.0), "lengthScale", gt=0)
 
     def corr(u, tau, s, t):
         return np.exp(-((_pairwise_dist(s, t) / scale) ** alpha))
@@ -165,13 +172,9 @@ def _local_family(doc: dict) -> ThresholdedFamilySpec:
     u (1 + b tau / u^2) over tau in [0, 1] ("tauCount" indices), whose
     perturbation vanishes uniformly as u grows.
     """
-    alpha = float(doc.get("alpha", 1.0))
-    spread = float(doc.get("tauSpread", 0.0))
-    count = int(doc.get("tauCount", 1))
-    if not 0 < alpha <= 2:
-        raise ModelError("local family exponent must lie in (0, 2]")
-    if count < 1:
-        raise ModelError("tauCount must be at least 1")
+    alpha = number(doc.get("alpha", 1.0), "alpha", gt=0, le=2)
+    spread = number(doc.get("tauSpread", 0.0), "tauSpread")
+    n_tau = count(doc.get("tauCount", 1), "tauCount")
 
     def corr(u, tau, s, t):
         return np.exp(-(_pairwise_dist(s, t) ** alpha) / u**2)
@@ -180,9 +183,9 @@ def _local_family(doc: dict) -> ThresholdedFamilySpec:
         return u * (1.0 + spread * tau / u**2)
 
     def index_grid(u):
-        if count == 1:
+        if n_tau == 1:
             return (0.0,)
-        return tuple(np.linspace(0.0, 1.0, count))
+        return tuple(np.linspace(0.0, 1.0, n_tau))
 
     return ThresholdedFamilySpec(
         correlation=corr, threshold=threshold, index_grid=index_grid
@@ -197,8 +200,8 @@ def _scaled_threshold_family(doc: dict) -> ThresholdedFamilySpec:
     u (1 + |s|^p / g(u)) realized as drift h_{u}(s) = |s|^p / g(u),
     g(u) = u^gExponent.
     """
-    exponent = float(doc.get("exponent", 2.0))
-    g_power = float(doc.get("gExponent", 4.0))
+    exponent = number(doc.get("exponent", 2.0), "exponent")
+    g_power = number(doc.get("gExponent", 4.0), "gExponent")
 
     def h_family(u, tau, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -218,10 +221,8 @@ def _ruin_family(doc: dict) -> ThresholdedFamilySpec:
     is g(u) = u (1 + c t*) / sigma(u t*) and the drift the normalized
     remainder of the threshold surface.
     """
-    alpha = float(doc.get("alpha", 1.0))
-    c = float(doc.get("c", 1.0))
-    if not 0 < alpha < 2 or c <= 0:
-        raise ModelError("ruin family needs alpha in (0, 2) and c > 0")
+    alpha = number(doc.get("alpha", 1.0), "alpha", gt=0, lt=2)
+    c = number(doc.get("c", 1.0), "c", gt=0)
     t_star = alpha / (c * (2.0 - alpha))
 
     def sigma(x):
@@ -266,7 +267,7 @@ _FAMILY_BUILDERS = {
 
 
 def family_from_config(doc: dict) -> ThresholdedFamilySpec:
-    kind = _require(doc, "kind", "family")
+    kind = doc["kind"]
     builder = _FAMILY_BUILDERS.get(kind)
     if builder is None:
         raise ModelError(f"unknown family kind {kind!r}")
@@ -284,8 +285,6 @@ def doublesum_correlation_from_config(doc: dict):
     if kind == "gaussian":
         return lambda u, s, t: np.exp(-_sq_dist(s, t))
     if kind == "flat":
-        rho = float(doc.get("rho", 0.9))
-        if not 0 <= rho < 1:
-            raise ModelError("flat correlation level must lie in [0, 1)")
+        rho = number(doc.get("rho", 0.9), "rho", ge=0, lt=1)
         return lambda u, s, t: np.where(_sq_dist(s, t) < 1e-24, 1.0, rho)
     raise ModelError(f"unknown doublesum model {kind!r}")

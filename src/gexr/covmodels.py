@@ -87,7 +87,7 @@ class VarianceFunction:
         """sigma2(t) = sum_i w_i t**alpha_i with w_i > 0."""
         w = np.asarray(weights, dtype=float)
         a = np.asarray(alphas, dtype=float)
-        if len(w) != len(a) or len(w) == 0 or np.any(w <= 0):
+        if len(w) != len(a) or len(w) == 0 or not np.all(w > 0):
             raise ModelError("sum_of_fbm needs matching positive weights and exponents")
         # near 0 the smallest exponent dominates, near infinity the largest;
         # checking those two checks every exponent
@@ -107,7 +107,7 @@ class VarianceFunction:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ModelError("table must be a list of [t, var] pairs, at least two")
         t, v = pts[:, 0], pts[:, 1]
-        if np.any(t <= 0) or np.any(v <= 0):
+        if not (np.all(t > 0) and np.all(v > 0)):
             raise ModelError("table knots must have positive lag and variance")
         order = np.argsort(t)
         lt, lv = np.log(t[order]), np.log(v[order])
@@ -133,16 +133,23 @@ def variance_function_from_json(doc: str | dict) -> VarianceFunction:
         {"kind": "sumOfFbm", "weights": [...], "alphas": [...]}
         {"kind": "custom", "table": [[t, var], ...], "alpha0": a, "alphaInf": b}
     """
+    from .configio import number  # configio imports this module
+
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc.get("kind")
     if kind == "fbm":
-        return VarianceFunction.fbm(float(doc["alpha"]))
+        return VarianceFunction.fbm(number(doc["alpha"], "alpha"))
     if kind == "sumOfFbm":
-        return VarianceFunction.sum_of_fbm(doc["weights"], doc["alphas"])
+        return VarianceFunction.sum_of_fbm(
+            [number(w, "weights") for w in doc["weights"]],
+            [number(a, "alphas") for a in doc["alphas"]],
+        )
     if kind == "custom":
         return VarianceFunction.from_table(
-            doc["table"], float(doc["alpha0"]), float(doc["alphaInf"])
+            [[number(x, "table") for x in knot] for knot in doc["table"]],
+            number(doc["alpha0"], "alpha0"),
+            number(doc["alphaInf"], "alphaInf"),
         )
     raise ModelError(f"unknown variance model kind: {kind!r}")
 

@@ -94,9 +94,9 @@ class DoubleMaximaConfig:
     def __post_init__(self):
         if len(self.cell1) != len(self.cell2):
             raise ModelError("cells must share a dimension")
-        if self.s2 <= 1.0:
+        if not self.s2 > 1.0:  # NaN fails too
             raise ModelError("box-size scale S2 must exceed 1")
-        if self.c1 <= 0 or self.beta <= 0:
+        if not (self.c1 > 0 and self.beta > 0):
             raise ModelError("bound parameters c1 and beta must be positive")
 
     @property

@@ -101,13 +101,16 @@ def apply_functional(
 
 def functional_from_config(doc) -> FunctionalSpec:
     """Parse "sup" | "inf" | {"mix": a} | {"composed": {"inner":..., "sAxes": [...]}}."""
+    from .configio import count, number  # the dialect's reader, a layer above
+
     if doc == "sup":
         return FunctionalSpec.sup()
     if doc == "inf":
         return FunctionalSpec.inf()
     if isinstance(doc, dict) and "mix" in doc:
-        return FunctionalSpec.mix(float(doc["mix"]))
+        return FunctionalSpec.mix(number(doc["mix"], "mix"))
     if isinstance(doc, dict) and "composed" in doc:
         inner = functional_from_config(doc["composed"]["inner"])
-        return FunctionalSpec.composed(inner, [int(a) for a in doc["composed"]["sAxes"]])
+        s_axes = [count(a, "sAxes", ge=0) for a in doc["composed"]["sAxes"]]
+        return FunctionalSpec.composed(inner, s_axes)
     raise ModelError(f"unknown functional config: {doc!r}")

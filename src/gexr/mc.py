@@ -183,8 +183,10 @@ class ExtrapolationSchedule:
     level trace's grid step.  Only the Pickands constant takes (2h, h),
     extrapolating from the coarse level at exactly twice the finest step;
     the drifted constants take one step h and read it through ``step``
-    (generalized-piterbarg from ``tSchedule.gridSteps``).  Every domain
-    size, window and horizon must be a whole number of steps.
+    (generalized-piterbarg from ``tSchedule.gridSteps``).  Domain sizes
+    increase strictly from 0 or above (a drifted constant's domain may be
+    one point), and every domain size, window and horizon must be a whole
+    number of steps.
     """
 
     domain_sizes: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
@@ -192,10 +194,11 @@ class ExtrapolationSchedule:
     stop_rule: float = 0.01
 
     def __post_init__(self):
-        if len(self.domain_sizes) < 3:
+        sizes = self.domain_sizes
+        if len(sizes) < 3:
             raise ModelError("schedule needs >= 3 domain sizes")
-        if list(self.domain_sizes) != sorted(self.domain_sizes):
-            raise ModelError("schedule domain sizes must be increasing")
+        if not all(0 <= a < b for a, b in zip(sizes, sizes[1:])):  # NaN fails too
+            raise ModelError("schedule domain sizes must be increasing and nonnegative")
         steps = self.grid_steps
         if not (len(steps) == 1 or len(steps) == 2 and steps[0] == 2 * steps[1]):
             raise ModelError(f"grid steps must be (h,) or (2h, h), got {steps}")

@@ -424,7 +424,7 @@ class AsymptoticSetup:
             raise ModelError("betas and gammas must have length d + n")
         if len(self.g_fns) != d + n:
             raise ModelError("g_fns must have length d + n")
-        if any(b <= 0 for b in self.betas):
+        if not all(b > 0 for b in self.betas):  # NaN fails too
             raise ModelError("betas must be positive")
         for i, gam in enumerate(self.gammas):
             if i < d1 and gam != 0.0:

@@ -248,6 +248,38 @@ _BAD_CONFIGS = [
     ("ruin-demo", ("uSchedule",), [4.0, "nine"], "wrong-type"),
     ("ruin-demo", ("uSchedule",), [], "empty"),
     ("generalized-piterbarg", ("gridStep",), 0.125, "wrong-type"),
+    ("generalized-piterbarg", ("tSchedule", "domainSizes"), [1, 2, 4, 4], "repeated"),
+    ("generalized-piterbarg", ("tSchedule", "domainSizes"), [-1, 1, 2, 4], "negative"),
+    ("piterbarg-gamma", ("schedule", "domainSizes"), [1, 2, 2], "repeated"),
+    ("pickands-alpha-1", ("schedule", "domainSizes"), [2, 4, 4, 8], "repeated"),
+    ("pickands-alpha-1", ("schedule", "domainSizes"), [0, 2, 4, 8], "zero"),
+    ("short-interval-tail", ("seed",), -1, "negative"),
+    ("short-interval-tail", ("seed",), 1.5, "fractional"),
+    ("short-interval-tail", ("reps",), 2.5, "fractional"),
+    ("short-interval-tail", ("grid", "perAxis"), [[0.0, 2.0, 65.5]], "fractional"),
+    ("short-interval-tail", ("u",), 0.0, "zero"),
+    ("uniform-audit-stationary", ("family", "tauCount"), 2.5, "fractional"),
+    ("doublesum-gaussian", ("pointsPerUnit",), 0, "zero"),
+    ("formula-product-1d", ("constants", "perUnit"), [0.0], "zero"),
+]
+
+
+def _numeric_leaves(doc, path=()):
+    """The key path of every number in a config, list indices included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key)
+
+
+# every number of every preset, one at a time, made non-finite
+_NON_FINITE = [
+    (name, path, value, what)
+    for name, (_, cfg) in PRESETS.items()
+    for path in _numeric_leaves(cfg)
+    for what, value in (("NaN", math.nan), ("Infinity", math.inf),
+                        ("-Infinity", -math.inf), ("nan-string", "nan"))
 ]
 
 
@@ -268,8 +300,9 @@ def _no_estimator_may_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,path,value", [case[:3] for case in _BAD_CONFIGS],
-    ids=[f"{n}-{'.'.join(p)}-{what}" for n, p, _, what in _BAD_CONFIGS],
+    "name,path,value", [case[:3] for case in _BAD_CONFIGS + _NON_FINITE],
+    ids=[f"{n}-{'.'.join(map(str, p))}-{what}"
+         for n, p, _, what in _BAD_CONFIGS + _NON_FINITE],
 )
 def test_bad_config_is_rejected_before_any_estimator(
     name, path, value, monkeypatch, tmp_path, capsys
@@ -287,6 +320,15 @@ def test_bad_config_is_rejected_before_any_estimator(
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run([cfg["kind"], "--config", str(config), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_config_error(monkeypatch, tmp_path, capsys):
+    _no_estimator_may_run(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["tail", "--preset", "short-interval-tail", "--seed", "-1", "--out", str(out)]
+    assert run(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -340,6 +340,15 @@ def test_schedule_validation():
     assert sched.finest_step == 1 / 64
 
 
+@pytest.mark.parametrize("sizes", [
+    (1.0, 2.0, 4.0, 4.0), (1.0, 2.0, 2.0), (-1.0, 1.0, 2.0), (1.0, float("nan"), 4.0),
+])
+def test_schedule_domain_sizes_strictly_increase_from_zero(sizes):
+    with pytest.raises(ModelError, match="domain sizes must be increasing"):
+        ExtrapolationSchedule(domain_sizes=sizes)
+    assert ExtrapolationSchedule(domain_sizes=(0.0, 1.0, 2.0)).domain_sizes[0] == 0.0
+
+
 def test_schedule_rejects_a_nan_step():
     with pytest.raises(ModelError):
         ExtrapolationSchedule(grid_steps=(float("nan"),))
