@@ -35,13 +35,11 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="preset-runs")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     bad = []
     for name, (desc, cfg) in PRESETS.items():
         out_dir = os.path.join(args.out, name)
-        cli_args = [cfg["kind"], "--preset", name, "--out", out_dir,
-                    "--workers", str(args.workers)]
+        cli_args = [cfg["kind"], "--preset", name, "--out", out_dir]
         if args.seed is not None:
             cli_args += ["--seed", str(args.seed)]
         expected = 1 if name in EXPECTED_FAIL else 0

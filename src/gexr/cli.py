@@ -1,6 +1,6 @@
 """Config-driven experiment runner.
 
-    gexr <subcommand> --config file.json [--seed N] [--workers K] [--out dir]
+    gexr <subcommand> --config file.json [--seed N] [--out dir]
     gexr <subcommand> --preset name ...
     gexr list-presets
 
@@ -11,7 +11,7 @@ the CSV.  A run reads its whole config before the first estimator call.
 
 Exit codes: 0 pass, 1 statistical fail, 2 ModelError: a missing or
 malformed config value, an unreadable or non-JSON --config, an --out that
-cannot be made a directory, a bad GEXR_BUDGET, --workers < 1, or a model an
+cannot be made a directory, a bad GEXR_BUDGET or flag value, or a model an
 estimator rejects; 3 SimulationError, LinAlgError or FloatingPointError.
 Every number in a config must be finite, and a count a whole number;
 infinity is spelled "inf" (or "infinity"), for a component's mode and the
@@ -212,7 +212,7 @@ _CONSTANTS = {
 }
 
 
-def run_constants(cfg: dict, seed: int, workers: int):
+def run_constants(cfg: dict, seed: int):
     """Run one constants estimator against the config's target, if any; any
     overflowed sample fails the run."""
     with _config_boundary():
@@ -223,7 +223,7 @@ def run_constants(cfg: dict, seed: int, workers: int):
         trace_of = read(cfg)
         reps = _reps(cfg)
         target = number(cfg["target"], "target") if "target" in cfg else None
-        tol = number(cfg.get("tolerance", 0.05), "tolerance")
+        tol = number(cfg.get("tolerance", 0.05), "tolerance", ge=0)
     trace = trace_of(reps, RngStream(seed))
     est = trace.estimate
     status = "pass" if trace.status == "plateau" else trace.status
@@ -240,7 +240,7 @@ def run_constants(cfg: dict, seed: int, workers: int):
     ]
 
 
-def run_tail(cfg: dict, seed: int, workers: int):
+def run_tail(cfg: dict, seed: int):
     with _config_boundary():
         family = family_from_config(cfg["family"])
         gamma = functional_from_config(cfg.get("functional", "sup"))
@@ -271,8 +271,8 @@ def _audit_constant(cfg: dict, grid):
     that the returned function is given."""
     doc = cfg["constant"]
     if "value" in doc:
-        given = Estimate(number(doc["value"], "value"),
-                         number(doc.get("stderr", 0.0), "stderr"), 0)
+        given = Estimate(number(doc["value"], "value", gt=0),
+                         number(doc.get("stderr", 0.0), "stderr", ge=0), 0)
         return lambda rng: given
     if "windowConstant" not in doc:
         raise ModelError("audit constant must give 'value' or 'windowConstant'")
@@ -293,7 +293,7 @@ def _audit_constant(cfg: dict, grid):
     return estimate
 
 
-def run_audit(cfg: dict, seed: int, workers: int):
+def run_audit(cfg: dict, seed: int):
     with _config_boundary():
         family = family_from_config(cfg["family"])
         gamma = functional_from_config(cfg.get("functional", "sup"))
@@ -301,12 +301,12 @@ def run_audit(cfg: dict, seed: int, workers: int):
         constant_of = _audit_constant(cfg, grid)
         u_schedule = _u_schedule(cfg)
         reps = _reps(cfg)
-        tolerance = number(cfg.get("tolerance", 0.1), "tolerance")
+        tolerance = number(cfg.get("tolerance", 0.1), "tolerance", ge=0)
     rng = RngStream(seed)
     constant = constant_of(rng.substream(0))
     report = tailprob.uniform_ratio_audit(
         family, gamma, constant, u_schedule, grid, reps, rng.substream(1),
-        tolerance=tolerance, workers=workers,
+        tolerance=tolerance,
     )
     status = "pass" if report.passed else "fail"
     urows = [[r["u"], r["max_deviation"], r["passed"]] for r in report.per_u]
@@ -322,7 +322,7 @@ def run_audit(cfg: dict, seed: int, workers: int):
     ]
 
 
-def run_doublesum(cfg: dict, seed: int, workers: int):
+def run_doublesum(cfg: dict, seed: int):
     with _config_boundary():
         corr = doublesum_correlation_from_config(cfg["model"])
         c1, beta = number(cfg["c1"], "c1"), number(cfg["beta"], "beta")
@@ -332,7 +332,7 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
         for s2, u, sep in itertools.product(
             [number(s2, "boxScales") for s2 in cfg["boxScales"]],
             [number(u, "uLevels", gt=0) for u in cfg["uLevels"]],
-            [number(sep, "separations") for sep in cfg["separations"]],
+            [number(sep, "separations", ge=0) for sep in cfg["separations"]],
         ):
             box = ((0.0, s2),)
             dcfg = dsmod.DoubleMaximaConfig(
@@ -348,7 +348,7 @@ def run_doublesum(cfg: dict, seed: int, workers: int):
         c, u = configs[i]
         return dsmod.estimate_double_maxima(c, u, ppa[i], reps, rng.substream(i))
 
-    estimates = cell_map(_one, range(len(configs)), workers)
+    estimates = cell_map(_one, range(len(configs)))
     report = dsmod.fit_bound_constant(configs, estimates)
     status = "pass" if report.passed else "fail"
     rows = [
@@ -378,7 +378,7 @@ def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
     )
 
 
-def run_formula(cfg: dict, seed: int, workers: int):
+def run_formula(cfg: dict, seed: int):
     """The product formula, cross-checked by the conditioned tail on the
     grid of the config's ``mcCheck`` when it has one."""
     with _config_boundary():
@@ -399,7 +399,7 @@ def run_formula(cfg: dict, seed: int, workers: int):
             family = family_from_config(mc["family"])
             reps = _reps(mc)
             grid = grid_from_config(mc["grid"])
-            tol = number(mc.get("tolerance", 0.15), "tolerance")
+            tol = number(mc.get("tolerance", 0.15), "tolerance", ge=0)
     result = tailprob.eval_mainm_formula(setup, u, constants)
     summary = {"value": result.value, "factors": result.factors, "status": "pass"}
     status = "pass"
@@ -420,7 +420,7 @@ def run_formula(cfg: dict, seed: int, workers: int):
     ]
 
 
-def run_ruin_demo(cfg: dict, seed: int, workers: int):
+def run_ruin_demo(cfg: dict, seed: int):
     with _config_boundary():
         family = family_from_config(cfg["family"])
         grid = grid_from_config(cfg["grid"])
@@ -459,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="path to a JSON experiment config")
             p.add_argument("--preset", help="name of a shipped preset")
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1, help="retired: only 1")
             p.add_argument("--out", default=".")
     return parser
 
@@ -518,9 +518,11 @@ def main(argv=None) -> int:
         with _config_boundary():
             cfg = _load_config(args)
             seed = count(cfg["seed"] if args.seed is None else args.seed, "seed", ge=0)
-        workers, budget = count(args.workers, "--workers"), _budget()
+        if args.workers != 1:  # bench/workloads.py's audit workload still passes 1
+            raise ModelError("--workers is retired: runs choose their own threads")
+        budget = _budget()
         _make_out(args.out, made)
-        status, summary, files = _RUNNERS[args.command](cfg, seed, workers)
+        status, summary, files = _RUNNERS[args.command](cfg, seed)
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -534,10 +536,9 @@ def main(argv=None) -> int:
         path = os.path.join(args.out, fname)
         _write_csv(path, header, rows)
         _write_plot(os.path.splitext(path)[0] + ".gp", fname, title, x, y)
-    record = {"experiment": args.command,
-              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    record = {"experiment": args.command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
               "configHash": _config_hash(cfg), "seed": seed, "budget": budget,
-              "workers": workers, "summary": summary}
+              "summary": summary}
     with open(os.path.join(args.out, "results.json"), "w") as fh:
         json.dump(record, fh, indent=2, default=str)
         fh.write("\n")

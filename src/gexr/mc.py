@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def batch_map(body: Callable, rng: RngStream, n_reps: int, batch_size: int) -> N
     Of n batches, [0, ceil(n/2)) run on the calling thread (slot 0) and the
     rest on one helper thread (slot 1) under the caller's numpy error state;
     each half builds its generators.  With fewer than two batches, or in a
-    :func:`cell_map` worker, all run inline in slot 0 and no thread starts.
+    :func:`cell_map` pool thread, all run inline in slot 0 and no thread starts.
     The caller sees the first failing batch's exception after the helper ends.
     """
     n = -(-n_reps // batch_size)
@@ -83,19 +83,20 @@ def batch_map(body: Callable, rng: RngStream, n_reps: int, batch_size: int) -> N
         second.result()
 
 
-def cell_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """``[fn(x) for x in items]``, on a pool of ``workers`` threads if > 1.
+def cell_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, on a pool of two threads from two items on.
 
-    Results keep the order of ``items``; cells that draw only from their own
-    substreams give the same list for every worker count.
+    A pool thread runs its cells' batches inline and a lone item splits its
+    own (:func:`batch_map`), so at most two threads work.  Results keep the
+    order of ``items``: the serial loop's, if cells draw only from their own
+    substreams.
     """
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if len(items) < 2:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
 
-        errstate = np.geterr()
-        with ThreadPoolExecutor(workers, initializer=_in_pool, initargs=(errstate,)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    with ThreadPoolExecutor(2, initializer=_in_pool, initargs=(np.geterr(),)) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

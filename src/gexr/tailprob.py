@@ -348,16 +348,13 @@ def uniform_ratio_audit(
     n_reps: int,
     rng: RngStream,
     tolerance: float = 0.1,
-    workers: int = 1,
 ) -> AuditReport:
     """Check sup over the index grid of |P/Psi(g) - H_hat| shrinking in u.
 
     Passes iff the per-u worst deviation is nonincreasing along the schedule
     and the final value is below tolerance + 3 * combined stderr (ratio
-    stderr at the worst index plus the constant's own stderr).  (u, tau)
-    cells are independent and evaluated in parallel for ``workers`` > 1;
-    cell streams are keyed by cell index, so results do not depend on the
-    worker count.
+    stderr at the worst index plus the constant's own stderr).  Each (u, tau)
+    cell draws from its own stream, so ``cell_map``'s split changes nothing.
     """
     h_hat = constant_estimate.value
     cells = [
@@ -370,7 +367,7 @@ def uniform_ratio_audit(
         ui, u, ti, tau = cell
         return tail_cell(family, gamma, u, tau, grid, n_reps, rng.substream(ui, ti))
 
-    rows = cell_map(_cell, cells, workers)
+    rows = cell_map(_cell, cells)
     per_u: list[dict] = []
     for u in u_schedule:
         u_rows = [r for r in rows if r["u"] == u]

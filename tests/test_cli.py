@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gexr import cli
 from gexr import constants as constmod
 from gexr import doublesum as dsmod
 from gexr import tailprob
@@ -63,8 +64,20 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     assert run(["tail", "--config", str(path)]) == 2
 
 
-def test_bad_workers_is_config_error(capsys):
-    assert run(["tail", "--preset", "short-interval-tail", "--workers", "0"]) == 2
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_bad_workers_is_config_error(workers, capsys):
+    # --workers is retired; the parser keeps it for the value 1 alone
+    assert run(["tail", "--preset", "short-interval-tail", "--workers", workers]) == 2
+    assert "--workers is retired" in capsys.readouterr().err
+
+
+def test_workers_one_still_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    out = tmp_path / "run"
+    argv = ["audit", "--preset", "uniform-audit-stationary", "--workers", "1",
+            "--out", str(out)]
+    assert run(argv) == 0
+    assert "workers" not in json.loads((out / "results.json").read_text())
 
 
 def test_invalid_budget_is_config_error(monkeypatch, tmp_path, capsys):
@@ -261,6 +274,14 @@ _BAD_CONFIGS = [
     ("uniform-audit-stationary", ("family", "tauCount"), 2.5, "fractional"),
     ("doublesum-gaussian", ("pointsPerUnit",), 0, "zero"),
     ("formula-product-1d", ("constants", "perUnit"), [0.0], "zero"),
+    ("pickands-alpha-1", ("tolerance",), -0.5, "negative"),
+    ("uniform-audit-stationary", ("tolerance",), -0.5, "negative"),
+    ("formula-product-1d", ("mcCheck", "tolerance"), -0.5, "negative"),
+    ("uniform-audit-stationary", ("constant",), {"value": 3, "stderr": -1},
+     "negative-stderr"),
+    ("uniform-audit-stationary", ("constant",), {"value": -3}, "negative-value"),
+    ("uniform-audit-stationary", ("constant",), {"value": 0}, "zero-value"),
+    ("doublesum-gaussian", ("separations",), [-3, 0], "negative"),
 ]
 
 
@@ -463,16 +484,17 @@ def test_rerun_is_byte_identical(monkeypatch, tmp_path, capsys):
     assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()
 
 
+def _serial_cell_map(fn, items):
+    return [fn(x) for x in items]
+
+
 def test_audit_worker_count_invariance(monkeypatch, tmp_path, capsys):
+    # the audit's cells split over two threads write the serial loop's bytes
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
-    a, b = tmp_path / "w1", tmp_path / "w3"
-    code_a = run(
-        ["audit", "--preset", "uniform-audit-stationary", "--out", str(a)]
-    )
-    code_b = run(
-        ["audit", "--preset", "uniform-audit-stationary", "--workers", "3",
-         "--out", str(b)]
-    )
+    a, b = tmp_path / "pooled", tmp_path / "serial"
+    code_a = run(["audit", "--preset", "uniform-audit-stationary", "--out", str(a)])
+    monkeypatch.setattr(tailprob, "cell_map", _serial_cell_map)
+    code_b = run(["audit", "--preset", "uniform-audit-stationary", "--out", str(b)])
     assert code_a == code_b
     assert (a / "ratios.csv").read_bytes() == (b / "ratios.csv").read_bytes()
     assert (a / "audit.csv").read_bytes() == (b / "audit.csv").read_bytes()
@@ -480,11 +502,10 @@ def test_audit_worker_count_invariance(monkeypatch, tmp_path, capsys):
 
 def test_doublesum_worker_count_invariance(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
-    a, b = tmp_path / "w1", tmp_path / "w2"
+    a, b = tmp_path / "pooled", tmp_path / "serial"
     code_a = run(["doublesum", "--preset", "doublesum-flat", "--out", str(a)])
-    code_b = run(
-        ["doublesum", "--preset", "doublesum-flat", "--workers", "2", "--out", str(b)]
-    )
+    monkeypatch.setattr(cli, "cell_map", _serial_cell_map)
+    code_b = run(["doublesum", "--preset", "doublesum-flat", "--out", str(b)])
     assert code_a == code_b
     assert (a / "doublesum.csv").read_bytes() == (b / "doublesum.csv").read_bytes()
 

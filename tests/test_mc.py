@@ -150,8 +150,8 @@ def test_batch_map_helper_keeps_the_callers_numpy_error_state():
 
 
 def test_batch_loops_inside_a_pooled_cell_start_no_helper(monkeypatch):
-    # --workers K runs at most K threads: a cell of cell_map's pool runs its
-    # batches inline, so only the pool itself may start
+    # cell_map runs at most two threads: a cell of its pool runs its batches
+    # inline, so only the pool itself may start
     fam = family_from_config({"kind": "stationary", "alpha": 1.0})
     sampler = tailprob.ConditionalSampler(fam, 3.0, 0.0, GridSpec.line(0.0, 0.5, 9))
     sup = FunctionalSpec.sup()
@@ -170,8 +170,32 @@ def test_batch_loops_inside_a_pooled_cell_start_no_helper(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", OnePool)
-    assert cell_map(cell, range(3), 2) == want
+    assert cell_map(cell, range(3)) == want
     assert len(pools) == 1
+
+
+def test_a_lone_cell_splits_its_batches(monkeypatch):
+    # one item runs on the calling thread, so only batch_map's helper starts
+    sizes = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    def cell(i):
+        out = np.zeros(4)
+
+        def body(gen, lo, hi, slot):
+            out[lo:hi] = gen.standard_normal(hi - lo)
+
+        batch_map(body, RngStream(28, (i,)), 4, 2)
+        return out.tolist()
+
+    want = cell(0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    assert cell_map(cell, [0]) == [want]
+    assert sizes == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +341,7 @@ def test_cell_map_order_independent_of_workers():
     def cell(i):
         return float(rng.substream(i).generator().standard_normal(50).sum())
 
-    serial = cell_map(cell, range(12), 1)
-    assert serial == [cell(i) for i in range(12)]
-    assert cell_map(cell, range(12), 3) == serial
+    assert cell_map(cell, range(12)) == [cell(i) for i in range(12)]
 
 
 def test_combine_stderr():
