@@ -121,9 +121,6 @@ def estimate_joint_constant(
     """
     pts = grid.points()
     drift = np.asarray(h(pts), dtype=float).reshape(grid.shape)
-    if eta.degenerate:
-        value = float(np.exp(min(apply_functional(g, -drift) for g in gammas)))
-        return Estimate(value, 0.0, n_reps, {"exact": True})
     sampler = LimitFieldSampler(eta, grid)
     var = sampler.variance()
     samples = np.empty(n_reps)
@@ -300,13 +297,8 @@ def estimate_pickands(
     paths).  The headline estimate is the difference quotient between the
     last two domain sizes, which cancels the O(1) boundary term of the
     finite-domain constant; the per-unit ratios are kept in the level
-    trace.  Degenerate fields report a plateau at 0.
+    trace.  The zero field reads 1 at every S, so its quotient is 0 +- 0.
     """
-    if eta.degenerate:
-        levels = tuple(
-            Estimate(1.0 / S, 0.0, n_reps, {"domain": S}) for S in schedule.domain_sizes
-        )
-        return LevelTrace(levels, Estimate(0.0, 0.0, n_reps, {"exact": True}), "plateau")
     exponent = local_step_exponent(eta)
     step = schedule.finest_step
     refine = len(schedule.grid_steps)

@@ -25,7 +25,7 @@ import numpy as np
 from .covmodels import ModelError
 from .mc import Estimate, PathPairs, batch_map
 from .rng import RngStream
-from .simkit import _chol_psd
+from .simkit import _check_cholesky_points, _chol_psd
 from .tailprob import survival_psi
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "BoundFitReport",
 ]
 
-JOINT_POINT_BUDGET = 1 << 12
 # replications per batch; batch b draws from substream b, so this fixes the draws
 BATCH_SIZE = 4000
 # fit_bound_constant flags growth when the far configurations need more
@@ -117,11 +116,7 @@ def _joint_points(box_a: Box, box_b: Box, points_per_axis: int):
     """
     pts_a = _box_grid(box_a, points_per_axis)
     pts_b = _box_grid(box_b, points_per_axis)
-    if len(pts_a) + len(pts_b) > JOINT_POINT_BUDGET:
-        raise ModelError(
-            f"joint grid has {len(pts_a) + len(pts_b)} points, "
-            f"exceeding cap {JOINT_POINT_BUDGET}"
-        )
+    _check_cholesky_points(len(pts_a) + len(pts_b), "joint grid")
     same = (pts_a[:, None, :] == pts_b[None, :, :]).all(axis=-1)
     in_b, in_a = same.any(axis=1), same.any(axis=0)
     pts = np.concatenate([pts_a[~in_b], pts_a[in_b], pts_b[~in_a]])
@@ -151,7 +146,7 @@ def estimate_double_maxima(
     batch's generator, so each pivot is uniform and the batch visits every
     point of A equally often, to within one.  One Cholesky factor of the
     distinct points of both grids serves every pivot; joint grids are
-    capped at 2^12 points.
+    capped at ``simkit.CHOLESKY_POINT_BUDGET`` points.
     """
     from scipy import special
 

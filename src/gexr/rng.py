@@ -2,9 +2,9 @@
 
 Every Monte Carlo routine in this package takes an :class:`RngStream` and
 derives per-batch / per-cell substreams from it, so results are
-bit-reproducible for a fixed root seed, whatever the worker count or the
-thread that runs a batch.  They do depend on the batch size, which is why
-it is a module constant of each estimator: batch b draws from substream b.
+bit-reproducible for a fixed root seed, whatever thread runs a batch.
+They do depend on the batch size, which is why it is a module constant of
+each estimator: batch b draws from substream b.
 
 The bit generator is SFC64.  Changing it changes every draw, so
 ``tests/test_rng.py`` pins the first normals of one stream.

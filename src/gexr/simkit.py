@@ -1,17 +1,18 @@
 """Exact-in-distribution Gaussian path and field simulation on grids.
 
-Each generator is a sampler class that performs the one-off precomputation
+One sampler class per generator: it does the one-off precomputation
 (circulant spectrum or Cholesky factor) and then draws batches of paths from
 a numpy generator; a batch is an array with the batch axis leading.
 
-Fractional-Brownian-type paths on uniform grids are drawn from the increment
-autocovariance: white increments (alpha = 1) and equal increments (alpha = 2,
-the path t * Z) directly, every other alpha through circulant embedding
-(O(n log n)); all three are exact in law.  General stationary-increment
-variance functions and conditional residual fields go through Cholesky
-factorization with a bounded jitter schedule.  A residual factor that is
-first order (a Gauss-Markov residual) is drawn by its recursion, O(n) a
-path, once it has ``CHAIN_MIN_POINTS`` free points; the rest by a product.
+:class:`FbmSampler` draws fractional-Brownian-type paths on uniform grids
+from the increment autocovariance: white increments (alpha = 1) and equal
+increments (alpha = 2, the path t * Z) directly, every other alpha through
+circulant embedding (O(n log n)); all three are exact in law.
+:class:`StatIncrSampler` (general stationary-increment variance functions)
+and :class:`ResidualSampler` (conditional residual fields) share one Cholesky
+factor, with a bounded jitter schedule, and one draw: a first-order factor (a
+Gauss-Markov process) is drawn by its recursion, O(n) a path, once it has
+``CHAIN_MIN_POINTS`` free points; the rest by a product.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ ROW_BLOCK = 128
 EMBEDDING_TOL = 1e-8
 
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10)
+# beyond this many points a Cholesky generator's n x n arrays take gigabytes
+CHOLESKY_POINT_BUDGET = 1 << 12
 
 # A residual factor is drawn as a first-order chain when its rows match the
 # recursion to this relative defect (Markov factors read at most 2e-12 at
@@ -153,6 +156,12 @@ class GridSpec:
 # low-level factorizations
 
 
+def _check_cholesky_points(n: int, what: str = "grid") -> None:
+    """ModelError when ``n`` points exceed ``CHOLESKY_POINT_BUDGET``."""
+    if n > CHOLESKY_POINT_BUDGET:
+        raise ModelError(f"{what} has {n} points, exceeding the Cholesky cap {CHOLESKY_POINT_BUDGET}")
+
+
 def _chol_psd(cov: np.ndarray) -> np.ndarray:
     """Cholesky with a bounded jitter schedule; raises SimulationError."""
     scale = float(np.max(np.diag(cov))) if cov.size else 1.0
@@ -166,22 +175,31 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
     raise SimulationError("covariance is not numerically nonnegative definite")
 
 
-class _CirculantNoise:
-    """Stationary increments with the fGn autocovariance gamma.
+class FbmSampler:
+    """Paths with Var X(t) = |t|**alpha on a uniform grid containing 0.
 
-    The draw is picked from gamma itself.  White increments (gamma[1:] == 0,
-    alpha = 1) are sqrt(gamma[0]) times independent normals, n_incr per
-    path.  Equal increments (gamma[k] == gamma[0], alpha = 2) have a
-    rank-one covariance: ``rank_one`` is set and the caller draws the path
-    as t * Z, one normal per path.  Every other gamma goes through circulant
-    embedding on a ring of m points.
+    The grid runs from -n_left*step to n_right*step; X(0) = 0 exactly.
+    The increments over the whole span are drawn at once and the path is
+    recentered at the origin (increment stationarity makes this exact in
+    law).  The draw is picked from the fGn autocovariance gamma itself.
+    White increments (gamma[1:] == 0, alpha = 1) are sqrt(gamma[0]) times
+    independent normals.  Equal increments (gamma[k] == gamma[0], alpha = 2)
+    have a rank-one covariance: ``rank_one`` is set and the path is t * Z,
+    one normal per path.  Every other gamma goes through circulant embedding
+    on a ring of m points.
     """
 
-    def __init__(self, alpha: float, n_incr: int, step: float):
-        m = 1 << max(1, int(math.ceil(math.log2(2 * max(n_incr, 1)))))
+    def __init__(self, alpha: float, step: float, n_right: int, n_left: int = 0):
+        if n_right < 0 or n_left < 0 or n_right + n_left < 1:
+            raise ModelError("need at least one increment")
+        self.alpha = alpha
+        self.step = step
+        self.n_left = n_left
+        self.n_right = n_right
+        self.n_points = n_left + n_right + 1
+        m = 1 << max(1, int(math.ceil(math.log2(2 * (n_left + n_right)))))
         gamma = np.array([fgn_autocovariance(alpha, step, k) for k in range(m // 2 + 1)])
         self.m = m
-        self.n_incr = n_incr
         self.white = not np.any(gamma[1:])
         self.rank_one = bool(np.all(gamma == gamma[0]))
         self._sd = math.sqrt(gamma[0])
@@ -199,7 +217,24 @@ class _CirculantNoise:
         # spectral weights for the Hermitian-symmetric normal draw
         self._sqrt_lam = np.sqrt(lam / m)
 
-    def blocks(self, rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
+    def sample(
+        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(size, n_points) paths, written into ``out`` when it is given."""
+        path = np.empty((size, self.n_points)) if out is None else out
+        if self.rank_one:
+            return np.multiply(rng.standard_normal((size, 1)), self.grid_values(), out=path)
+        path[:, 0] = 0.0
+        lo = 0
+        for incr in self._increment_blocks(rng, size):
+            block = path[lo : lo + len(incr)]
+            lo += len(incr)
+            np.cumsum(incr, axis=1, out=block[:, 1:])
+            # recenter so that the value at the origin (index n_left) is 0
+            block -= block[:, self.n_left : self.n_left + 1].copy()
+        return path
+
+    def _increment_blocks(self, rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
         """``size`` rows of stationary increments, in blocks of ROW_BLOCK rows.
 
         White rows are drawn one after another, so each block draws its own
@@ -207,9 +242,10 @@ class _CirculantNoise:
         imaginary part, so its spectrum is built for the whole batch and only
         the inverse transform, a row at a time either way, goes by blocks.
         """
+        n_incr = self.n_points - 1
         if self.white:
             for lo in range(0, size, ROW_BLOCK):
-                noise = rng.standard_normal((min(ROW_BLOCK, size - lo), self.n_incr))
+                noise = rng.standard_normal((min(ROW_BLOCK, size - lo), n_incr))
                 noise *= self._sd
                 yield noise
             return
@@ -225,60 +261,13 @@ class _CirculantNoise:
         parts[:, half, 0] = z[:, half] * self._sqrt_lam[half] * root_m
         np.multiply(z[:, 1:half], mid, out=parts[:, 1:half, 0])
         del z  # free each draw before the next full-batch allocation
-        z = rng.standard_normal((size, half - 1))
-        np.multiply(z, mid, out=parts[:, 1:half, 1])
-        del z
+        np.multiply(rng.standard_normal((size, half - 1)), mid, out=parts[:, 1:half, 1])
         parts[:, 0, 1] = 0.0
         parts[:, half, 1] = 0.0
         for lo in range(0, size, ROW_BLOCK):
-            noise = np.fft.irfft(spec[lo : lo + ROW_BLOCK], n=m, axis=1)[:, : self.n_incr]
+            noise = np.fft.irfft(spec[lo : lo + ROW_BLOCK], n=m, axis=1)[:, :n_incr]
             noise *= root_m
             yield noise
-
-
-class FbmSampler:
-    """Paths with Var X(t) = |t|**alpha on a uniform grid containing 0.
-
-    The grid runs from -n_left*step to n_right*step; X(0) = 0 exactly.
-    The increments over the whole span are drawn at once and the path is
-    recentered at the origin (increment stationarity makes this exact in
-    law); at alpha = 2 the path is t * Z with one normal per path.
-    """
-
-    def __init__(self, alpha: float, step: float, n_right: int, n_left: int = 0):
-        if n_right < 0 or n_left < 0 or n_right + n_left < 1:
-            raise ModelError("need at least one increment")
-        self.alpha = alpha
-        self.step = step
-        self.n_left = n_left
-        self.n_right = n_right
-        self._noise = _CirculantNoise(alpha, n_left + n_right, step)
-
-    @property
-    def n_points(self) -> int:
-        return self.n_left + self.n_right + 1
-
-    @property
-    def rank_one(self) -> bool:
-        """True when the path is t * Z: read off the increment autocovariance."""
-        return self._noise.rank_one
-
-    def sample(
-        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(size, n_points) paths, written into ``out`` when it is given."""
-        path = np.empty((size, self.n_points)) if out is None else out
-        if self.rank_one:
-            return np.multiply(rng.standard_normal((size, 1)), self.grid_values(), out=path)
-        path[:, 0] = 0.0
-        lo = 0
-        for incr in self._noise.blocks(rng, size):
-            block = path[lo : lo + len(incr)]
-            lo += len(incr)
-            np.cumsum(incr, axis=1, out=block[:, 1:])
-            # recenter so that the value at the origin (index n_left) is 0
-            block -= block[:, self.n_left : self.n_left + 1].copy()
-        return path
 
     def grid_values(self) -> np.ndarray:
         return np.arange(-self.n_left, self.n_right + 1) * self.step
@@ -289,28 +278,25 @@ class StatIncrSampler:
 
     Cov(X(s), X(t)) = (sigma2(|s|) + sigma2(|t|) - sigma2(|t-s|)) / 2, with
     ``vf`` any callable sigma2 of nonnegative lags (a ``VarianceFunction``
-    is one).  Points with zero variance (the origin) are pinned to 0 exactly.
+    is one).  Points with zero variance (the origin) are pinned to 0 exactly
+    by :func:`_pinned_factor`, the factor :class:`ResidualSampler` uses too.
     """
 
     def __init__(self, vf: Callable[[np.ndarray], np.ndarray], t_values: np.ndarray):
         t = np.asarray(t_values, dtype=float)
+        _check_cholesky_points(len(t), "lag grid")
         var = vf(np.abs(t))
         dist = np.abs(t[:, None] - t[None, :])
         cov = 0.5 * (var[:, None] + var[None, :] - vf(dist))
-        self.t_values = t
-        self._free = var > 0
         try:
-            self._L = _chol_psd(cov[np.ix_(self._free, self._free)])
+            self._L, self._factor, self._chain = _pinned_factor(cov)
         except SimulationError as exc:
             raise SimulationError(
                 f"variance model rejected as not nonnegative definite: {exc}"
             ) from exc
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, int(self._free.sum())))
-        out = np.zeros((size, len(self.t_values)))
-        out[:, self._free] = z @ self._L.T
-        return out
+        return _pinned_draw(rng, size, self._factor, self._chain)
 
 
 def _component_sampler(comp: LimitFieldComponent, axis_values: np.ndarray):
@@ -435,56 +421,69 @@ def _chain_plan(L: np.ndarray, free: np.ndarray):
     return segments, diag / q, q, a
 
 
+def _pinned_factor(cov: np.ndarray):
+    """(L, factor, chain) of a covariance; points of variance <= 1e-14 are pinned at 0.
+
+    ``L`` factors the free points (None when there are none) and ``factor``
+    is ``L`` spread over every point, with zero rows at the pinned ones.
+    ``chain`` is the :func:`_chain_plan` of a first-order factor (a
+    Gauss-Markov process, as every alpha = 1 model gives) with at least
+    ``CHAIN_MIN_POINTS`` free points, else None.
+    """
+    free = np.diag(cov) > 1e-14
+    L = _chol_psd(cov[np.ix_(free, free)]) if np.any(free) else None
+    factor = np.zeros((len(cov), int(free.sum())))
+    if L is None:
+        return None, factor, None
+    factor[free] = L
+    return L, factor, _chain_plan(L, free) if len(L) >= CHAIN_MIN_POINTS else None
+
+
+def _pinned_draw(rng: np.random.Generator, size: int, factor: np.ndarray, chain):
+    """(size, n) draws of a :func:`_pinned_factor` ``factor`` and ``chain``.
+
+    A chain is drawn by its recursion, O(n) a path, any other factor by one
+    product with ``factor``, O(n^2) a path; both read the same normals.
+    """
+    z = rng.standard_normal((size, factor.shape[1]))
+    if chain is None:
+        return z @ factor.T
+    segments, weights, q, a = chain
+    z *= weights
+    out = np.zeros((size, factor.shape[0]))
+    for k, e, col in segments:
+        if k > 0:  # carry a_k x_{k-1}; q[k] = 1, so z[:, k] is on its scale
+            z[:, k] += a[k] * seg[:, -1]
+        seg = out[:, col : col + e - k]
+        np.cumsum(z[:, k:e], axis=1, out=seg)
+        seg *= q[k:e]
+    return out
+
+
 class ResidualSampler:
     """Conditional residual R(t) = Z(t) - r(t,0) Z(0) of a family member.
 
     R(0) = 0 exactly and Cov(R(s), R(t)) = r(s,t) - r(s,0) r(t,0); Z(0) is
-    never sampled, the residual covariance is factored directly.  ``_L``
-    factors the free points; ``_factor`` is ``_L`` spread over the whole
-    grid with zero rows at the pinned points.
-
-    The draw is picked from ``_L``: a first-order factor (a Gauss-Markov
-    residual, as every alpha = 1 family gives) with at least
-    ``CHAIN_MIN_POINTS`` free points is drawn by its recursion, O(n) a path;
-    every other factor by one product with ``_factor``, O(n^2) a path.  Both
-    read the same normals in the same order.  ``associated`` is True when
-    every residual covariance is nonnegative up to ``COV_ROUNDING_TOL``:
-    R is then associated (Pitt 1982), so an antithetic pair R, -R never has
-    more variance than two independent paths.
+    never sampled, the residual covariance goes to :func:`_pinned_factor`.
+    ``associated`` is True when every residual covariance is nonnegative up
+    to ``COV_ROUNDING_TOL``: R is then associated (Pitt 1982), so an
+    antithetic pair R, -R never has more variance than two independent paths.
     """
 
     def __init__(
         self, family: ThresholdedFamilySpec, u: float, tau: float, grid: GridSpec
     ):
+        _check_cholesky_points(grid.size)
         grid.origin_index()  # the conditioning identity pivots on t = 0
         pts = grid.points()
         r = family.corr_matrix(u, tau, pts)
         origin = np.zeros((1, grid.dim))
         r0 = np.asarray(family.correlation(u, tau, pts, origin)).reshape(-1)
         cov = r - np.outer(r0, r0)
-        free = np.diag(cov) > 1e-14
         self.grid = grid
         self.r0 = r0
         self.associated = bool(cov.min() >= -COV_ROUNDING_TOL)
-        self._L = _chol_psd(cov[np.ix_(free, free)]) if np.any(free) else None
-        self._factor = np.zeros((grid.size, int(free.sum())))
-        self._chain = None
-        if self._L is not None:
-            self._factor[free] = self._L
-            if len(self._L) >= CHAIN_MIN_POINTS:
-                self._chain = _chain_plan(self._L, free)
+        self._L, self._factor, self._chain = _pinned_factor(cov)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, self._factor.shape[1]))
-        if self._chain is None:
-            return (z @ self._factor.T).reshape(size, *self.grid.shape)
-        segments, weights, q, a = self._chain
-        z *= weights
-        out = np.zeros((size, self.grid.size))
-        for k, e, col in segments:
-            if k > 0:  # carry a_k x_{k-1}; q[k] = 1, so z[:, k] is on its scale
-                z[:, k] += a[k] * seg[:, -1]
-            seg = out[:, col : col + e - k]
-            np.cumsum(z[:, k:e], axis=1, out=seg)
-            seg *= q[k:e]
-        return out.reshape(size, *self.grid.shape)
+        return _pinned_draw(rng, size, self._factor, self._chain).reshape(size, *self.grid.shape)

@@ -51,7 +51,7 @@ from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
 from .mc import Estimate, PathPairs, batch_map, cell_map
 from .rng import RngStream
-from .simkit import GridSpec, ResidualSampler, _chol_psd
+from .simkit import GridSpec, ResidualSampler, _check_cholesky_points, _chol_psd
 
 __all__ = [
     "survival_psi",
@@ -106,6 +106,7 @@ def crude_mc_tail(
     meta carries the hit count, the exact 95% Clopper-Pearson interval and a
     ``low_confidence`` flag when there are no hits at all.
     """
+    _check_cholesky_points(grid.size)
     g = float(family.threshold(u, tau))
     pts = grid.points()
     r = family.corr_matrix(u, tau, pts)

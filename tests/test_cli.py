@@ -16,13 +16,14 @@ from gexr.covmodels import (
     DriftFunction,
     LimitFieldComponent,
     LimitFieldSpec,
+    ThresholdedFamilySpec,
     VarianceFunction,
 )
 from gexr.functionals import FunctionalSpec
 from gexr.mc import Estimate
 from gexr.presets import PRESETS
 from gexr.rng import RngStream
-from gexr.simkit import GridSpec, SimulationError
+from gexr.simkit import CHOLESKY_POINT_BUDGET, GridSpec, SimulationError
 
 SMOKE_BUDGET = "600"  # caps replication counts
 
@@ -351,6 +352,23 @@ def test_negative_seed_flag_is_config_error(monkeypatch, tmp_path, capsys):
     argv = ["tail", "--preset", "short-interval-tail", "--seed", "-1", "--out", str(out)]
     assert run(argv) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["conditional", "crude"])
+def test_tail_grid_over_the_cholesky_cap_is_config_error(
+    estimator, monkeypatch, tmp_path, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the n x n correlation matrix was formed")
+
+    monkeypatch.setenv("GEXR_BUDGET", "10")
+    monkeypatch.setattr(ThresholdedFamilySpec, "corr_matrix", unreachable)
+    out = tmp_path / "out"
+    grid = {"perAxis": [[0.0, 2.0, CHOLESKY_POINT_BUDGET + 1]]}
+    config = _tail_config(tmp_path, estimator=estimator, grid=grid)
+    assert run(["tail", "--config", config, "--out", str(out)]) == 2
+    assert "exceeding the Cholesky cap" in capsys.readouterr().err
     assert not out.exists()
 
 

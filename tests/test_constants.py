@@ -536,9 +536,11 @@ def test_pickands_degenerate():
     trace = estimate_pickands(
         LimitFieldSpec.degenerate_field(1), schedule, 100, RngStream(1)
     )
+    # the zero field's constant over [0, S] is 1, its per-unit ratio 1/S
     assert trace.status == "plateau"
-    assert trace.value == 0.0
-    assert [e.value for e in trace.levels] == [0.5, 0.25, 0.125]
+    assert trace.value == 0.0 and trace.estimate.stderr == 0.0
+    assert [e.value for e in trace.levels] == [1.0, 1.0, 1.0]
+    assert [e.meta["ratio"] for e in trace.levels] == [0.5, 0.25, 0.125]
 
 
 def test_piterbarg_degenerate_drift_exact():

@@ -21,6 +21,7 @@ from gexr.covmodels import (
 from gexr.configio import family_from_config
 from gexr.rng import RngStream
 from gexr.simkit import (
+    CHOLESKY_POINT_BUDGET,
     ROW_BLOCK,
     FbmSampler,
     GridSpec,
@@ -116,17 +117,16 @@ def test_sampler_reproducibility():
 
 def _reference_fbm_sample(sampler, rng, size):
     """Complex-arithmetic spectrum and concatenated path: the bit-identity oracle."""
-    noise = sampler._noise
-    m = noise.m
+    m = sampler.m
     half = m // 2
     z_re = rng.standard_normal((size, half + 1))
     z_im = rng.standard_normal((size, half - 1))
     spec = np.empty((size, half + 1), dtype=complex)
-    spec[:, 0] = z_re[:, 0] * noise._sqrt_lam[0] * math.sqrt(m)
-    spec[:, half] = z_re[:, half] * noise._sqrt_lam[half] * math.sqrt(m)
-    mid = noise._sqrt_lam[1:half] * math.sqrt(m / 2.0)
+    spec[:, 0] = z_re[:, 0] * sampler._sqrt_lam[0] * math.sqrt(m)
+    spec[:, half] = z_re[:, half] * sampler._sqrt_lam[half] * math.sqrt(m)
+    mid = sampler._sqrt_lam[1:half] * math.sqrt(m / 2.0)
     spec[:, 1:half] = (z_re[:, 1:half] + 1j * z_im) * mid
-    incr = (np.fft.irfft(spec, n=m, axis=1) * math.sqrt(m))[:, : noise.n_incr]
+    incr = (np.fft.irfft(spec, n=m, axis=1) * math.sqrt(m))[:, : sampler.n_points - 1]
     path = np.concatenate([np.zeros((size, 1)), np.cumsum(incr, axis=1)], axis=1)
     return path - path[:, sampler.n_left : sampler.n_left + 1]
 
@@ -151,10 +151,10 @@ def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
 # embedding's spectrum inverted, one block of rows at a time
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_fbm_increments_come_in_row_blocks(alpha):
-    noise = FbmSampler(alpha, 1 / 64, n_right=63, n_left=64)._noise
-    sizes = [len(b) for b in noise.blocks(RngStream(3).generator(), 2 * ROW_BLOCK + 44)]
+    blocks = FbmSampler(alpha, 1 / 64, n_right=63, n_left=64)._increment_blocks
+    sizes = [len(b) for b in blocks(RngStream(3).generator(), 2 * ROW_BLOCK + 44)]
     assert sizes == [ROW_BLOCK, ROW_BLOCK, 44]
-    assert [len(b) for b in noise.blocks(RngStream(3).generator(), 0)] == []
+    assert [len(b) for b in blocks(RngStream(3).generator(), 0)] == []
 
 
 @pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
@@ -282,6 +282,15 @@ def test_statincr_brownian_cov_matrix():
     assert np.allclose(cov, [[0, 0, 0], [0, 1, 1], [0, 1, 2]])
 
 
+def test_statincr_lags_over_the_cholesky_cap_are_a_model_error():
+    def vf(lags):
+        assert np.ndim(lags) == 1, "the n x n lag matrix was formed"
+        return np.abs(lags)
+
+    with pytest.raises(ModelError, match="exceeding the Cholesky cap"):
+        StatIncrSampler(vf, np.arange(CHOLESKY_POINT_BUDGET + 1) / 64)
+
+
 def test_limit_field_sampler_covariance_2d():
     spec = LimitFieldSpec(
         dim=2,
@@ -353,32 +362,42 @@ def test_residual_sampler_matches_scatter_formulation(lo, hi, n):
     np.testing.assert_allclose(x, old, rtol=1e-12, atol=0.0)
 
 
-CHAIN_GRIDS = {
+def _residual(doc, u, axis):
+    return ResidualSampler(family_from_config(doc), u, 0.0, GridSpec.line(*axis))
+
+
+RUIN_DEMO = ({"kind": "ruin", "alpha": 1.0, "c": 1.0}, 16.0, (-0.5, 0.5, 129))
+# StatIncrSampler lags on both sides of the pinned origin: 192 free points
+LAGS = np.arange(-64, 129) / 32
+
+CHAIN_SAMPLERS = {
     # formula-product-1d: the cross-origin a_i is about 1e-25
-    "two-sided-513": (
+    "two-sided-513": lambda: _residual(
         {"kind": "scaled-threshold", "alpha": 1.0, "exponent": 2.0, "gExponent": 4.0},
         4.0, (-4.0, 4.0, 513),
     ),
-    "ruin-demo-129": ({"kind": "ruin", "alpha": 1.0, "c": 1.0}, 16.0, (-0.5, 0.5, 129)),
-    "one-sided-513": ({"kind": "local", "alpha": 1.0}, 4.0, (0.0, 2.0, 513)),
+    "ruin-demo-129": lambda: _residual(*RUIN_DEMO),
+    "one-sided-513": lambda: _residual({"kind": "local", "alpha": 1.0}, 4.0, (0.0, 2.0, 513)),
     # the running product of a_i falls below 2^-500 on each side
-    "long-800": ({"kind": "local", "alpha": 1.0}, 1.0, (-400.0, 400.0, 513)),
+    "long-800": lambda: _residual({"kind": "local", "alpha": 1.0}, 1.0, (-400.0, 400.0, 513)),
+    # Brownian motion on each side of the origin: independent sides, a_i = 0
+    "statincr-fbm-1": lambda: StatIncrSampler(VarianceFunction.fbm(1.0), LAGS),
 }
 
 
-def _residual_draws(doc, u, axis, size, seed):
-    sampler = ResidualSampler(family_from_config(doc), u, 0.0, GridSpec.line(*axis))
-    x = sampler.sample(RngStream(2026, (seed,)).generator(), size)
+def _draws(sampler, size, seed):
+    """The sampler's draws, flattened per path, and the product of its normals."""
+    x = sampler.sample(RngStream(2026, (seed,)).generator(), size).reshape(size, -1)
     z = RngStream(2026, (seed,)).generator().standard_normal(
         (size, sampler._factor.shape[1])
     )
-    return sampler, x, z @ sampler._factor.T
+    return x, z @ sampler._factor.T
 
 
-@pytest.mark.parametrize("name", list(CHAIN_GRIDS))
+@pytest.mark.parametrize("name", list(CHAIN_SAMPLERS))
 def test_chain_draws_match_the_product(name):
-    doc, u, axis = CHAIN_GRIDS[name]
-    sampler, x, product = _residual_draws(doc, u, axis, 500, 10)
+    sampler = CHAIN_SAMPLERS[name]()
+    x, product = _draws(sampler, 500, 10)
     assert sampler._chain is not None
     segments, _, _, a = sampler._chain
     if name == "two-sided-513":
@@ -394,21 +413,23 @@ def test_chain_draws_match_the_product(name):
 
 
 @pytest.mark.parametrize(
-    "doc, u, axis",
+    "make",
     [
-        ({"kind": "local", "alpha": 1.5}, 4.0, (-1.0, 1.0, 129)),
-        ({"kind": "stationary", "alpha": 2.0}, 3.0, (0.0, 2.0 / 3.0, 129)),
+        lambda: _residual({"kind": "local", "alpha": 1.5}, 4.0, (-1.0, 1.0, 129)),
+        lambda: _residual({"kind": "stationary", "alpha": 2.0}, 3.0, (0.0, 2.0 / 3.0, 129)),
+        lambda: StatIncrSampler(VarianceFunction.fbm(0.8), LAGS),
     ],
-    ids=["local-1.5", "stationary-2"],
+    ids=["local-1.5", "stationary-2", "statincr-fbm-0.8"],
 )
-def test_non_first_order_factor_keeps_the_product(doc, u, axis):
-    sampler, x, product = _residual_draws(doc, u, axis, 200, 11)
+def test_non_first_order_factor_keeps_the_product(make):
+    sampler = make()
+    x, product = _draws(sampler, 200, 11)
     assert sampler._chain is None
     assert np.array_equal(x, product)
 
 
 def test_chain_covariance_is_the_residual_covariance():
-    doc, u, axis = CHAIN_GRIDS["ruin-demo-129"]
+    doc, u, axis = RUIN_DEMO
     fam = family_from_config(doc)
     grid = GridSpec.line(*axis)
     sampler = ResidualSampler(fam, u, 0.0, grid)
