@@ -13,14 +13,14 @@ Exit codes: 0 pass, 1 statistical fail, 2 ModelError: a missing or
 malformed config value, an unreadable or non-JSON --config, an --out that
 cannot be made a directory, a bad GEXR_BUDGET or flag value, or a model an
 estimator rejects; 3 SimulationError, LinAlgError or FloatingPointError.
-Every number in a config must be finite, and a count a whole number;
-infinity is spelled "inf" (or "infinity"), for a component's mode and the
-formula setup's gammas only.  Any other exception is an internal error and
-propagates with its traceback, so the interpreter exits 1, the code of a
-statistical fail.  A run that does not finish removes the --out directories
-it created.  GEXR_BUDGET caps replication counts for smoke runs; results.json
-records it as "budget" (null when unset).  Any overflowed (non-finite)
-sample of a Monte Carlo estimate fails the run.
+Every number in a config must be finite and not a boolean, and a count a
+whole number; infinity is spelled "inf" (or "infinity"), for a component's
+mode and the formula setup's gammas only.  Any other exception is an
+internal error and propagates with its traceback, so the interpreter exits
+1, the code of a statistical fail.  A run that does not finish removes the
+--out directories it created.  GEXR_BUDGET caps replication counts for
+smoke runs; results.json records it as "budget" (null when unset).  Any
+overflowed (non-finite) sample of a Monte Carlo estimate fails the run.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .covmodels import (
     variance_function_from_json,
 )
 from .mc import ExtrapolationSchedule
-from .simkit import GridSpec
+from .simkit import GRID_POINT_BUDGET, GridSpec
 
 __all__ = [
     "number",
@@ -42,11 +42,12 @@ def number(value, name: str, *, gt=-math.inf, ge=-math.inf, lt=math.inf, le=math
            inf=False) -> float:
     """The config number ``value``: finite and within the bounds given;
     with ``inf``, also "inf"/"infinity", the dialect's spelling of infinity.
-    Anything else, NaN or "nan" included, raises ModelError naming ``name``."""
+    Anything else, NaN, "nan" and booleans included, raises ModelError
+    naming ``name``."""
     if inf and value in ("inf", "infinity"):
         return math.inf
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not (math.isfinite(x) and gt < x < lt and ge <= x <= le):
@@ -58,19 +59,18 @@ def number(value, name: str, *, gt=-math.inf, ge=-math.inf, lt=math.inf, le=math
 
 def count(value, name: str, ge: int = 1) -> int:
     """The config count ``value``: a whole number at or above ``ge``."""
-    x = value if isinstance(value, int) else number(value, name)
+    x = value if type(value) is int else number(value, name)  # a bool is no count
     if x != int(x) or x < ge:
         raise ModelError(f"{name} must be a whole number >= {ge}, got {value!r}")
     return int(x)
 
 
 def grid_from_config(doc: dict) -> GridSpec:
-    """{"perAxis": [[lo, hi, nPoints], ...], "pointBudget": n (optional)}"""
-    axes = tuple((number(lo, "perAxis"), number(hi, "perAxis"), count(n, "perAxis"))
-                 for lo, hi, n in doc["perAxis"])
+    """{"perAxis": [[lo, hi, nPoints], ...]}"""
     if "pointBudget" in doc:
-        return GridSpec(axes, point_budget=count(doc["pointBudget"], "pointBudget"))
-    return GridSpec(axes)
+        raise ModelError(f"pointBudget is not read: every grid is capped at {GRID_POINT_BUDGET} points")
+    return GridSpec(tuple((number(lo, "perAxis"), number(hi, "perAxis"), count(n, "perAxis"))
+                          for lo, hi, n in doc["perAxis"]))
 
 
 def schedule_from_config(doc: dict) -> ExtrapolationSchedule:
@@ -86,7 +86,7 @@ def schedule_from_config(doc: dict) -> ExtrapolationSchedule:
         if key in doc:
             kwargs[arg] = tuple(number(s, key) for s in doc[key])
     if "stopRule" in doc:
-        kwargs["stop_rule"] = number(doc["stopRule"], "stopRule")
+        kwargs["stop_rule"] = number(doc["stopRule"], "stopRule", ge=0)
     return ExtrapolationSchedule(**kwargs)
 
 
@@ -126,7 +126,7 @@ def drift_from_config(doc: dict | None) -> DriftFunction:
         return DriftFunction.zero()
     if doc["kind"] == "power":
         coeff = number(doc["coeff"], "drift coeff", ge=0)
-        exponent = number(doc["exponent"], "drift exponent")
+        exponent = number(doc["exponent"], "drift exponent", gt=0)  # h(0) = 0
 
         def fn(t):
             t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -200,7 +200,7 @@ def _scaled_threshold_family(doc: dict) -> ThresholdedFamilySpec:
     u (1 + |s|^p / g(u)) realized as drift h_{u}(s) = |s|^p / g(u),
     g(u) = u^gExponent.
     """
-    exponent = number(doc.get("exponent", 2.0), "exponent")
+    exponent = number(doc.get("exponent", 2.0), "exponent", gt=0)  # h(0) = 0
     g_power = number(doc.get("gExponent", 4.0), "gExponent")
 
     def h_family(u, tau, t):

@@ -9,10 +9,11 @@ from the increment autocovariance: white increments (alpha = 1) and equal
 increments (alpha = 2, the path t * Z) directly, every other alpha through
 circulant embedding (O(n log n)); all three are exact in law.
 :class:`StatIncrSampler` (general stationary-increment variance functions)
-and :class:`ResidualSampler` (conditional residual fields) share one Cholesky
-factor, with a bounded jitter schedule, and one draw: a first-order factor (a
-Gauss-Markov process) is drawn by its recursion, O(n) a path, once it has
-``CHAIN_MIN_POINTS`` free points; the rest by a product.
+and :class:`ResidualSampler` (conditional residual fields) share one
+Cholesky factor and one draw: a first-order factor (a Gauss-Markov process)
+is drawn by its recursion, O(n) a path, once it has ``CHAIN_MIN_POINTS``
+free points; the rest by a product.  Both generators keep one PSD rule,
+:func:`_clip_spectrum`, and never perturb a covariance.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ __all__ = [
     "ResidualSampler",
 ]
 
-DEFAULT_POINT_BUDGET = 1 << 20
+# no grid has more points than this
+GRID_POINT_BUDGET = 1 << 20
 
 # rows per block of the blockwise passes (increment draws, the window
 # reduction of gexr.constants): one block's arrays stay in cache
 ROW_BLOCK = 128
 
-# negative circulant eigenvalues below this (relative to gamma(0)) are a hard
-# error; smaller ones are numerical noise and get clipped
-EMBEDDING_TOL = 1e-8
+# a covariance eigenvalue below -this times the largest variance is a hard
+# error; a smaller negative one is rounding and gets clipped
+PSD_TOL = 1e-10
 
-CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10)
 # beyond this many points a Cholesky generator's n x n arrays take gigabytes
 CHOLESKY_POINT_BUDGET = 1 << 12
 
@@ -82,7 +83,6 @@ class GridSpec:
     """Uniform rectangular grid, one (lo, hi, n_points) triple per axis."""
 
     per_axis: tuple[tuple[float, float, int], ...]
-    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self):
         for lo, hi, n in self.per_axis:
@@ -93,10 +93,8 @@ class GridSpec:
                     raise ModelError("a single-point axis needs hi == lo")
             elif hi <= lo:
                 raise ModelError("axis upper bound must exceed lower bound")
-        if self.size > self.point_budget:
-            raise ModelError(
-                f"grid has {self.size} points, exceeding budget {self.point_budget}"
-            )
+        if self.size > GRID_POINT_BUDGET:
+            raise ModelError(f"grid has {self.size} points, exceeding budget {GRID_POINT_BUDGET}")
 
     @staticmethod
     def line(lo: float, hi: float, n_points: int) -> "GridSpec":
@@ -162,17 +160,24 @@ def _check_cholesky_points(n: int, what: str = "grid") -> None:
         raise ModelError(f"{what} has {n} points, exceeding the Cholesky cap {CHOLESKY_POINT_BUDGET}")
 
 
+def _clip_spectrum(w: np.ndarray, scale: float, what: str) -> np.ndarray:
+    """Eigenvalues ``w`` of ``what`` clipped at 0; SimulationError (NaN too)
+    when one is below ``-PSD_TOL * scale``, ``scale`` its largest variance."""
+    if not np.all(w >= -PSD_TOL * scale):
+        raise SimulationError(f"{what} is not nonnegative definite: eigenvalue "
+                              f"{np.min(w):.3g} below -{PSD_TOL:g} x {scale:.3g}")
+    return np.clip(w, 0.0, None)
+
+
 def _chol_psd(cov: np.ndarray) -> np.ndarray:
-    """Cholesky with a bounded jitter schedule; raises SimulationError."""
-    scale = float(np.max(np.diag(cov))) if cov.size else 1.0
-    if scale <= 0:
-        scale = 1.0
-    for jit in CHOLESKY_JITTERS:
-        try:
-            return np.linalg.cholesky(cov + jit * scale * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise SimulationError("covariance is not numerically nonnegative definite")
+    """An n x n root L of ``cov``, L @ L.T == cov: numpy's Cholesky factor
+    whenever it succeeds, else (a singular covariance, such as an alpha = 2
+    kernel) V sqrt(w) from ``eigh``, w clipped by :func:`_clip_spectrum`."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        return v * np.sqrt(_clip_spectrum(w, float(np.max(np.diag(cov))), "covariance"))
 
 
 class FbmSampler:
@@ -186,7 +191,7 @@ class FbmSampler:
     independent normals.  Equal increments (gamma[k] == gamma[0], alpha = 2)
     have a rank-one covariance: ``rank_one`` is set and the path is t * Z,
     one normal per path.  Every other gamma goes through circulant embedding
-    on a ring of m points.
+    on a ring of m points, whose spectrum :func:`_clip_spectrum` checks.
     """
 
     def __init__(self, alpha: float, step: float, n_right: int, n_left: int = 0):
@@ -206,14 +211,7 @@ class FbmSampler:
         if self.white or self.rank_one:
             return
         ring = np.concatenate([gamma, gamma[-2:0:-1]])
-        lam = np.fft.rfft(ring).real
-        floor = -EMBEDDING_TOL * gamma[0]
-        if np.any(lam < floor):
-            raise SimulationError(
-                "negative circulant eigenvalue in increment embedding; "
-                "this signals numerical breakdown for the requested alpha/n"
-            )
-        lam = np.clip(lam, 0.0, None)
+        lam = _clip_spectrum(np.fft.rfft(ring).real, gamma[0], "circulant increment embedding")
         # spectral weights for the Hermitian-symmetric normal draw
         self._sqrt_lam = np.sqrt(lam / m)
 
@@ -288,12 +286,7 @@ class StatIncrSampler:
         var = vf(np.abs(t))
         dist = np.abs(t[:, None] - t[None, :])
         cov = 0.5 * (var[:, None] + var[None, :] - vf(dist))
-        try:
-            self._L, self._factor, self._chain = _pinned_factor(cov)
-        except SimulationError as exc:
-            raise SimulationError(
-                f"variance model rejected as not nonnegative definite: {exc}"
-            ) from exc
+        self._L, self._factor, self._chain = _pinned_factor(cov)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return _pinned_draw(rng, size, self._factor, self._chain)
@@ -395,7 +388,8 @@ def _chain_plan(L: np.ndarray, free: np.ndarray):
     """
     n = L.shape[0]
     diag = np.diag(L)
-    if np.any(diag <= 0.0):
+    # an eigen root of _chol_psd is not triangular, so never a recursion
+    if np.any(diag <= 0.0) or np.any(np.triu(L, 1)):
         return None
     a = np.zeros(n)
     a[1:] = np.diag(L, -1) / diag[:-1]

@@ -23,7 +23,7 @@ from gexr.functionals import FunctionalSpec
 from gexr.mc import Estimate
 from gexr.presets import PRESETS
 from gexr.rng import RngStream
-from gexr.simkit import CHOLESKY_POINT_BUDGET, GridSpec, SimulationError
+from gexr.simkit import CHOLESKY_POINT_BUDGET, GRID_POINT_BUDGET, GridSpec, SimulationError
 
 SMOKE_BUDGET = "600"  # caps replication counts
 
@@ -126,12 +126,17 @@ def test_budget_caps_reps_not_grid_size(monkeypatch, tmp_path, capsys):
 
 
 def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
+    # the cap is simkit's constant; a config's pointBudget is no longer read
     cfg = json.loads(json.dumps(PRESETS["short-interval-tail"][1]))
-    cfg["grid"]["pointBudget"] = 10
     path = tmp_path / "cfg.json"
+    cfg["grid"] = {"perAxis": [[0.0, 2.0, GRID_POINT_BUDGET + 1]]}
     path.write_text(json.dumps(cfg))
     assert run(["tail", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "exceeding budget 10" in capsys.readouterr().err
+    assert f"exceeding budget {GRID_POINT_BUDGET}" in capsys.readouterr().err
+    cfg["grid"] = {"perAxis": [[0.0, 2.0, 65]], "pointBudget": 10}
+    path.write_text(json.dumps(cfg))
+    assert run(["tail", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "pointBudget is not read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [-0.5, 1.5])
@@ -153,6 +158,21 @@ def test_linalg_error_is_numerical_failure(monkeypatch, tmp_path, capsys):
     code = run(["tail", "--preset", "short-interval-tail", "--out", str(tmp_path)])
     assert code == 3
     assert "model rejected" in capsys.readouterr().err
+
+
+def test_non_psd_variance_model_is_numerical_failure(monkeypatch, tmp_path, capsys):
+    # a variance that falls from 1 to 0.01 is no variogram: the real PSD
+    # check of the Cholesky fallback rejects its covariance, no mock
+    cfg = json.loads(json.dumps(PRESETS["generalized-piterbarg"][1]))
+    cfg["varianceFunction"] = {"kind": "custom", "alpha0": 1.0, "alphaInf": 1.0,
+                               "table": [[0.125, 1.0], [0.25, 0.01], [1e3, 0.01]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("GEXR_BUDGET", "200")
+    out = tmp_path / "out"
+    assert run(["constants", "--config", str(path), "--out", str(out)]) == 3
+    assert "covariance is not nonnegative definite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_window_draw_failure_on_the_helper_thread_is_numerical_failure(
@@ -238,7 +258,8 @@ _DROP = object()  # the key is removed instead of set
 # (preset, key path, value, what is wrong): each case is one missing key, one
 # wrong-typed, empty or out-of-range value, or one key the dialect no longer
 # reads (generalized-piterbarg's gridStep: its step is tSchedule.gridSteps;
-# formula's mcCheck.coarseGrid: the check runs on one grid); audit's
+# formula's mcCheck.coarseGrid: the check runs on one grid; a grid's
+# pointBudget: the cap is fixed); audit's
 # uSchedule and tolerance, formula's mcCheck entries and the constants target
 # used to be read only after an estimator had run
 _BAD_CONFIGS = [
@@ -283,6 +304,11 @@ _BAD_CONFIGS = [
     ("uniform-audit-stationary", ("constant",), {"value": -3}, "negative-value"),
     ("uniform-audit-stationary", ("constant",), {"value": 0}, "zero-value"),
     ("doublesum-gaussian", ("separations",), [-3, 0], "negative"),
+    ("short-interval-tail", ("grid", "pointBudget"), 10, "unread"),
+    ("piterbarg-gamma", ("drift", "exponent"), -1.0, "negative"),
+    ("piterbarg-gamma", ("drift", "exponent"), 0.0, "zero"),
+    ("formula-product-1d", ("mcCheck", "family", "exponent"), -1.0, "negative"),
+    ("piterbarg-gamma", ("schedule", "stopRule"), -1.0, "negative"),
 ]
 
 
@@ -295,13 +321,14 @@ def _numeric_leaves(doc, path=()):
             yield (*path, key)
 
 
-# every number of every preset, one at a time, made non-finite
+# every number of every preset, one at a time, made non-finite or a boolean
 _NON_FINITE = [
     (name, path, value, what)
     for name, (_, cfg) in PRESETS.items()
     for path in _numeric_leaves(cfg)
     for what, value in (("NaN", math.nan), ("Infinity", math.inf),
-                        ("-Infinity", -math.inf), ("nan-string", "nan"))
+                        ("-Infinity", -math.inf), ("nan-string", "nan"),
+                        ("true", True))
 ]
 
 

@@ -19,15 +19,20 @@ from gexr.covmodels import (
     VarianceFunction,
 )
 from gexr.configio import family_from_config
+from gexr import simkit
 from gexr.rng import RngStream
 from gexr.simkit import (
     CHOLESKY_POINT_BUDGET,
+    GRID_POINT_BUDGET,
+    PSD_TOL,
     ROW_BLOCK,
     FbmSampler,
     GridSpec,
     LimitFieldSampler,
     ResidualSampler,
+    SimulationError,
     StatIncrSampler,
+    _chol_psd,
 )
 
 N_COV = 10_000
@@ -83,8 +88,10 @@ def test_grid_validation():
 
 
 def test_grid_point_budget():
-    with pytest.raises(ModelError):
-        GridSpec(((0.0, 1.0, 100), (0.0, 1.0, 100)), point_budget=500)
+    side = math.isqrt(GRID_POINT_BUDGET)
+    assert GridSpec(((0.0, 1.0, side), (0.0, 1.0, side))).size == GRID_POINT_BUDGET
+    with pytest.raises(ModelError, match=f"exceeding budget {GRID_POINT_BUDGET}"):
+        GridSpec(((0.0, 1.0, side + 1), (0.0, 1.0, side)))
 
 
 def test_points_layout():
@@ -438,6 +445,54 @@ def test_chain_covariance_is_the_residual_covariance():
     target = fam.corr_matrix(u, 0.0, grid.points()) - np.outer(sampler.r0, sampler.r0)
     emp = x.T @ x / N_COV
     assert np.max(np.abs(emp - target)) < 6.0 / math.sqrt(N_COV) * max(1.0, target.max())
+
+
+# ---------------------------------------------------------------------------
+# the PSD rule: Cholesky when it succeeds, else the clipped eigen root
+
+
+def _gaussian_kernel(n):
+    """exp(-d^2) on n points of [0, 2]: singular to rounding from n ~ 20 on."""
+    t = np.linspace(0.0, 2.0, n)
+    return np.exp(-((t[:, None] - t[None, :]) ** 2))
+
+
+def test_chol_psd_is_numpy_cholesky_on_a_pd_matrix():
+    t = np.arange(1, 41) / 8
+    cov = 0.5 * (t[:, None] + t[None, :] - np.abs(t[:, None] - t[None, :]))
+    assert np.array_equal(_chol_psd(cov), np.linalg.cholesky(cov))
+
+
+def test_singular_kernel_draws_from_the_eigen_root():
+    cov = _gaussian_kernel(33)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    root = _chol_psd(cov)
+    assert root.shape == cov.shape
+    np.testing.assert_allclose(root @ root.T, cov, rtol=0, atol=1e-12)
+    x = RngStream(2026, (13,)).generator().standard_normal((N_COV, 33)) @ root.T
+    assert np.max(np.abs(x.T @ x / N_COV - cov)) < 6.0 / math.sqrt(N_COV)
+
+
+def test_eigenvalue_below_the_tolerance_is_a_simulation_error():
+    q = np.linalg.qr(RngStream(2026, (14,)).generator().standard_normal((6, 6)))[0]
+    cov = (q * [2.0, 1.0, 0.5, 0.25, 0.1, 0.0]) @ q.T
+    scale = np.max(np.diag(cov))
+    inside = cov - 0.1 * PSD_TOL * scale * np.outer(q[:, -1], q[:, -1])
+    root = _chol_psd(inside)
+    np.testing.assert_allclose(root @ root.T, cov, rtol=0, atol=1e-12)
+    with pytest.raises(SimulationError, match="not nonnegative definite"):
+        _chol_psd(cov - 1e-6 * scale * np.outer(q[:, -1], q[:, -1]))
+
+
+def test_circulant_and_cholesky_read_one_tolerance(monkeypatch):
+    # every eigenvalue must now reach the largest variance, which only
+    # uncorrelated points meet: both generators refuse
+    monkeypatch.setattr(simkit, "PSD_TOL", -1.0)
+    with pytest.raises(SimulationError, match="circulant"):
+        FbmSampler(1.5, 0.25, n_right=16)
+    with pytest.raises(SimulationError, match="covariance"):
+        _chol_psd(_gaussian_kernel(33))
 
 
 def test_residual_fully_degenerate():

@@ -70,7 +70,7 @@ def test_single_point_domain_equals_psi(g):
     sampler = ConditionalSampler(fam, g, 0.0, GridSpec(((0.0, 0.0, 1),)))
     est = conditional_tail(sampler, SUP, 500, RngStream(1))
     assert est.value == pytest.approx(survival_psi(g), rel=1e-12)
-    assert est.stderr <= 1e-15  # only PSD-jitter noise remains
+    assert est.stderr <= 1e-15  # the one point is pinned: only rounding remains
 
 
 def test_fully_correlated_family_equals_psi():
