@@ -7,7 +7,8 @@
 Subcommands: constants, tail, audit, doublesum, formula, ruin-demo.  Every
 run writes a CSV of per-level/per-cell rows, a results.json summary (with a
 config hash covering all numeric inputs), and a gnuplot script referencing
-the CSV.  A run reads its whole config before the first estimator call.
+the CSV.  A run reads its whole config, then makes --out and runs; a key
+it has not read by then is a config error that names the key's path.
 
 Exit codes: 0 pass, 1 statistical fail, 2 ModelError: a missing or
 malformed config value, an unreadable or non-JSON --config, an --out that
@@ -40,6 +41,7 @@ from . import constants as constmod
 from . import doublesum as dsmod
 from . import tailprob
 from .configio import (
+    ConfigView,
     count,
     doublesum_correlation_from_config,
     drift_from_config,
@@ -69,11 +71,8 @@ def _budget() -> int | None:
 
 @contextlib.contextmanager
 def _config_boundary():
-    """The read phase of a run, where a Python error is a config error.
-
-    ``main`` and every runner read their config inside it, before the first
-    estimator call; the same error raised by an estimator propagates.
-    """
+    """The read phase of ``main``, where a Python error is a config error;
+    the same error raised by a run step propagates."""
     try:
         yield
     except ModelError:
@@ -142,9 +141,9 @@ def _fail_on_overflow(status: str, summary: dict, counts) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners: each reads its whole config inside _config_boundary, then
-# runs, and returns (status, summary, files) where files is a list of
-# (filename, header, rows, plot-title, x-col, y-col)
+# per-kind readers: each reads its config and returns its run step, a function
+# of the run's RngStream returning (status, summary, files), where files is a
+# list of (filename, header, rows, plot-title, x-col, y-col)
 
 
 def _cell_csv(cells: list[dict], index: str = "tau"):
@@ -153,9 +152,6 @@ def _cell_csv(cells: list[dict], index: str = "tau"):
     rows = [[c["u"], c[index], c["p_hat"], c["stderr"], c["psi"], c["ratio"]]
             for c in cells]
     return header, rows
-
-
-# Each constants reader returns the estimator as a function of (reps, rng).
 
 
 def _pickands_trace(cfg: dict):
@@ -177,8 +173,6 @@ def _piterbarg_trace(cfg: dict):
 
 
 def _sup_inf_trace(cfg: dict):
-    if "gridStep" in cfg:
-        raise ModelError("gridStep is not read: give the step in tSchedule.gridSteps")
     vf = variance_function_from_json(cfg["varianceFunction"])
     schedule = schedule_from_config(cfg["tSchedule"])
     b, S = number(cfg["b"], "b"), number(cfg["S"], "S")
@@ -196,73 +190,74 @@ def _generalized_trace(cfg: dict):
     def trace(reps, rng):
         est = constmod.estimate_generalized_constant(eta, drift, gamma, grid, reps, rng)
         return constmod.LevelTrace((est,), est, "plateau")
-
     return trace
 
 
-# estimator -> (config reader, meta keys of the level and step columns, plot
-# title); a single estimate leaves both columns blank
+# estimator -> (config reader, returning the estimator as a function of (reps,
+# rng); meta keys of the level and step columns, blank for a single estimate;
+# plot title)
 _CONSTANTS = {
     "pickands": (_pickands_trace, ("domain", "step"), "domain-growth trace"),
     "piterbarg": (_piterbarg_trace, ("domain", "step"), "domain-growth trace"),
-    "generalized-piterbarg": (
-        _sup_inf_trace, ("horizon", "step"), "horizon-growth trace"
-    ),
+    "generalized-piterbarg": (_sup_inf_trace, ("horizon", "step"), "horizon-growth trace"),
     "generalized": (_generalized_trace, (None, None), "constant estimate"),
 }
 
 
-def run_constants(cfg: dict, seed: int):
-    """Run one constants estimator against the config's target, if any; any
-    overflowed sample fails the run."""
-    with _config_boundary():
-        estimator = cfg.get("estimator")
-        if estimator not in _CONSTANTS:
-            raise ModelError(f"unknown constants estimator {estimator!r}")
-        read, keys, title = _CONSTANTS[estimator]
-        trace_of = read(cfg)
-        reps = _reps(cfg)
-        target = number(cfg["target"], "target") if "target" in cfg else None
-        tol = number(cfg.get("tolerance", 0.05), "tolerance", ge=0)
-    trace = trace_of(reps, RngStream(seed))
-    est = trace.estimate
-    status = "pass" if trace.status == "plateau" else trace.status
-    if status == "pass" and target is not None:
-        status = "pass" if abs(est.value - target) <= tol * abs(target) else "fail"
-    summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
-    if "drift_warning" in est.meta:
-        summary["warning"] = est.meta["drift_warning"]
-    status = _fail_on_overflow(status, summary, map(_overflow, (*trace.levels, est)))
-    rows = [[*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
-            for e in trace.levels]
-    return status, summary, [
-        ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows, title, 1, 3)
-    ]
+def run_constants(cfg: dict):
+    """One constants estimator, checked against the config's target, if any;
+    any overflowed sample fails the run."""
+    estimator = cfg.get("estimator")
+    if estimator not in _CONSTANTS:
+        raise ModelError(f"unknown constants estimator {estimator!r}")
+    read, keys, title = _CONSTANTS[estimator]
+    trace_of = read(cfg)
+    reps = _reps(cfg)
+    target = number(cfg["target"], "target") if "target" in cfg else None
+    tol = number(cfg.get("tolerance", 0.05), "tolerance", ge=0)
+
+    def run(rng):
+        trace = trace_of(reps, rng)
+        est = trace.estimate
+        status = "pass" if trace.status == "plateau" else trace.status
+        if status == "pass" and target is not None:
+            status = "pass" if abs(est.value - target) <= tol * abs(target) else "fail"
+        summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
+        if "drift_warning" in est.meta:
+            summary["warning"] = est.meta["drift_warning"]
+        status = _fail_on_overflow(status, summary, map(_overflow, (*trace.levels, est)))
+        rows = [[*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
+                for e in trace.levels]
+        return status, summary, [
+            ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows, title, 1, 3)
+        ]
+    return run
 
 
-def run_tail(cfg: dict, seed: int):
-    with _config_boundary():
-        family = family_from_config(cfg["family"])
-        gamma = functional_from_config(cfg.get("functional", "sup"))
-        grid = grid_from_config(cfg["grid"])
-        u, tau = number(cfg["u"], "u", gt=0), number(cfg.get("tau", 0.0), "tau")
-        reps = _reps(cfg)
-        estimator = cfg.get("estimator", "conditional")
-        if estimator not in ("conditional", "crude"):
-            raise ModelError(f"unknown tail estimator {estimator!r}")
-    rng = RngStream(seed)
-    status = "pass"
-    if estimator == "conditional":
-        cell = tailprob.tail_cell(family, gamma, u, tau, grid, reps, rng)
-    else:
-        est = tailprob.crude_mc_tail(family, u, tau, gamma, grid, reps, rng)
-        cell = tailprob.tail_row(u, tau, est)
-        if est.meta.get("low_confidence"):
-            status = "low-confidence"
-    summary = {"pHat": cell["p_hat"], "stderr": cell["stderr"], "psi": cell["psi"],
-               "ratio": cell["ratio"], "status": status}
-    status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
-    return status, summary, [("tail.csv", *_cell_csv([cell]), "tail ratio", 1, 6)]
+def run_tail(cfg: dict):
+    family = family_from_config(cfg["family"])
+    gamma = functional_from_config(cfg.get("functional", "sup"))
+    grid = grid_from_config(cfg["grid"])
+    u, tau = number(cfg["u"], "u", gt=0), number(cfg.get("tau", 0.0), "tau")
+    reps = _reps(cfg)
+    estimator = cfg.get("estimator", "conditional")
+    if estimator not in ("conditional", "crude"):
+        raise ModelError(f"unknown tail estimator {estimator!r}")
+
+    def run(rng):
+        status = "pass"
+        if estimator == "conditional":
+            cell = tailprob.tail_cell(family, gamma, u, tau, grid, reps, rng)
+        else:
+            est = tailprob.crude_mc_tail(family, u, tau, gamma, grid, reps, rng)
+            cell = tailprob.tail_row(u, tau, est)
+            if est.meta.get("low_confidence"):
+                status = "low-confidence"
+        summary = {"pHat": cell["p_hat"], "stderr": cell["stderr"], "psi": cell["psi"],
+                   "ratio": cell["ratio"], "status": status}
+        status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
+        return status, summary, [("tail.csv", *_cell_csv([cell]), "tail ratio", 1, 6)]
+    return run
 
 
 def _audit_constant(cfg: dict, grid):
@@ -274,8 +269,6 @@ def _audit_constant(cfg: dict, grid):
         given = Estimate(number(doc["value"], "value", gt=0),
                          number(doc.get("stderr", 0.0), "stderr", ge=0), 0)
         return lambda rng: given
-    if "windowConstant" not in doc:
-        raise ModelError("audit constant must give 'value' or 'windowConstant'")
     sub = doc["windowConstant"]
     eta = eta_from_config(sub["eta"])
     reps = _reps(sub)
@@ -289,80 +282,80 @@ def _audit_constant(cfg: dict, grid):
             eta, [hi - lo], grid.steps[0], reps, rng
         )
         return pairs.estimate(levels[0][0])
-
     return estimate
 
 
-def run_audit(cfg: dict, seed: int):
-    with _config_boundary():
-        family = family_from_config(cfg["family"])
-        gamma = functional_from_config(cfg.get("functional", "sup"))
-        grid = grid_from_config(cfg["grid"])
-        constant_of = _audit_constant(cfg, grid)
-        u_schedule = _u_schedule(cfg)
-        reps = _reps(cfg)
-        tolerance = number(cfg.get("tolerance", 0.1), "tolerance", ge=0)
-    rng = RngStream(seed)
-    constant = constant_of(rng.substream(0))
-    report = tailprob.uniform_ratio_audit(
-        family, gamma, constant, u_schedule, grid, reps, rng.substream(1),
-        tolerance=tolerance,
-    )
-    status = "pass" if report.passed else "fail"
-    urows = [[r["u"], r["max_deviation"], r["passed"]] for r in report.per_u]
-    summary = {"constant": constant.value, "constantStderr": constant.stderr,
-               "maxDeviations": [r["max_deviation"] for r in report.per_u],
-               "status": status}
-    counts = [_overflow(constant), *(r["overflow_count"] for r in report.rows)]
-    status = _fail_on_overflow(status, summary, counts)
-    return status, summary, [
-        ("ratios.csv", *_cell_csv(report.rows), "tail ratios", 2, 6),
-        ("audit.csv", ["u", "maxDeviation", "pass"], urows,
-         "uniform deviation trace", 1, 2),
-    ]
+def run_audit(cfg: dict):
+    family = family_from_config(cfg["family"])
+    gamma = functional_from_config(cfg.get("functional", "sup"))
+    grid = grid_from_config(cfg["grid"])
+    constant_of = _audit_constant(cfg, grid)
+    u_schedule = _u_schedule(cfg)
+    reps = _reps(cfg)
+    tolerance = number(cfg.get("tolerance", 0.1), "tolerance", ge=0)
+
+    def run(rng):
+        constant = constant_of(rng.substream(0))
+        report = tailprob.uniform_ratio_audit(
+            family, gamma, constant, u_schedule, grid, reps, rng.substream(1),
+            tolerance=tolerance,
+        )
+        status = "pass" if report.passed else "fail"
+        urows = [[r["u"], r["max_deviation"], r["passed"]] for r in report.per_u]
+        summary = {"constant": constant.value, "constantStderr": constant.stderr,
+                   "maxDeviations": [r["max_deviation"] for r in report.per_u],
+                   "status": status}
+        counts = [_overflow(constant), *(r["overflow_count"] for r in report.rows)]
+        status = _fail_on_overflow(status, summary, counts)
+        return status, summary, [
+            ("ratios.csv", *_cell_csv(report.rows), "tail ratios", 2, 6),
+            ("audit.csv", ["u", "maxDeviation", "pass"], urows,
+             "uniform deviation trace", 1, 2),
+        ]
+    return run
 
 
-def run_doublesum(cfg: dict, seed: int):
-    with _config_boundary():
-        corr = doublesum_correlation_from_config(cfg["model"])
-        c1, beta = number(cfg["c1"], "c1"), number(cfg["beta"], "beta")
-        ppu = count(cfg.get("pointsPerUnit", 4), "pointsPerUnit")
-        reps = _reps(cfg)
-        configs = []  # box scale outermost, separation innermost
-        for s2, u, sep in itertools.product(
-            [number(s2, "boxScales") for s2 in cfg["boxScales"]],
-            [number(u, "uLevels", gt=0) for u in cfg["uLevels"]],
-            [number(sep, "separations", ge=0) for sep in cfg["separations"]],
-        ):
-            box = ((0.0, s2),)
-            dcfg = dsmod.DoubleMaximaConfig(
-                correlation=corr, cell1=box, cell2=box, offset1=(0.0,),
-                offset2=(s2 + sep,), m1_fn=lambda v: v,
-                m2_fn=lambda v: v, c1=c1, beta=beta, s2=s2,
-            )
-            configs.append((dcfg, u))
-        ppa = [round(ppu * c.s2) + 1 for c, _ in configs]
-    rng = RngStream(seed)
+def run_doublesum(cfg: dict):
+    corr = doublesum_correlation_from_config(cfg["model"])
+    c1, beta = number(cfg["c1"], "c1"), number(cfg["beta"], "beta")
+    ppu = count(cfg.get("pointsPerUnit", 4), "pointsPerUnit")
+    reps = _reps(cfg)
+    configs = []  # box scale outermost, separation innermost
+    for s2, u, sep in itertools.product(
+        [number(s2, "boxScales") for s2 in cfg["boxScales"]],
+        [number(u, "uLevels", gt=0) for u in cfg["uLevels"]],
+        [number(sep, "separations", ge=0) for sep in cfg["separations"]],
+    ):
+        box = ((0.0, s2),)
+        dcfg = dsmod.DoubleMaximaConfig(
+            correlation=corr, cell1=box, cell2=box, offset1=(0.0,),
+            offset2=(s2 + sep,), m1_fn=lambda v: v,
+            m2_fn=lambda v: v, c1=c1, beta=beta, s2=s2,
+        )
+        configs.append((dcfg, u))
 
-    def _one(i):
-        c, u = configs[i]
-        return dsmod.estimate_double_maxima(c, u, ppa[i], reps, rng.substream(i))
+    def run(rng):
+        def _one(i):
+            c, u = configs[i]
+            return dsmod.estimate_double_maxima(c, u, round(ppu * c.s2) + 1, reps,
+                                                rng.substream(i))
 
-    estimates = cell_map(_one, range(len(configs)))
-    report = dsmod.fit_bound_constant(configs, estimates)
-    status = "pass" if report.passed else "fail"
-    rows = [
-        [r["separation"], r["s2"], r["u"], r["d_hat"],
-         estimates[i].stderr, r["bound"], r["slack"]]
-        for i, r in enumerate(report.table)
-    ]
-    summary = {"fittedC": report.fitted_c, "pass": report.passed,
-               "growingWithSeparation": report.growing_with_separation,
-               "status": status}
-    return status, summary, [
-        ("doublesum.csv", ["sep", "S2", "u", "dHat", "stderr", "bound", "slack"], rows,
-         "double-maxima vs bound", 1, 4)
-    ]
+        estimates = cell_map(_one, range(len(configs)))
+        report = dsmod.fit_bound_constant(configs, estimates)
+        status = "pass" if report.passed else "fail"
+        rows = [
+            [r["separation"], r["s2"], r["u"], r["d_hat"],
+             estimates[i].stderr, r["bound"], r["slack"]]
+            for i, r in enumerate(report.table)
+        ]
+        summary = {"fittedC": report.fitted_c, "pass": report.passed,
+                   "growingWithSeparation": report.growing_with_separation,
+                   "status": status}
+        return status, summary, [
+            ("doublesum.csv", ["sep", "S2", "u", "dHat", "stderr", "bound", "slack"], rows,
+             "double-maxima vs bound", 1, 4)
+        ]
+    return run
 
 
 def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
@@ -378,64 +371,65 @@ def _setup_from_config(doc: dict) -> tailprob.AsymptoticSetup:
     )
 
 
-def run_formula(cfg: dict, seed: int):
+def run_formula(cfg: dict):
     """The product formula, cross-checked by the conditioned tail on the
     grid of the config's ``mcCheck`` when it has one."""
-    with _config_boundary():
-        setup = _setup_from_config(cfg["setup"])
-        u = number(cfg["u"], "u", gt=0)
-        cdoc = cfg.get("constants", {})
-        constants = {
-            "per_unit": [number(x, "perUnit", gt=0) for x in cdoc.get("perUnit", [])],
-            "drifted": [number(x, "drifted", gt=0) for x in cdoc.get("drifted", [])],
-        }
-        if "field" in cdoc:
-            constants["field"] = number(cdoc["field"], "field", gt=0)
-        check = "mcCheck" in cfg
-        if check:
-            mc = cfg["mcCheck"]
-            if "coarseGrid" in mc:
-                raise ModelError("mcCheck.coarseGrid is not read: give one grid")
-            family = family_from_config(mc["family"])
-            reps = _reps(mc)
-            grid = grid_from_config(mc["grid"])
-            tol = number(mc.get("tolerance", 0.15), "tolerance", ge=0)
-    result = tailprob.eval_mainm_formula(setup, u, constants)
-    summary = {"value": result.value, "factors": result.factors, "status": "pass"}
-    status = "pass"
-    rows = [[u, result.value, "", ""]]
+    setup = _setup_from_config(cfg["setup"])
+    u = number(cfg["u"], "u", gt=0)
+    cdoc = cfg.get("constants", {})
+    constants = {
+        "per_unit": [number(x, "perUnit", gt=0) for x in cdoc.get("perUnit", [])],
+        "drifted": [number(x, "drifted", gt=0) for x in cdoc.get("drifted", [])],
+    }
+    if "field" in cdoc:
+        constants["field"] = number(cdoc["field"], "field", gt=0)
+    check = "mcCheck" in cfg
     if check:
-        cell = tailprob.tail_cell(family, FunctionalSpec.sup(), u, 0.0, grid, reps,
-                                  RngStream(seed).substream(0))
-        value, stderr = cell["p_hat"], cell["stderr"]
-        deviation = abs(value - result.value) / result.value
-        status = "pass" if deviation <= tol + 3 * stderr / result.value else "fail"
-        summary.update(mcEstimate=value, mcStderr=stderr,
-                       relativeDeviation=deviation, status=status)
-        rows = [[u, result.value, value, stderr]]
-        status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
-    return status, summary, [
-        ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
-         "formula vs MC", 1, 2)
-    ]
+        mc = cfg["mcCheck"]
+        family = family_from_config(mc["family"])
+        reps = _reps(mc)
+        grid = grid_from_config(mc["grid"])
+        tol = number(mc.get("tolerance", 0.15), "tolerance", ge=0)
+
+    def run(rng):
+        result = tailprob.eval_mainm_formula(setup, u, constants)
+        summary = {"value": result.value, "factors": result.factors, "status": "pass"}
+        status = "pass"
+        rows = [[u, result.value, "", ""]]
+        if check:
+            cell = tailprob.tail_cell(family, FunctionalSpec.sup(), u, 0.0, grid, reps,
+                                      rng.substream(0))
+            value, stderr = cell["p_hat"], cell["stderr"]
+            deviation = abs(value - result.value) / result.value
+            status = "pass" if deviation <= tol + 3 * stderr / result.value else "fail"
+            summary.update(mcEstimate=value, mcStderr=stderr,
+                           relativeDeviation=deviation, status=status)
+            rows = [[u, result.value, value, stderr]]
+            status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
+        return status, summary, [
+            ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
+             "formula vs MC", 1, 2)
+        ]
+    return run
 
 
-def run_ruin_demo(cfg: dict, seed: int):
-    with _config_boundary():
-        family = family_from_config(cfg["family"])
-        grid = grid_from_config(cfg["grid"])
-        u_schedule = _u_schedule(cfg)
-        reps = _reps(cfg)
-    rng = RngStream(seed)
-    sup = FunctionalSpec.sup()
-    cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(ui))
-             for ui, u in enumerate(u_schedule)]
-    summary = {"ratios": [c["ratio"] for c in cells], "status": "pass",
-               "note": "qualitative"}
-    status = _fail_on_overflow("pass", summary, [c["overflow_count"] for c in cells])
-    return status, summary, [
-        ("ruin.csv", *_cell_csv(cells, "g"), "level-crossing tail ratios", 1, 6)
-    ]
+def run_ruin_demo(cfg: dict):
+    family = family_from_config(cfg["family"])
+    grid = grid_from_config(cfg["grid"])
+    u_schedule = _u_schedule(cfg)
+    reps = _reps(cfg)
+
+    def run(rng):
+        sup = FunctionalSpec.sup()
+        cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(ui))
+                 for ui, u in enumerate(u_schedule)]
+        summary = {"ratios": [c["ratio"] for c in cells], "status": "pass",
+                   "note": "qualitative"}
+        status = _fail_on_overflow("pass", summary, [c["overflow_count"] for c in cells])
+        return status, summary, [
+            ("ruin.csv", *_cell_csv(cells, "g"), "level-crossing tail ratios", 1, 6)
+        ]
+    return run
 
 
 _RUNNERS = {
@@ -464,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
-    """The config of the run: the named preset, or the object in --config."""
+def _load_config(args) -> ConfigView:
+    """A view of the run's config: the named preset, or the object in --config."""
     if args.preset:
         cfg = preset_config(args.preset)
     elif args.config:
@@ -480,6 +474,7 @@ def _load_config(args) -> dict:
         raise ModelError("one of --config or --preset is required")
     if not isinstance(cfg, dict):
         raise ModelError("config must be a JSON object")
+    cfg = ConfigView(cfg)
     if cfg.get("kind") != args.command:
         raise ModelError(f"config kind {cfg.get('kind')!r} does not match subcommand")
     return cfg
@@ -515,14 +510,18 @@ def main(argv=None) -> int:
     made: list[str] = []  # --out and its parents that this run creates
     files = None  # the runner's output: until it returns, --out is not kept
     try:
-        with _config_boundary():
+        with _config_boundary():  # the read phase: every key read, or exit 2
             cfg = _load_config(args)
-            seed = count(cfg["seed"] if args.seed is None else args.seed, "seed", ge=0)
+            if args.seed is None or "seed" in cfg:  # checked under --seed too
+                seed = count(cfg["seed"], "seed", ge=0)
+            seed = seed if args.seed is None else count(args.seed, "seed", ge=0)
+            run = _RUNNERS[args.command](cfg)  # reads every other key
+            cfg.close()
         if args.workers != 1:  # bench/workloads.py's audit workload still passes 1
             raise ModelError("--workers is retired: runs choose their own threads")
         budget = _budget()
         _make_out(args.out, made)
-        status, summary, files = _RUNNERS[args.command](cfg, seed)
+        status, summary, files = run(RngStream(seed))
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,7 @@
 """JSON configuration parsing for models, grids, schedules, and families.
 
-It also holds the correlation models of the double-maxima runner.
+It also holds the correlation models of the double-maxima runner, and
+:class:`ConfigView`, through which the runner reads a whole config.
 
 Every builder takes a plain dict (already json-decoded) and returns the
 corresponding model object, raising :class:`ModelError` on anything
@@ -24,9 +25,10 @@ from .covmodels import (
     variance_function_from_json,
 )
 from .mc import ExtrapolationSchedule
-from .simkit import GRID_POINT_BUDGET, GridSpec
+from .simkit import GridSpec
 
 __all__ = [
+    "ConfigView",
     "number",
     "count",
     "grid_from_config",
@@ -36,6 +38,46 @@ __all__ = [
     "family_from_config",
     "doublesum_correlation_from_config",
 ]
+
+
+class ConfigView(dict):
+    """A config dict that records the keys read from it with ``[]`` and
+    ``.get``; a presence test with ``in`` is no read.  Its dicts, also those
+    inside lists, are views that share its :meth:`close`."""
+
+    def __init__(self, doc: dict, path: str = "", views: list | None = None):
+        self._prefix, self._read, self._views = path, set(), [] if views is None else views
+        self._views.append(self)
+        super().__init__({key: _view(value, path + key, self._views) for key, value in doc.items()})
+
+    def __getitem__(self, key):
+        return super().__getitem__(self._mark(key))
+
+    def get(self, key, default=None):
+        return super().get(self._mark(key), default)
+
+    def _mark(self, key):
+        if self._read is None:  # read by a run step: a bug, not a config error
+            raise RuntimeError(f"config key {self._prefix}{key} read after the read phase")
+        self._read.add(key)
+        return key
+
+    def close(self) -> None:
+        """End the read phase: no view is read again, and a key that was
+        never read raises ModelError naming its path."""
+        unread = [v._prefix + key for v in self._views for key in v if key not in v._read]
+        for v in self._views:
+            v._read = None
+        if unread:
+            raise ModelError(f"config key {unread[0]} is not used by this run")
+
+
+def _view(value, path: str, views: list):
+    if isinstance(value, dict):
+        return ConfigView(value, path + ".", views)
+    if isinstance(value, list):
+        return [_view(v, f"{path}[{i}]", views) for i, v in enumerate(value)]
+    return value
 
 
 def number(value, name: str, *, gt=-math.inf, ge=-math.inf, lt=math.inf, le=math.inf,
@@ -67,8 +109,6 @@ def count(value, name: str, ge: int = 1) -> int:
 
 def grid_from_config(doc: dict) -> GridSpec:
     """{"perAxis": [[lo, hi, nPoints], ...]}"""
-    if "pointBudget" in doc:
-        raise ModelError(f"pointBudget is not read: every grid is capped at {GRID_POINT_BUDGET} points")
     return GridSpec(tuple((number(lo, "perAxis"), number(hi, "perAxis"), count(n, "perAxis"))
                           for lo, hi, n in doc["perAxis"]))
 

@@ -12,10 +12,12 @@ from gexr import constants as constmod
 from gexr import doublesum as dsmod
 from gexr import tailprob
 from gexr.cli import main
+from gexr.configio import ConfigView
 from gexr.covmodels import (
     DriftFunction,
     LimitFieldComponent,
     LimitFieldSpec,
+    ModelError,
     ThresholdedFamilySpec,
     VarianceFunction,
 )
@@ -126,7 +128,7 @@ def test_budget_caps_reps_not_grid_size(monkeypatch, tmp_path, capsys):
 
 
 def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
-    # the cap is simkit's constant; a config's pointBudget is no longer read
+    # the cap is simkit's constant; a config's pointBudget is a key no run reads
     cfg = json.loads(json.dumps(PRESETS["short-interval-tail"][1]))
     path = tmp_path / "cfg.json"
     cfg["grid"] = {"perAxis": [[0.0, 2.0, GRID_POINT_BUDGET + 1]]}
@@ -136,7 +138,7 @@ def test_config_point_budget_still_rejects_grids(tmp_path, capsys):
     cfg["grid"] = {"perAxis": [[0.0, 2.0, 65]], "pointBudget": 10}
     path.write_text(json.dumps(cfg))
     assert run(["tail", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "pointBudget is not read" in capsys.readouterr().err
+    assert "grid.pointBudget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [-0.5, 1.5])
@@ -256,12 +258,14 @@ def test_failed_run_keeps_an_existing_out(monkeypatch, tmp_path, capsys):
 _DROP = object()  # the key is removed instead of set
 
 # (preset, key path, value, what is wrong): each case is one missing key, one
-# wrong-typed, empty or out-of-range value, or one key the dialect no longer
-# reads (generalized-piterbarg's gridStep: its step is tSchedule.gridSteps;
-# formula's mcCheck.coarseGrid: the check runs on one grid; a grid's
-# pointBudget: the cap is fixed); audit's
-# uSchedule and tolerance, formula's mcCheck entries and the constants target
-# used to be read only after an estimator had run
+# wrong-typed, empty or out-of-range value, or one key the run does not read,
+# whose path the message must name: a misspelt optional key, at top level or
+# nested; a key the dialect no longer reads (generalized-piterbarg's gridStep:
+# its step is tSchedule.gridSteps; formula's mcCheck.coarseGrid: the check
+# runs on one grid; a grid's pointBudget: the cap is fixed); or an audit
+# constant that gives both a value and a windowConstant.  Audit's uSchedule
+# and tolerance, formula's mcCheck entries and the constants target used to
+# be read only after an estimator had run
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
     ("pickands-alpha-1", ("target",), "one", "wrong-type"),
@@ -309,6 +313,13 @@ _BAD_CONFIGS = [
     ("piterbarg-gamma", ("drift", "exponent"), 0.0, "zero"),
     ("formula-product-1d", ("mcCheck", "family", "exponent"), -1.0, "negative"),
     ("piterbarg-gamma", ("schedule", "stopRule"), -1.0, "negative"),
+    ("piterbarg-gamma", ("schedule", "stoprule"), 0.5, "unread"),
+    ("piterbarg-gamma", ("tolerence",), 0.5, "unread"),
+    ("short-interval-tail", ("functionl",), "inf", "unread"),
+    ("doublesum-gaussian", ("pointsperunit",), 8, "unread"),
+    ("formula-product-1d", ("mcCheck", "tolerence"), 0.5, "unread"),
+    ("ruin-demo", ("family", "C"), 2.0, "unread"),
+    ("uniform-audit-stationary", ("constant", "value"), 1.0, "both-given"),
 ]
 
 
@@ -349,12 +360,12 @@ def _no_estimator_may_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,path,value", [case[:3] for case in _BAD_CONFIGS + _NON_FINITE],
+    "name,path,value,what", _BAD_CONFIGS + _NON_FINITE,
     ids=[f"{n}-{'.'.join(map(str, p))}-{what}"
          for n, p, _, what in _BAD_CONFIGS + _NON_FINITE],
 )
 def test_bad_config_is_rejected_before_any_estimator(
-    name, path, value, monkeypatch, tmp_path, capsys
+    name, path, value, what, monkeypatch, tmp_path, capsys
 ):
     _no_estimator_may_run(monkeypatch)
     cfg = json.loads(json.dumps(PRESETS[name][1]))
@@ -369,7 +380,10 @@ def test_bad_config_is_rejected_before_any_estimator(
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run([cfg["kind"], "--config", str(config), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if what == "unread":
+        assert ".".join(path) in err
     assert not out.exists()
 
 
@@ -380,6 +394,53 @@ def test_negative_seed_flag_is_config_error(monkeypatch, tmp_path, capsys):
     assert run(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5, None])
+def test_config_seed_is_checked_under_the_seed_flag(seed, monkeypatch, tmp_path, capsys):
+    # --seed replaces the config's seed, but a seed the config gives is
+    # still checked as a count >= 0
+    _no_estimator_may_run(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["tail", "--config", _tail_config(tmp_path, seed=seed), "--seed", "5",
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_read_by_a_run_step_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # the read phase ends before the run step: a late read is a bug of the
+    # program, not of the config, so it propagates and is not exit 2
+    read_tail = cli._RUNNERS["tail"]
+
+    def late_reader(cfg):
+        step = read_tail(cfg)
+        return lambda rng: (cfg["u"], step(rng))
+
+    monkeypatch.setitem(cli._RUNNERS, "tail", late_reader)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="config key u read after the read phase"):
+        run(["tail", "--preset", "short-interval-tail", "--out", str(out)])
+    assert "config error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_view_records_reads_in_nested_dicts_and_lists():
+    doc = {"a": {"b": [{"c": 1, "d": 2}], "e": 3}, "f": 4}
+    view = ConfigView(doc)
+    assert view == doc and view.get("g", 5) == 5
+    inner = view["a"]
+    assert inner["b"][0]["c"] == 1 and inner.get("e") == 3 and view["f"] == 4
+    with pytest.raises(ModelError, match=r"config key a\.b\[0\]\.d is not used"):
+        view.close()
+    with pytest.raises(RuntimeError, match=r"config key a\.e read after"):
+        inner["e"]
+    view = ConfigView(doc)
+    view["a"]["b"][0].get("c"), view["a"]["b"][0].get("d"), view["a"]["e"]
+    assert "f" in view  # a presence test is no read
+    with pytest.raises(ModelError, match="config key f is not used"):
+        view.close()
 
 
 @pytest.mark.parametrize("estimator", ["conditional", "crude"])
