@@ -14,8 +14,7 @@ import json
 import math
 import sys
 
-from gexr.configio import family_from_config, grid_from_config
-from gexr.functionals import functional_from_config
+from gexr.configio import family_from_config, functional_from_config, grid_from_config
 from gexr.rng import RngStream
 from gexr.tailprob import ConditionalSampler, conditional_tail, crude_mc_tail
 

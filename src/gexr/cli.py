@@ -20,8 +20,10 @@ mode and the formula setup's gammas only.  Any other exception is an
 internal error and propagates with its traceback, so the interpreter exits
 1, the code of a statistical fail.  A run that does not finish removes the
 --out directories it created.  GEXR_BUDGET caps replication counts for
-smoke runs; results.json records it as "budget" (null when unset).  Any
-overflowed (non-finite) sample of a Monte Carlo estimate fails the run.
+smoke runs; results.json records it as "budget" (null when unset).  A run
+step reports its verdict and the largest overflow count of its Monte Carlo
+estimates, and main judges: any overflowed (non-finite) sample, in any
+estimate, fails the run and puts its count in the summary's "overflowCount".
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ from .configio import (
     drift_from_config,
     eta_from_config,
     family_from_config,
+    functional_from_config,
     grid_from_config,
     number,
     schedule_from_config,
+    variance_function_from_json,
 )
-from .covmodels import ModelError, variance_function_from_json
-from .functionals import FunctionalSpec, functional_from_config
+from .covmodels import ModelError
+from .functionals import FunctionalSpec
 from .mc import Estimate, cell_map
 from .presets import list_presets, preset_config
 from .rng import RngStream
@@ -127,23 +131,12 @@ def _overflow(est: Estimate) -> int:
     return est.meta.get("overflow_count", 0)
 
 
-def _fail_on_overflow(status: str, summary: dict, counts) -> str:
-    """The one overflow rule: any overflowed sample fails the run (exit 1).
-
-    ``counts`` are the overflow counts of the run's Monte Carlo estimates;
-    ``summary["overflowCount"]`` reports the largest.
-    """
-    overflow = max(counts)
-    if overflow:
-        status = summary["status"] = "fail"
-        summary["overflowCount"] = overflow
-    return status
-
-
 # ---------------------------------------------------------------------------
 # per-kind readers: each reads its config and returns its run step, a function
-# of the run's RngStream returning (status, summary, files), where files is a
-# list of (filename, header, rows, plot-title, x-col, y-col)
+# of the run's RngStream returning (summary, files, overflow): the summary
+# holds the step's verdict as "status", files is a list of (filename, header,
+# rows, plot-title, x-col, y-col), and overflow is the largest overflow count
+# of the step's Monte Carlo estimates
 
 
 def _cell_csv(cells: list[dict], index: str = "tau"):
@@ -159,6 +152,8 @@ def _pickands_trace(cfg: dict):
     schedule = schedule_from_config(cfg["schedule"])
     if not schedule.domain_sizes[0] > 0:  # the constant is per unit length
         raise ModelError("Pickands domain sizes must be positive")
+    for S in schedule.domain_sizes:  # the estimator's coarse step 2h, or its one step
+        constmod._grid_count(S, schedule.grid_steps[0])
     return lambda reps, rng: constmod.estimate_pickands(eta, schedule, reps, rng)
 
 
@@ -167,6 +162,10 @@ def _piterbarg_trace(cfg: dict):
     drift = drift_from_config(cfg.get("drift"))
     schedule = schedule_from_config(cfg["schedule"])
     domain = cfg.get("domain", "right")
+    if domain not in ("right", "symmetric"):
+        raise ModelError("domain must be 'right' or 'symmetric'")
+    for S in schedule.domain_sizes:
+        constmod._grid_count(S, schedule.step)
     return lambda reps, rng: constmod.estimate_piterbarg(
         eta, drift, schedule, reps, rng, domain=domain
     )
@@ -175,7 +174,9 @@ def _piterbarg_trace(cfg: dict):
 def _sup_inf_trace(cfg: dict):
     vf = variance_function_from_json(cfg["varianceFunction"])
     schedule = schedule_from_config(cfg["tSchedule"])
-    b, S = number(cfg["b"], "b"), number(cfg["S"], "S")
+    b, S = number(cfg["b"], "b", gt=0), number(cfg["S"], "S", ge=0)
+    for length in (S, *schedule.domain_sizes):  # the window and every horizon
+        constmod._grid_count(length, schedule.step)
     return lambda reps, rng: constmod.estimate_generalized_piterbarg(
         vf, b, S, schedule, reps, rng
     )
@@ -225,12 +226,11 @@ def run_constants(cfg: dict):
         summary = {"estimate": est.value, "stderr": est.stderr, "status": status}
         if "drift_warning" in est.meta:
             summary["warning"] = est.meta["drift_warning"]
-        status = _fail_on_overflow(status, summary, map(_overflow, (*trace.levels, est)))
         rows = [[*(e.meta.get(k, "") for k in keys), e.value, e.stderr, e.n_reps]
                 for e in trace.levels]
-        return status, summary, [
+        return summary, [
             ("levels.csv", ["level", "step", "value", "stderr", "nReps"], rows, title, 1, 3)
-        ]
+        ], max(map(_overflow, (*trace.levels, est)))
     return run
 
 
@@ -255,8 +255,8 @@ def run_tail(cfg: dict):
                 status = "low-confidence"
         summary = {"pHat": cell["p_hat"], "stderr": cell["stderr"], "psi": cell["psi"],
                    "ratio": cell["ratio"], "status": status}
-        status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
-        return status, summary, [("tail.csv", *_cell_csv([cell]), "tail ratio", 1, 6)]
+        files = [("tail.csv", *_cell_csv([cell]), "tail ratio", 1, 6)]
+        return summary, files, cell["overflow_count"]
     return run
 
 
@@ -300,18 +300,15 @@ def run_audit(cfg: dict):
             family, gamma, constant, u_schedule, grid, reps, rng.substream(1),
             tolerance=tolerance,
         )
-        status = "pass" if report.passed else "fail"
         urows = [[r["u"], r["max_deviation"], r["passed"]] for r in report.per_u]
         summary = {"constant": constant.value, "constantStderr": constant.stderr,
                    "maxDeviations": [r["max_deviation"] for r in report.per_u],
-                   "status": status}
-        counts = [_overflow(constant), *(r["overflow_count"] for r in report.rows)]
-        status = _fail_on_overflow(status, summary, counts)
-        return status, summary, [
+                   "status": "pass" if report.passed else "fail"}
+        return summary, [
             ("ratios.csv", *_cell_csv(report.rows), "tail ratios", 2, 6),
             ("audit.csv", ["u", "maxDeviation", "pass"], urows,
              "uniform deviation trace", 1, 2),
-        ]
+        ], max([_overflow(constant), *(r["overflow_count"] for r in report.rows)])
     return run
 
 
@@ -342,7 +339,6 @@ def run_doublesum(cfg: dict):
 
         estimates = cell_map(_one, range(len(configs)))
         report = dsmod.fit_bound_constant(configs, estimates)
-        status = "pass" if report.passed else "fail"
         rows = [
             [r["separation"], r["s2"], r["u"], r["d_hat"],
              estimates[i].stderr, r["bound"], r["slack"]]
@@ -350,11 +346,11 @@ def run_doublesum(cfg: dict):
         ]
         summary = {"fittedC": report.fitted_c, "pass": report.passed,
                    "growingWithSeparation": report.growing_with_separation,
-                   "status": status}
-        return status, summary, [
+                   "status": "pass" if report.passed else "fail"}
+        return summary, [
             ("doublesum.csv", ["sep", "S2", "u", "dHat", "stderr", "bound", "slack"], rows,
              "double-maxima vs bound", 1, 4)
-        ]
+        ], max(map(_overflow, estimates))
     return run
 
 
@@ -394,22 +390,20 @@ def run_formula(cfg: dict):
     def run(rng):
         result = tailprob.eval_mainm_formula(setup, u, constants)
         summary = {"value": result.value, "factors": result.factors, "status": "pass"}
-        status = "pass"
-        rows = [[u, result.value, "", ""]]
+        rows, overflow = [[u, result.value, "", ""]], 0
         if check:
             cell = tailprob.tail_cell(family, FunctionalSpec.sup(), u, 0.0, grid, reps,
                                       rng.substream(0))
             value, stderr = cell["p_hat"], cell["stderr"]
             deviation = abs(value - result.value) / result.value
-            status = "pass" if deviation <= tol + 3 * stderr / result.value else "fail"
-            summary.update(mcEstimate=value, mcStderr=stderr,
-                           relativeDeviation=deviation, status=status)
-            rows = [[u, result.value, value, stderr]]
-            status = _fail_on_overflow(status, summary, [cell["overflow_count"]])
-        return status, summary, [
+            ok = deviation <= tol + 3 * stderr / result.value
+            summary.update(mcEstimate=value, mcStderr=stderr, relativeDeviation=deviation,
+                           status="pass" if ok else "fail")
+            rows, overflow = [[u, result.value, value, stderr]], cell["overflow_count"]
+        return summary, [
             ("formula.csv", ["u", "formula", "mcEstimate", "mcStderr"], rows,
              "formula vs MC", 1, 2)
-        ]
+        ], overflow
     return run
 
 
@@ -420,15 +414,16 @@ def run_ruin_demo(cfg: dict):
     reps = _reps(cfg)
 
     def run(rng):
-        sup = FunctionalSpec.sup()
-        cells = [tailprob.tail_cell(family, sup, u, 0.0, grid, reps, rng.substream(ui))
-                 for ui, u in enumerate(u_schedule)]
+        def _one(ui):
+            return tailprob.tail_cell(family, FunctionalSpec.sup(), u_schedule[ui], 0.0,
+                                      grid, reps, rng.substream(ui))
+
+        cells = cell_map(_one, range(len(u_schedule)))
         summary = {"ratios": [c["ratio"] for c in cells], "status": "pass",
                    "note": "qualitative"}
-        status = _fail_on_overflow("pass", summary, [c["overflow_count"] for c in cells])
-        return status, summary, [
+        return summary, [
             ("ruin.csv", *_cell_csv(cells, "g"), "level-crossing tail ratios", 1, 6)
-        ]
+        ], max(c["overflow_count"] for c in cells)
     return run
 
 
@@ -521,7 +516,7 @@ def main(argv=None) -> int:
             raise ModelError("--workers is retired: runs choose their own threads")
         budget = _budget()
         _make_out(args.out, made)
-        status, summary, files = run(RngStream(seed))
+        summary, files, overflow = run(RngStream(seed))
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -531,6 +526,8 @@ def main(argv=None) -> int:
     finally:
         if files is None:  # the run failed, whatever the reason
             _remove_dirs(made)
+    if overflow:  # the one overflow rule: any overflowed sample fails the run
+        summary.update(status="fail", overflowCount=overflow)
     for fname, header, rows, title, x, y in files:
         path = os.path.join(args.out, fname)
         _write_csv(path, header, rows)
@@ -541,8 +538,8 @@ def main(argv=None) -> int:
     with open(os.path.join(args.out, "results.json"), "w") as fh:
         json.dump(record, fh, indent=2, default=str)
         fh.write("\n")
-    print(f"{args.command}: {status}")
-    return EXIT_PASS if status == "pass" else EXIT_STAT_FAIL
+    print(f"{args.command}: {summary['status']}")
+    return EXIT_PASS if summary["status"] == "pass" else EXIT_STAT_FAIL
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""JSON configuration parsing for models, grids, schedules, and families.
+"""JSON configuration parsing for models, functionals, grids, schedules, and
+families.
 
 It also holds the correlation models of the double-maxima runner, and
 :class:`ConfigView`, through which the runner reads a whole config.
@@ -11,6 +12,7 @@ command-line runner; presets are expressed in the same dialect.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -22,8 +24,9 @@ from .covmodels import (
     LimitFieldSpec,
     ModelError,
     ThresholdedFamilySpec,
-    variance_function_from_json,
+    VarianceFunction,
 )
+from .functionals import FunctionalSpec
 from .mc import ExtrapolationSchedule
 from .simkit import GridSpec
 
@@ -31,6 +34,8 @@ __all__ = [
     "ConfigView",
     "number",
     "count",
+    "variance_function_from_json",
+    "functional_from_config",
     "grid_from_config",
     "schedule_from_config",
     "eta_from_config",
@@ -105,6 +110,49 @@ def count(value, name: str, ge: int = 1) -> int:
     if x != int(x) or x < ge:
         raise ModelError(f"{name} must be a whole number >= {ge}, got {value!r}")
     return int(x)
+
+
+def variance_function_from_json(doc: str | dict) -> VarianceFunction:
+    """Load a model from a JSON document.
+
+    Supported forms::
+
+        {"kind": "fbm", "alpha": 1.5}
+        {"kind": "sumOfFbm", "weights": [...], "alphas": [...]}
+        {"kind": "custom", "table": [[t, var], ...], "alpha0": a, "alphaInf": b}
+    """
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    kind = doc.get("kind")
+    if kind == "fbm":
+        return VarianceFunction.fbm(number(doc["alpha"], "alpha"))
+    if kind == "sumOfFbm":
+        return VarianceFunction.sum_of_fbm(
+            [number(w, "weights") for w in doc["weights"]],
+            [number(a, "alphas") for a in doc["alphas"]],
+        )
+    if kind == "custom":
+        return VarianceFunction.from_table(
+            [[number(x, "table") for x in knot] for knot in doc["table"]],
+            number(doc["alpha0"], "alpha0"),
+            number(doc["alphaInf"], "alphaInf"),
+        )
+    raise ModelError(f"unknown variance model kind: {kind!r}")
+
+
+def functional_from_config(doc) -> FunctionalSpec:
+    """Parse "sup" | "inf" | {"mix": a} | {"composed": {"inner":..., "sAxes": [...]}}."""
+    if doc == "sup":
+        return FunctionalSpec.sup()
+    if doc == "inf":
+        return FunctionalSpec.inf()
+    if isinstance(doc, dict) and "mix" in doc:
+        return FunctionalSpec.mix(number(doc["mix"], "mix"))
+    if isinstance(doc, dict) and "composed" in doc:
+        inner = functional_from_config(doc["composed"]["inner"])
+        s_axes = [count(a, "sAxes", ge=0) for a in doc["composed"]["sAxes"]]
+        return FunctionalSpec.composed(inner, s_axes)
+    raise ModelError(f"unknown functional config: {doc!r}")
 
 
 def grid_from_config(doc: dict) -> GridSpec:

@@ -10,7 +10,6 @@ fields are described by :class:`ThresholdedFamilySpec`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,7 +23,6 @@ __all__ = [
     "LimitFieldSpec",
     "ThresholdedFamilySpec",
     "fgn_autocovariance",
-    "variance_function_from_json",
 ]
 
 
@@ -122,36 +120,6 @@ class VarianceFunction:
             kind="table",
             t_range=(float(t.min()), float(t.max())),
         )
-
-
-def variance_function_from_json(doc: str | dict) -> VarianceFunction:
-    """Load a model from a JSON document.
-
-    Supported forms::
-
-        {"kind": "fbm", "alpha": 1.5}
-        {"kind": "sumOfFbm", "weights": [...], "alphas": [...]}
-        {"kind": "custom", "table": [[t, var], ...], "alpha0": a, "alphaInf": b}
-    """
-    from .configio import number  # configio imports this module
-
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc.get("kind")
-    if kind == "fbm":
-        return VarianceFunction.fbm(number(doc["alpha"], "alpha"))
-    if kind == "sumOfFbm":
-        return VarianceFunction.sum_of_fbm(
-            [number(w, "weights") for w in doc["weights"]],
-            [number(a, "alphas") for a in doc["alphas"]],
-        )
-    if kind == "custom":
-        return VarianceFunction.from_table(
-            [[number(x, "table") for x in knot] for knot in doc["table"]],
-            number(doc["alpha0"], "alpha0"),
-            number(doc["alphaInf"], "alphaInf"),
-        )
-    raise ModelError(f"unknown variance model kind: {kind!r}")
 
 
 def fgn_autocovariance(alpha: float, step: float, lag: int) -> float:

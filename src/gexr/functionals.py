@@ -16,7 +16,7 @@ import numpy as np
 
 from .covmodels import ModelError
 
-__all__ = ["FunctionalSpec", "apply_functional", "functional_from_config"]
+__all__ = ["FunctionalSpec", "apply_functional"]
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,3 @@ def apply_functional(
         return inner_vals
     return inner_vals.max(axis=tuple(range(inner_vals.ndim - len(s_axes), inner_vals.ndim)))
 
-
-def functional_from_config(doc) -> FunctionalSpec:
-    """Parse "sup" | "inf" | {"mix": a} | {"composed": {"inner":..., "sAxes": [...]}}."""
-    from .configio import count, number  # the dialect's reader, a layer above
-
-    if doc == "sup":
-        return FunctionalSpec.sup()
-    if doc == "inf":
-        return FunctionalSpec.inf()
-    if isinstance(doc, dict) and "mix" in doc:
-        return FunctionalSpec.mix(number(doc["mix"], "mix"))
-    if isinstance(doc, dict) and "composed" in doc:
-        inner = functional_from_config(doc["composed"]["inner"])
-        s_axes = [count(a, "sAxes", ge=0) for a in doc["composed"]["sAxes"]]
-        return FunctionalSpec.composed(inner, s_axes)
-    raise ModelError(f"unknown functional config: {doc!r}")

@@ -471,7 +471,7 @@ def eval_mainm_formula(
     "per_unit": sequence of per-unit-length sup constants, one per wide
     axis (i <= d1); "drifted": sequence of drifted sup constants over
     [a_i, b_i], one per finite-gamma axis; "field": the generalized
-    constant of the drifted limit field on E (defaults to 1 when n = 0).
+    constant of the drifted limit field on E (defaults to 1).
     Entries may be floats or Estimates.
     """
 
@@ -485,8 +485,6 @@ def eval_mainm_formula(
         raise ModelError("need one per-unit constant per wide axis")
     if len(drifted) != setup.d2 - setup.d1:
         raise ModelError("need one drifted constant per finite-gamma axis")
-    if setup.n == 0 and "field" not in constants:
-        field_const = 1.0
     m = float(setup.m_fn(u))
     if m <= 0:
         raise ModelError("m(u) must be positive")

@@ -469,10 +469,11 @@ def test_criterion_10_formula_vs_mc(monkeypatch, capsys):
     )
     cfg = preset_config("formula-product-1d")
     cfg["constants"]["perUnit"] = [trace.value]
-    status, summary, _ = cli.run_formula(cfg)(RngStream(cfg["seed"]))
+    summary, _, overflow = cli.run_formula(cfg)(RngStream(cfg["seed"]))
     # require the central deviation inside the band, not merely
-    # "not rejected given the Monte Carlo noise"
-    ok = status == "pass" and summary["relativeDeviation"] <= 0.15
+    # "not rejected given the Monte Carlo noise"; an overflowed sample fails
+    ok = (summary["status"] == "pass" and overflow == 0
+          and summary["relativeDeviation"] <= 0.15)
     report(
         capsys,
         10,

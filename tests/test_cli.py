@@ -265,7 +265,9 @@ _DROP = object()  # the key is removed instead of set
 # runs on one grid; a grid's pointBudget: the cap is fixed); or an audit
 # constant that gives both a value and a windowConstant.  Audit's uSchedule
 # and tolerance, formula's mcCheck entries and the constants target used to
-# be read only after an estimator had run
+# be read only after an estimator had run, and piterbarg's domain and one
+# step, the sup-inf constant's b and S, and whole-step domain sizes, windows
+# and horizons were checked only inside an estimator
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
     ("pickands-alpha-1", ("target",), "one", "wrong-type"),
@@ -320,6 +322,13 @@ _BAD_CONFIGS = [
     ("formula-product-1d", ("mcCheck", "tolerence"), 0.5, "unread"),
     ("ruin-demo", ("family", "C"), 2.0, "unread"),
     ("uniform-audit-stationary", ("constant", "value"), 1.0, "both-given"),
+    ("piterbarg-gamma", ("domain",), "bogus", "unknown"),
+    ("piterbarg-gamma", ("schedule", "domainSizes"), [1, 2, 4.01], "non-dividing"),
+    ("piterbarg-gamma", ("schedule", "gridSteps"), [1 / 8, 1 / 16], "two-steps"),
+    ("pickands-alpha-1", ("schedule", "domainSizes"), [2, 4, 8, 16.01], "non-dividing"),
+    ("generalized-piterbarg", ("S",), 2.01, "non-dividing"),
+    ("generalized-piterbarg", ("S",), -2.0, "negative"),
+    ("generalized-piterbarg", ("b",), 0.0, "zero"),
 ]
 
 
@@ -616,6 +625,25 @@ def test_doublesum_worker_count_invariance(monkeypatch, tmp_path, capsys):
     assert (a / "doublesum.csv").read_bytes() == (b / "doublesum.csv").read_bytes()
 
 
+def test_ruin_demo_cells_split_as_the_serial_loop(monkeypatch, tmp_path, capsys):
+    # the three u cells go through the two-thread cell pool
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    pooled = cli.cell_map
+    sizes = []
+
+    def spy(fn, items):
+        sizes.append(len(items))
+        return pooled(fn, items)
+
+    a, b = tmp_path / "pooled", tmp_path / "serial"
+    monkeypatch.setattr(cli, "cell_map", spy)
+    code_a = run(["ruin-demo", "--preset", "ruin-demo", "--out", str(a)])
+    monkeypatch.setattr(cli, "cell_map", _serial_cell_map)
+    code_b = run(["ruin-demo", "--preset", "ruin-demo", "--out", str(b)])
+    assert sizes == [3] and code_a == code_b
+    assert (a / "ruin.csv").read_bytes() == (b / "ruin.csv").read_bytes()
+
+
 def test_generalized_constant_writes_one_level_row(tmp_path, capsys):
     cfg = {
         "kind": "constants",
@@ -772,6 +800,24 @@ def test_overflowed_conditioned_estimate_fails_the_run(
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
     kind = PRESETS[name][1]["kind"]
     code = run([kind, "--preset", name, "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "results.json").read_text())["summary"]
+    if overflow:
+        assert code == 1 and summary["status"] == "fail"
+        assert summary["overflowCount"] == overflow
+    else:  # the verdict is whatever the fake values give, never an overflow
+        assert code in (0, 1)
+        assert "overflowCount" not in summary
+
+
+@pytest.mark.parametrize("overflow", [0, 3])
+def test_overflowed_double_maxima_fails_the_run(overflow, monkeypatch, tmp_path, capsys):
+    def fake_double_maxima(cfg, u, points_per_axis, n_reps, rng):
+        meta = {"overflow_count": overflow} if overflow else {}
+        return Estimate(1e-6, 1e-8, n_reps, meta)
+
+    monkeypatch.setattr(dsmod, "estimate_double_maxima", fake_double_maxima)
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    code = run(["doublesum", "--preset", "doublesum-gaussian", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "results.json").read_text())["summary"]
     if overflow:
         assert code == 1 and summary["status"] == "fail"

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gexr.configio import functional_from_config
 from gexr.covmodels import ModelError
-from gexr.functionals import (
-    FunctionalSpec,
-    apply_functional,
-    functional_from_config,
-)
+from gexr.functionals import FunctionalSpec, apply_functional
 
 EPS = np.finfo(float).eps
 

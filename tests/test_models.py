@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gexr.configio import family_from_config
+from gexr.configio import family_from_config, variance_function_from_json
 from gexr.covmodels import (
     LimitFieldComponent,
     LimitFieldSpec,
@@ -13,7 +13,6 @@ from gexr.covmodels import (
     ThresholdedFamilySpec,
     VarianceFunction,
     fgn_autocovariance,
-    variance_function_from_json,
 )
 
 
