@@ -87,11 +87,12 @@ def _config_boundary():
         raise ModelError(f"malformed config value: {exc}") from exc
 
 
-def _u_schedule(cfg: dict) -> list[float]:
-    u_schedule = [number(u, "uSchedule", gt=0) for u in cfg["uSchedule"]]
-    if not u_schedule:
-        raise ModelError("uSchedule must list at least one level")
-    return u_schedule
+def _numbers(cfg: dict, key: str, **bounds) -> list[float]:
+    """The non-empty list of numbers ``cfg[key]``, each within ``bounds``."""
+    values = [number(x, key, **bounds) for x in cfg[key]]
+    if not values:
+        raise ModelError(f"{key} must list at least one number")
+    return values
 
 
 def _reps(cfg: dict) -> int:
@@ -290,7 +291,7 @@ def run_audit(cfg: dict):
     gamma = functional_from_config(cfg.get("functional", "sup"))
     grid = grid_from_config(cfg["grid"])
     constant_of = _audit_constant(cfg, grid)
-    u_schedule = _u_schedule(cfg)
+    u_schedule = _numbers(cfg, "uSchedule", gt=0)
     reps = _reps(cfg)
     tolerance = number(cfg.get("tolerance", 0.1), "tolerance", ge=0)
 
@@ -319,9 +320,8 @@ def run_doublesum(cfg: dict):
     reps = _reps(cfg)
     configs = []  # box scale outermost, separation innermost
     for s2, u, sep in itertools.product(
-        [number(s2, "boxScales") for s2 in cfg["boxScales"]],
-        [number(u, "uLevels", gt=0) for u in cfg["uLevels"]],
-        [number(sep, "separations", ge=0) for sep in cfg["separations"]],
+        _numbers(cfg, "boxScales"), _numbers(cfg, "uLevels", gt=0),
+        _numbers(cfg, "separations", ge=0),
     ):
         box = ((0.0, s2),)
         dcfg = dsmod.DoubleMaximaConfig(
@@ -377,6 +377,7 @@ def run_formula(cfg: dict):
         "per_unit": [number(x, "perUnit", gt=0) for x in cdoc.get("perUnit", [])],
         "drifted": [number(x, "drifted", gt=0) for x in cdoc.get("drifted", [])],
     }
+    setup.check_constants(constants["per_unit"], constants["drifted"])
     if "field" in cdoc:
         constants["field"] = number(cdoc["field"], "field", gt=0)
     check = "mcCheck" in cfg
@@ -410,7 +411,7 @@ def run_formula(cfg: dict):
 def run_ruin_demo(cfg: dict):
     family = family_from_config(cfg["family"])
     grid = grid_from_config(cfg["grid"])
-    u_schedule = _u_schedule(cfg)
+    u_schedule = _numbers(cfg, "uSchedule", gt=0)
     reps = _reps(cfg)
 
     def run(rng):

@@ -30,9 +30,10 @@ Two estimators of P(Gamma(Z/(1+h)) > g):
   associated (Pitt 1982), so a pair never has more variance than two
   independent paths.  With alpha > 1 on a grid that straddles the origin
   some covariances are negative, a pair can lose to two paths, and every
-  path gets its own R.  For sup and inf, A/(1 - B) = m + c R with m and c
-  precomputed per cell, so a batch reduces m + c R and m - c R straight
-  from the residual rows.
+  path gets its own R.  A/(1 - B) = m + c R with m and c precomputed per
+  cell, so every functional reads one block: a batch forms m + c R and
+  m - c R from the residual rows and reduces them to their max for sup,
+  their min for inf, or both, the bisection bracket, for any other.
 
 The module also houses the uniform-ratio audit (does P/Psi approach the
 generalized constant uniformly over the family index?) and the closed-form
@@ -92,6 +93,14 @@ def survival_psi(x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+def _drift(family, u, tau, pts) -> np.ndarray:
+    """The drift h on ``pts``, flattened; both estimators divide by 1 + h."""
+    h = family.drift_values(u, tau, pts).reshape(-1)
+    if np.any(1.0 + h <= 0):
+        raise ModelError("drift pushes 1 + h below zero on the grid")
+    return h
+
+
 def crude_mc_tail(
     family: ThresholdedFamilySpec,
     u: float,
@@ -109,9 +118,9 @@ def crude_mc_tail(
     _check_cholesky_points(grid.size)
     g = float(family.threshold(u, tau))
     pts = grid.points()
+    h = _drift(family, u, tau, pts).reshape(grid.shape)
     r = family.corr_matrix(u, tau, pts)
     L = _chol_psd(r)
-    h = family.drift_values(u, tau, pts).reshape(grid.shape)
     hit = np.empty(n_reps, dtype=bool)
 
     def body(gen, lo, hi, slot):
@@ -138,9 +147,9 @@ class ConditionalSampler:
 
     ``paired`` is True when the residual is associated (every residual
     covariance nonnegative): field paths then come in antithetic pairs
-    built from R and -R, otherwise every path has its own R.  For the
-    closed-form crossing, A/(1 - B) = m + c R with m = mean_part / slope and
-    c = noise_scale / slope, precomputed per cell (0 at the flat points,
+    built from R and -R, otherwise every path has its own R.  Every
+    functional's crossing reads A/(1 - B) = m + c R with m = mean_part / slope
+    and c = noise_scale / slope, precomputed per cell (0 at the flat points,
     B = 1, whose A/(1 - B) is read from the sign of A).
     """
 
@@ -157,10 +166,8 @@ class ConditionalSampler:
         self._residual = ResidualSampler(self.family, self.u, self.tau, self.grid)
         self.paired = self._residual.associated
         r0 = self._residual.r0
-        h = self.family.drift_values(self.u, self.tau, pts).reshape(-1)
+        h = _drift(self.family, self.u, self.tau, pts)
         denom = 1.0 + h
-        if np.any(denom <= 0):
-            raise ModelError("drift pushes 1 + h below zero on the grid")
         g = self.g
         self.mean_part = (-(g**2) * (1.0 - r0) - g**2 * h) / denom
         self.b_part = (1.0 - r0 + h) / denom
@@ -172,59 +179,6 @@ class ConditionalSampler:
         divisor = np.where(self.flat, 1.0, self.slope)
         self._ratio_mean = np.where(self.flat, 0.0, self.mean_part / divisor)
         self._ratio_scale = np.where(self.flat, 0.0, self.noise_scale / divisor)
-
-    def residual_rows(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """Residual paths R for ``size`` field paths, flattened per row.
-
-        One row a pair, (size + 1) // 2 rows, when ``paired``; one a path
-        otherwise.
-        """
-        rows = (size + 1) // 2 if self.paired else size
-        return self._residual.sample(gen, rows).reshape(rows, -1)
-
-    def sample_a(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n_points) draws of the random part A of chi_w.
-
-        When ``paired``, rows 2k and 2k+1 are the antithetic pair
-        mean_part +- noise_scale * R of one residual path R, and an odd
-        ``size`` drops the last minus row; otherwise row k is
-        mean_part + noise_scale * R_k.
-        """
-        r = self.residual_rows(gen, size)
-        r *= self.noise_scale
-        if not self.paired:
-            r += self.mean_part
-            return r
-        a = np.empty((2 * len(r), r.shape[1]))
-        np.add(self.mean_part, r, out=a[0::2])
-        np.subtract(self.mean_part, r, out=a[1::2])
-        return a[:size]
-
-
-def _closed_crossing(sampler, gen, size, upper) -> np.ndarray:
-    """Per path, w* = max_t A/(1-B) (``upper``, for sup) or min_t (for inf).
-
-    Reduced from the residual rows directly: A/(1 - B) = m + c R, and a
-    pair's second path is m - c R.  A flat point (B = 1) hits for every w
-    when A > 0 and for none otherwise, so it reads +inf or -inf.
-    """
-    r = sampler.residual_rows(gen, size)
-    flat = sampler.flat
-    if flat.any():
-        noise = sampler.noise_scale[flat] * r[:, flat]
-        base = sampler.mean_part[flat]
-        flat_hits = (base + noise > 0.0, base - noise > 0.0)
-    ops = (np.add, np.subtract) if sampler.paired else (np.add,)
-    reduce = np.max if upper else np.min
-    r *= sampler._ratio_scale
-    field = np.empty_like(r)
-    w = np.empty((len(r), len(ops)))
-    for j, op in enumerate(ops):
-        op(sampler._ratio_mean, r, out=field)
-        if flat.any():
-            field[:, flat] = np.where(flat_hits[j], np.inf, -np.inf)
-        reduce(field, axis=1, out=w[:, j])
-    return w.reshape(-1)[:size]
 
 
 def _bisect_crossing(sampler, gamma, a, lo, hi) -> np.ndarray:
@@ -257,20 +211,37 @@ def _bisect_crossing(sampler, gamma, a, lo, hi) -> np.ndarray:
 def _crossing_point(sampler, gamma, gen, size) -> np.ndarray:
     """Per path, the end w* of the hit set {w : Gamma(A + w B) > w}.
 
-    Closed form for sup and inf (and ``mix`` at weight 1 or 0); every other
-    functional is bisected between those two, from ``sample_a``'s A.
+    A/(1 - B) = m + c R from one residual draw per path, or per pair when
+    ``paired`` (``size`` is then even), whose second path is m - c R.  A
+    flat point (B = 1) hits for every w when A > 0 and for none otherwise,
+    so it reads +inf or -inf.  w* is the max over t for sup (and ``mix`` at
+    weight 1) and the min for inf (weight 0); any other functional is
+    bisected between the two, on its rows of A.
     """
-    if gamma.kind == "sup" or (gamma.kind == "mix" and gamma.weight == 1.0):
-        return _closed_crossing(sampler, gen, size, upper=True)
-    if gamma.kind == "inf" or (gamma.kind == "mix" and gamma.weight == 0.0):
-        return _closed_crossing(sampler, gen, size, upper=False)
-    a = sampler.sample_a(gen, size)
+    weight = {"sup": 1.0, "inf": 0.0, "mix": gamma.weight}.get(gamma.kind)
+    reducers = {1.0: (np.max,), 0.0: (np.min,)}.get(weight, (np.min, np.max))
+    ops = (np.add, np.subtract) if sampler.paired else (np.add,)
+    rows = size // len(ops)
+    r = sampler._residual.sample(gen, rows).reshape(rows, -1)
     flat = sampler.flat
-    ratio = a / np.where(flat, 1.0, sampler.slope)
     if flat.any():
-        ratio[:, flat] = np.where(a[:, flat] > 0.0, np.inf, -np.inf)
+        base, noise = sampler.mean_part[flat], sampler.noise_scale[flat] * r[:, flat]
+    if len(reducers) == 2:  # A = mean_part +- noise_scale R, a pair's rows adjacent
+        noise_r = sampler.noise_scale * r
+        a = np.stack([op(sampler.mean_part, noise_r) for op in ops], axis=1)
+    r *= sampler._ratio_scale
+    field = np.empty_like(r)
+    ends = np.empty((len(reducers), rows, len(ops)))
+    for j, op in enumerate(ops):
+        op(sampler._ratio_mean, r, out=field)
+        if flat.any():
+            field[:, flat] = np.where(op(base, noise) > 0.0, np.inf, -np.inf)
+        for i, reduce in enumerate(reducers):
+            reduce(field, axis=1, out=ends[i, :, j])
+    if len(reducers) == 1:
+        return ends.reshape(size)
     # inf <= Gamma <= sup, so their crossing points bracket gamma's
-    return _bisect_crossing(sampler, gamma, a, ratio.min(axis=1), ratio.max(axis=1))
+    return _bisect_crossing(sampler, gamma, a.reshape(size, -1), *ends.reshape(2, size))
 
 
 def conditional_tail(
@@ -441,6 +412,13 @@ class AsymptoticSetup:
             if not lo < hi:
                 raise ModelError("y range must have lo < hi")
 
+    def check_constants(self, per_unit: Sequence, drifted: Sequence) -> None:
+        """One per-unit constant per wide axis, one drifted per finite-gamma axis."""
+        if len(per_unit) != self.d1:
+            raise ModelError("need one per-unit constant per wide axis")
+        if len(drifted) != self.d2 - self.d1:
+            raise ModelError("need one drifted constant per finite-gamma axis")
+
 
 def _exp_power_integral(lo: float, hi: float, beta: float) -> float:
     """int_lo^hi exp(-|s|**beta) ds = Gamma(1 + 1/beta) (F(hi) - F(lo)),
@@ -481,10 +459,7 @@ def eval_mainm_formula(
     per_unit = [_val(x) for x in constants.get("per_unit", ())]
     drifted = [_val(x) for x in constants.get("drifted", ())]
     field_const = _val(constants.get("field", 1.0))
-    if len(per_unit) != setup.d1:
-        raise ModelError("need one per-unit constant per wide axis")
-    if len(drifted) != setup.d2 - setup.d1:
-        raise ModelError("need one drifted constant per finite-gamma axis")
+    setup.check_constants(per_unit, drifted)
     m = float(setup.m_fn(u))
     if m <= 0:
         raise ModelError("m(u) must be positive")

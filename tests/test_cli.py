@@ -267,7 +267,8 @@ _DROP = object()  # the key is removed instead of set
 # and tolerance, formula's mcCheck entries and the constants target used to
 # be read only after an estimator had run, and piterbarg's domain and one
 # step, the sup-inf constant's b and S, and whole-step domain sizes, windows
-# and horizons were checked only inside an estimator
+# and horizons, doublesum's empty lists and formula's constant counts were
+# checked only inside an estimator
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
     ("pickands-alpha-1", ("target",), "one", "wrong-type"),
@@ -280,6 +281,11 @@ _BAD_CONFIGS = [
     ("uniform-audit-stationary", ("tolerance",), "tight", "wrong-type"),
     ("doublesum-gaussian", ("separations",), _DROP, "missing"),
     ("doublesum-gaussian", ("uLevels",), [2.5, "high"], "wrong-type"),
+    ("doublesum-gaussian", ("separations",), [], "empty"),
+    ("doublesum-gaussian", ("uLevels",), [], "empty"),
+    ("doublesum-gaussian", ("boxScales",), [], "empty"),
+    ("formula-product-1d", ("constants", "perUnit"), [], "empty"),
+    ("formula-product-1d", ("constants", "drifted"), [1.0], "wrong-length"),
     ("formula-product-1d", ("mcCheck", "reps"), _DROP, "missing"),
     ("formula-product-1d", ("mcCheck", "tolerance"), "loose", "wrong-type"),
     ("formula-product-1d", ("mcCheck", "family", "alpha"), 3, "out-of-range"),

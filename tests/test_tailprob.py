@@ -264,16 +264,42 @@ def test_negative_correlation_to_origin_rejected():
         ConditionalSampler(fam, 3.0, 0.0, GridSpec.line(0.0, 1.0, 3))
 
 
+def test_both_estimators_reject_a_drift_below_minus_one():
+    # h(t) = -2|t| makes 1 + h negative past t = 1/2, where both estimators
+    # would divide by it
+    fam = ThresholdedFamilySpec(
+        correlation=family_from_config({"kind": "stationary", "alpha": 1.0}).correlation,
+        threshold=lambda u, tau: u,
+        drift=lambda u, tau, pts: -2.0 * np.abs(pts[:, 0]),
+    )
+    grid = GridSpec.line(0.0, 1.0, 5)
+    with pytest.raises(ModelError, match="1 \\+ h below zero"):
+        ConditionalSampler(fam, 3.0, 0.0, grid)
+    with pytest.raises(ModelError, match="1 \\+ h below zero"):
+        crude_mc_tail(fam, 3.0, 0.0, SUP, grid, 1000, RngStream(95))
+
+
 def _audit_cell_sampler():
     """A local-family cell at u = 4 on the audit preset's 65-point grid."""
     fam = family_from_config({"kind": "local", "alpha": 1.0})
     return ConditionalSampler(fam, 4.0, 0.0, GridSpec.line(0.0, 2.0, 65))
 
 
-def test_sample_a_rows_are_antithetic_pairs():
+def test_bisected_rows_are_antithetic_pairs(monkeypatch):
     sampler = _audit_cell_sampler()
-    a = sampler.sample_a(RngStream(81).generator(), 1000)
+    seen = []
+    bisect = tailprob._bisect_crossing
+
+    def spy(sampler, gamma, a, lo, hi):
+        seen.append((a.copy(), lo, hi))
+        return bisect(sampler, gamma, a, lo, hi)
+
+    monkeypatch.setattr(tailprob, "_bisect_crossing", spy)
+    composed = FunctionalSpec.composed(SUP, ())
+    tailprob._crossing_point(sampler, composed, RngStream(81).generator(), 1000)
+    [(a, lo, hi)] = seen
     assert a.shape == (1000, 65)
+    assert np.all(lo <= hi)
     scale = np.abs(a).max()
     pair_mean = (a[0::2] + a[1::2]) / 2
     np.testing.assert_allclose(
@@ -282,19 +308,16 @@ def test_sample_a_rows_are_antithetic_pairs():
     )
     # one residual path per pair: half the draws of the field paths
     r = sampler._residual.sample(RngStream(81).generator(), 500).reshape(500, -1)
-    np.testing.assert_allclose(
-        a[0::2], sampler.mean_part + sampler.noise_scale * r, rtol=1e-13, atol=1e-13
-    )
-    odd = sampler.sample_a(RngStream(81).generator(), 7)
-    assert odd.shape == (7, 65)
-    np.testing.assert_allclose(odd, a[:7], rtol=1e-12, atol=1e-12)
+    noise = sampler.noise_scale * r
+    np.testing.assert_allclose(a[0::2], sampler.mean_part + noise, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(a[1::2], sampler.mean_part - noise, rtol=1e-13, atol=1e-13)
 
 
 def test_antithetic_pairs_do_not_add_variance():
     sampler = _audit_cell_sampler()
     g = sampler.g
-    a = sampler.sample_a(RngStream(82).generator(), 20_000)
-    per_path = survival_psi(g - (a / (1.0 - sampler.b_part)).max(axis=1) / g)
+    w = tailprob._crossing_point(sampler, SUP, RngStream(82).generator(), 20_000)
+    per_path = survival_psi(g - w / g)
     pairs = per_path.reshape(-1, 2).mean(axis=1)
     # Var(pair mean) = (Var + Cov) / 2 <= Var / 2 exactly when Cov <= 0
     assert pairs.var(ddof=1) <= 0.5 * per_path.var(ddof=1)
@@ -314,7 +337,7 @@ def test_negative_residual_covariance_draws_independent_paths():
 
 
 def test_bisection_on_unpaired_sampler_matches_crude():
-    # mix bisects from sample_a, whose rows are independent paths here
+    # mix bisects from rows of A that are independent paths here
     fam = family_from_config({"kind": "local", "alpha": 2.0})
     u = 3.0
     grid = GridSpec.line(-2.0, 2.0, 33)
@@ -364,16 +387,22 @@ def test_preset_cells_stay_paired(make_sampler):
     ],
     ids=["sup", "inf-chain", "flat-sup", "flat-inf"],
 )
-def test_closed_crossing_matches_ratio_arithmetic(make_sampler, upper):
-    # the reduction before m and c were precomputed: (mean +- ns R) / slope
+def test_crossing_point_matches_ratio_arithmetic(make_sampler, upper):
+    # the reduction before m and c were precomputed: (mean +- ns R) / slope,
+    # over 1000 paths, since a paired batch is always even
     sampler = make_sampler()
-    w = tailprob._closed_crossing(sampler, RngStream(84).generator(), 999, upper)
-    a = sampler.sample_a(RngStream(84).generator(), 999)
+    assert sampler.paired
+    gamma = SUP if upper else FunctionalSpec.inf()
+    w = tailprob._crossing_point(sampler, gamma, RngStream(84).generator(), 1000)
+    r = sampler._residual.sample(RngStream(84).generator(), 500).reshape(500, -1)
+    noise = sampler.noise_scale * r
+    a = np.empty((1000, r.shape[1]))
+    a[0::2], a[1::2] = sampler.mean_part + noise, sampler.mean_part - noise
     flat = sampler.slope == 0.0
     ratio = a / np.where(flat, 1.0, sampler.slope)
     ratio[:, flat] = np.where(a[:, flat] > 0.0, np.inf, -np.inf)
     old = ratio.max(axis=1) if upper else ratio.min(axis=1)
-    assert w.shape == (999,)
+    assert w.shape == (1000,)
     np.testing.assert_allclose(w, old, rtol=1e-12, atol=0.0)
 
 
