@@ -244,6 +244,8 @@ def run_tail(cfg: dict):
     estimator = cfg.get("estimator", "conditional")
     if estimator not in ("conditional", "crude"):
         raise ModelError(f"unknown tail estimator {estimator!r}")
+    if estimator == "conditional":  # the conditioned tail pivots on t = 0
+        grid.origin_index()
 
     def run(rng):
         status = "pass"
@@ -290,8 +292,11 @@ def run_audit(cfg: dict):
     family = family_from_config(cfg["family"])
     gamma = functional_from_config(cfg.get("functional", "sup"))
     grid = grid_from_config(cfg["grid"])
+    grid.origin_index()
     constant_of = _audit_constant(cfg, grid)
     u_schedule = _numbers(cfg, "uSchedule", gt=0)
+    if not all(a < b for a, b in zip(u_schedule, u_schedule[1:])):  # the verdict is "as u grows"
+        raise ModelError("uSchedule must increase strictly")
     reps = _reps(cfg)
     tolerance = number(cfg.get("tolerance", 0.1), "tolerance", ge=0)
 
@@ -386,6 +391,7 @@ def run_formula(cfg: dict):
         family = family_from_config(mc["family"])
         reps = _reps(mc)
         grid = grid_from_config(mc["grid"])
+        grid.origin_index()
         tol = number(mc.get("tolerance", 0.15), "tolerance", ge=0)
 
     def run(rng):
@@ -411,6 +417,7 @@ def run_formula(cfg: dict):
 def run_ruin_demo(cfg: dict):
     family = family_from_config(cfg["family"])
     grid = grid_from_config(cfg["grid"])
+    grid.origin_index()
     u_schedule = _numbers(cfg, "uSchedule", gt=0)
     reps = _reps(cfg)
 

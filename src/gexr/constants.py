@@ -16,8 +16,8 @@ Four estimators live here:
   domain sizes and grid steps share one exp and four outward scans a path.
   Paths come in antithetic pairs built from eta and -eta, one draw for
   two paths, except for a rank-one field (the path t * Z), whose pair
-  would repeat one sample; ``n_reps`` counts paths either way.  Half the
-  batches are drawn and reduced on one helper thread; the results never
+  would repeat one sample; ``n_reps`` counts paths either way.  The
+  batches are drawn and reduced on two pool threads; the results never
   depend on it.  Two batches of paths are held, one per thread, plus the
   working arrays of each thread's draw.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
@@ -226,7 +226,7 @@ def window_sup_levels(
     keeps independent paths: there -eta is eta reflected, every window sum
     is invariant under the reflection, and a pair would repeat one sample.
 
-    Half the batches are drawn and reduced on one helper thread
+    The batches are drawn and reduced on two pool threads
     (:func:`~gexr.mc.batch_map`); batch b still draws from substream b, so
     the results equal the serial loop bit for bit.  Each thread draws into
     its own buffer, allocated once, and Var eta is subtracted per block of
@@ -299,6 +299,8 @@ def estimate_pickands(
     finite-domain constant; the per-unit ratios are kept in the level
     trace.  The zero field reads 1 at every S, so its quotient is 0 +- 0.
     """
+    if not schedule.domain_sizes[0] > 0:  # the constant is per unit length
+        raise ModelError("Pickands domain sizes must be positive")
     exponent = local_step_exponent(eta)
     step = schedule.finest_step
     refine = len(schedule.grid_steps)

@@ -1,8 +1,8 @@
 """Monte Carlo bookkeeping: batches, estimates, extrapolation, cell maps.
 
-``batch_map`` is the one batch loop: batch b draws from substream b and
-writes only its own rows, so running half the batches on a helper thread
-changes no result.
+``cell_map`` is the one parallel map, and ``batch_map`` is the one batch
+loop, a ``cell_map`` over batches: batch b draws from substream b and
+writes only its own rows, so which thread runs it changes no result.
 ``Estimate`` is the universal return type of the estimators: a point value
 with a batch-means or binomial standard error, replication count and 95%
 confidence interval.  ``PathPairs`` is the bookkeeping of paths drawn in
@@ -13,6 +13,7 @@ estimates agree within max(relative stop rule, twice the combined stderr).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -37,65 +38,55 @@ __all__ = [
 MIN_BATCHES = 30
 
 
-# set on the threads of cell_map's pool and batch_map's helper: no nested pool
+# set on cell_map's pool threads: the thread's slot (0 or 1), and no nested pool
 _POOL = threading.local()
 
 
-def _in_pool(errstate: dict) -> None:
+def _in_pool(errstate: dict, slots: Iterator[int]) -> None:
     np.seterr(**errstate)
-    _POOL.inline = True
+    _POOL.slot = next(slots)
 
 
-def batches(rng: RngStream, n_reps: int, batch_size: int, which=None) -> Iterator[tuple]:
+def batches(rng: RngStream, n_reps: int, batch_size: int) -> Iterator[tuple]:
     """Yield (generator, lo, hi) for replications [lo, hi) in batches.
 
     Batch b draws from ``rng.substream(b)``, so the batch size fixes which
-    draws each replication sees.  ``which`` picks batch indices (default all).
+    draws each replication sees.
     """
-    for b in range(-(-n_reps // batch_size)) if which is None else which:
+    for b in range(-(-n_reps // batch_size)):
         lo = b * batch_size
         yield rng.substream(b).generator(), lo, min(lo + batch_size, n_reps)
 
 
 def batch_map(body: Callable, rng: RngStream, n_reps: int, batch_size: int) -> None:
-    """``body(gen, lo, hi, slot)`` for every batch of :func:`batches`.
+    """``body(gen, lo, hi, slot)`` for every batch of :func:`batches`, by :func:`cell_map`.
 
-    Of n batches, [0, ceil(n/2)) run on the calling thread (slot 0) and the
-    rest on one helper thread (slot 1) under the caller's numpy error state;
-    each half builds its generators.  With fewer than two batches, or in a
-    :func:`cell_map` pool thread, all run inline in slot 0 and no thread starts.
-    The caller sees the first failing batch's exception after the helper ends.
+    ``slot`` is the index (0 or 1) of the pool thread that runs the batch,
+    0 inline, so a body may keep one workspace per slot.
     """
-    n = -(-n_reps // batch_size)
+    def run(b):
+        lo = b * batch_size
+        body(rng.substream(b).generator(), lo, min(lo + batch_size, n_reps),
+             getattr(_POOL, "slot", 0))
 
-    def run(which, slot):
-        for gen, lo, hi in batches(rng, n_reps, batch_size, which):
-            body(gen, lo, hi, slot)
-
-    if n < 2 or getattr(_POOL, "inline", False):
-        return run(range(n), 0)
-    from concurrent.futures import ThreadPoolExecutor
-
-    k = -(-n // 2)
-    with ThreadPoolExecutor(1, initializer=_in_pool, initargs=(np.geterr(),)) as pool:
-        second = pool.submit(run, range(k, n), 1)
-        run(range(k), 0)
-        second.result()
+    cell_map(run, range(-(-n_reps // batch_size)))
 
 
 def cell_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, on a pool of two threads from two items on.
 
-    A pool thread runs its cells' batches inline and a lone item splits its
-    own (:func:`batch_map`), so at most two threads work.  Results keep the
-    order of ``items``: the serial loop's, if cells draw only from their own
-    substreams.
+    The pool threads run under the caller's numpy error state while the
+    caller waits; a map inside a pool thread runs inline, so at most two
+    threads work.  Results keep the order of ``items``: the serial loop's,
+    if items draw only from their own substreams.  The first failing item's
+    exception is raised, and the items not yet started are cancelled.
     """
-    if len(items) < 2:
+    if len(items) < 2 or hasattr(_POOL, "slot"):
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(2, initializer=_in_pool, initargs=(np.geterr(),)) as pool:
+    init = (np.geterr(), itertools.count())
+    with ThreadPoolExecutor(2, initializer=_in_pool, initargs=init) as pool:
         return list(pool.map(fn, items))
 
 

@@ -123,11 +123,10 @@ class GridSpec:
         if n == 1:
             return np.array([lo if lo != 0.0 else 0.0])
         vals = lo + (hi - lo) * np.arange(n) / (n - 1)
-        # snap the origin onto the grid exactly when it is spanned
-        if lo <= 0.0 <= hi:
-            j = int(np.argmin(np.abs(vals)))
-            if abs(vals[j]) < 0.5 * (hi - lo) / (n - 1):
-                vals[j] = 0.0
+        # snap a rounding-size offset of the origin onto it, never a real point
+        j = int(np.argmin(np.abs(vals)))
+        if abs(vals[j]) <= 1e-9 * (hi - lo) / (n - 1):
+            vals[j] = 0.0
         return vals
 
     def axes(self) -> list[np.ndarray]:

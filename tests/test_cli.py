@@ -180,9 +180,9 @@ def test_non_psd_variance_model_is_numerical_failure(monkeypatch, tmp_path, caps
 def test_window_draw_failure_on_the_helper_thread_is_numerical_failure(
     monkeypatch, tmp_path, capsys
 ):
-    # of the window identity's four batches the helper thread draws 2 and 3;
-    # a generator failure there must still reach the runner as
-    # SimulationError, exit 3
+    # the window identity's four batches run on two pool threads; a generator
+    # failure in the last must still reach the runner as SimulationError,
+    # exit 3
     real = constmod.LimitFieldSampler
     draws = []
 
@@ -268,7 +268,9 @@ _DROP = object()  # the key is removed instead of set
 # be read only after an estimator had run, and piterbarg's domain and one
 # step, the sup-inf constant's b and S, and whole-step domain sizes, windows
 # and horizons, doublesum's empty lists and formula's constant counts were
-# checked only inside an estimator
+# checked only inside an estimator, and an audit uSchedule that does not
+# increase strictly and a conditioned-tail grid without its origin were
+# accepted
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
     ("pickands-alpha-1", ("target",), "one", "wrong-type"),
@@ -335,6 +337,14 @@ _BAD_CONFIGS = [
     ("generalized-piterbarg", ("S",), 2.01, "non-dividing"),
     ("generalized-piterbarg", ("S",), -2.0, "negative"),
     ("generalized-piterbarg", ("b",), 0.0, "zero"),
+    ("uniform-audit-stationary", ("uSchedule",), [5, 4, 3], "decreasing"),
+    ("uniform-audit-stationary", ("uSchedule",), [3, 3, 5], "repeated"),
+    ("short-interval-tail", ("grid", "perAxis"), [[-0.3, 1.0, 3]], "off-lattice-origin"),
+    ("uniform-audit-stationary", ("grid", "perAxis"), [[-0.3, 1.0, 3]],
+     "off-lattice-origin"),
+    ("formula-product-1d", ("mcCheck", "grid", "perAxis"), [[-0.3, 1.0, 3]],
+     "off-lattice-origin"),
+    ("ruin-demo", ("grid", "perAxis"), [[-0.3, 1.0, 3]], "off-lattice-origin"),
 ]
 
 
@@ -366,8 +376,8 @@ def _no_estimator_may_run(monkeypatch):
         (constmod, ["estimate_pickands", "estimate_piterbarg",
                     "estimate_generalized_piterbarg",
                     "estimate_generalized_constant", "window_sup_levels"]),
-        (tailprob, ["conditional_tail", "crude_mc_tail", "uniform_ratio_audit",
-                    "eval_mainm_formula"]),
+        (tailprob, ["tail_cell", "conditional_tail", "crude_mc_tail",
+                    "uniform_ratio_audit", "eval_mainm_formula"]),
         (dsmod, ["estimate_double_maxima", "fit_bound_constant"]),
     ):
         for name in names:

@@ -81,10 +81,14 @@ def test_batches_split_and_substreams():
     assert list(batches(rng, 0, 2000)) == []
 
 
-def _recording_body(log):
-    """A batch body that records (batch, lo, hi, slot, thread, draws) in ``log``."""
+def _recording_body(log, meet=lambda slot: None):
+    """A batch body that records (batch, lo, hi, slot, thread, draws) in ``log``.
+
+    It calls ``meet(slot)`` before it draws.
+    """
 
     def body(gen, lo, hi, slot):
+        meet(slot)
         batch = gen.bit_generator.seed_seq.spawn_key[-1]
         draws = gen.standard_normal(hi - lo)
         log.append((batch, lo, hi, slot, threading.get_ident(), draws))
@@ -92,25 +96,41 @@ def _recording_body(log):
     return body
 
 
+def _both_slots_meet():
+    """``meet(slot)``: each slot's first call waits for the other slot's.
+
+    Without it one pool thread may take every batch before the other starts.
+    """
+    barrier, met = threading.Barrier(2, timeout=30), set()
+
+    def meet(slot):
+        if slot not in met:
+            met.add(slot)
+            barrier.wait()
+
+    return meet
+
+
 @pytest.mark.parametrize("n_reps", [0, 1000, 2000, 3000, 9 * 1000 + 37])
 def test_batch_map_equals_the_serial_loop(n_reps):
-    # 0, 1, 2, 3 and a ragged 10 batches: the first ceil(n/2) on the calling
-    # thread in slot 0, the rest on one other thread in slot 1
+    # 0, 1, 2, 3 and a ragged 10 batches: under two batches all run in slot 0
+    # on the calling thread; from two on, each slot is one pool thread
     log = []
-    batch_map(_recording_body(log), RngStream(24), n_reps, 1000)
+    n = -(-n_reps // 1000)
+    meet = _both_slots_meet() if n >= 2 else (lambda slot: None)
+    batch_map(_recording_body(log, meet), RngStream(24), n_reps, 1000)
     got = sorted(log, key=lambda row: row[0])
     serial = list(batches(RngStream(24), n_reps, 1000))
     assert [row[:3] for row in got] == [(b, lo, hi) for b, (_, lo, hi) in enumerate(serial)]
     for row, (gen, lo, hi) in zip(got, serial):
         assert np.array_equal(row[5], gen.standard_normal(hi - lo))
-    n, k = len(serial), -(-len(serial) // 2)
     caller = threading.get_ident()
     if n < 2:
         assert all(row[3] == 0 and row[4] == caller for row in got)
         return
-    assert [row[3] for row in got] == [0] * k + [1] * (n - k)
-    assert {row[4] for row in got[:k]} == {caller}
-    assert len({row[4] for row in got[k:]}) == 1 and got[k][4] != caller
+    threads = [{row[4] for row in got if row[3] == slot} for slot in (0, 1)]
+    assert all(len(t) == 1 for t in threads) and threads[0] != threads[1]
+    assert caller not in threads[0] | threads[1]
 
 
 class _BatchFailure(Exception):
@@ -119,7 +139,7 @@ class _BatchFailure(Exception):
 
 @pytest.mark.parametrize("failing", [{1}, {3}, {4}, {1, 4}, {3, 4}, {0, 2}])
 def test_batch_map_raises_the_first_failing_batch(failing):
-    # five batches: 0-2 on the calling thread, 3-4 on the helper
+    # five batches on two pool threads: the first failing one's exception
     excs = {b: _BatchFailure(f"batch {b}") for b in failing}
 
     def body(gen, lo, hi, slot):
@@ -134,19 +154,21 @@ def test_batch_map_raises_the_first_failing_batch(failing):
 
 
 def test_batch_map_helper_keeps_the_callers_numpy_error_state():
+    # both batches run on pool threads under the caller's state: batch 1 overflows
     states = []
 
     def body(gen, lo, hi, slot):
-        states.append((slot, np.geterr()))
-        if slot == 1:
-            np.array([1e308]) * 10.0  # overflows on the helper only
+        states.append((lo, np.geterr(), threading.get_ident()))
+        if lo == 100:
+            np.array([1e308]) * 10.0
 
     with np.errstate(over="raise", under="ignore"):
         caller = np.geterr()
         with pytest.raises(FloatingPointError):
             batch_map(body, RngStream(26), 200, 100)
-    assert sorted(slot for slot, _ in states) == [0, 1]
-    assert all(state == caller for _, state in states)
+    assert sorted(lo for lo, _, _ in states) == [0, 100]
+    assert all(state == caller for _, state, _ in states)
+    assert threading.get_ident() not in {thread for _, _, thread in states}
 
 
 def test_batch_loops_inside_a_pooled_cell_start_no_helper(monkeypatch):
@@ -175,7 +197,7 @@ def test_batch_loops_inside_a_pooled_cell_start_no_helper(monkeypatch):
 
 
 def test_a_lone_cell_splits_its_batches(monkeypatch):
-    # one item runs on the calling thread, so only batch_map's helper starts
+    # one item runs on the calling thread, so only its batch loop's pool starts
     sizes = []
 
     class Recorded(concurrent.futures.ThreadPoolExecutor):
@@ -195,7 +217,7 @@ def test_a_lone_cell_splits_its_batches(monkeypatch):
     want = cell(0)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
     assert cell_map(cell, [0]) == [want]
-    assert sizes == [1]
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +232,17 @@ def _serial_batch_map(body, rng, n_reps, batch_size):
 def _two_threads_then_serial(monkeypatch, module, run):
     """``run()`` with the module's batch loop split over two threads, then serial.
 
-    The threaded run switches threads as often as the interpreter allows, so
-    that a write one thread makes into the other's rows or buffer shows.
+    Both pool threads run, and the threaded run switches threads as often as
+    the interpreter allows, so that a write one thread makes into the
+    other's rows or buffer shows.
     """
     slots = []
 
     def split(body, rng, n_reps, batch_size):
+        meet = _both_slots_meet()
+
         def tagged(gen, lo, hi, slot):
+            meet(slot)
             slots.append(slot)
             body(gen, lo, hi, slot)
 
@@ -229,7 +255,7 @@ def _two_threads_then_serial(monkeypatch, module, run):
         threaded = run()
     finally:
         sys.setswitchinterval(interval)
-    assert len(slots) >= 3 and 1 in slots  # the helper ran
+    assert len(slots) >= 3 and 1 in slots  # both pool threads ran
     monkeypatch.setattr(module, "batch_map", _serial_batch_map)
     return threaded, run()
 

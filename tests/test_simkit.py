@@ -59,10 +59,19 @@ def test_grid_basics():
 
 
 def test_grid_origin_snapping_inexact_span():
-    # 0 is spanned but not a "nice" float multiple; it must still be exact
-    g = GridSpec.line(-0.7, 1.1, 10)
+    # point 1 is the origin up to rounding (1.4e-17): it must be exact
+    g = GridSpec.line(-0.1, 0.2, 4)
     vals = g.axis_values(0)
-    assert 0.0 in vals
+    assert 0.0 in vals and g.origin_index() == (1,)
+
+
+def test_off_lattice_origin_keeps_the_axis_points():
+    # the point nearest 0 lies a real distance off it: it stays, and the
+    # grid has no origin
+    g = GridSpec(((-0.3, 1.0, 3),))
+    assert g.axis_values(0).tolist() == pytest.approx([-0.3, 0.35, 1.0], abs=1e-15)
+    with pytest.raises(ModelError, match="origin"):
+        g.origin_index()
 
 
 def test_grid_without_origin():
