@@ -156,9 +156,12 @@ def functional_from_config(doc) -> FunctionalSpec:
 
 
 def grid_from_config(doc: dict) -> GridSpec:
-    """{"perAxis": [[lo, hi, nPoints], ...]}"""
+    """{"perAxis": [[lo, hi, nPoints], ...]}, one axis or more."""
+    axes = doc["perAxis"]
+    if not isinstance(axes, list) or not axes:
+        raise ModelError(f"perAxis must be a non-empty list of [lo, hi, nPoints], got {axes!r}")
     return GridSpec(tuple((number(lo, "perAxis"), number(hi, "perAxis"), count(n, "perAxis"))
-                          for lo, hi, n in doc["perAxis"]))
+                          for lo, hi, n in axes))
 
 
 def schedule_from_config(doc: dict) -> ExtrapolationSchedule:

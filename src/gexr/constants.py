@@ -18,8 +18,12 @@ Four estimators live here:
   two paths, except for a rank-one field (the path t * Z), whose pair
   would repeat one sample; ``n_reps`` counts paths either way.  The
   batches are drawn and reduced on two pool threads; the results never
-  depend on it.  Two batches of paths are held, one per thread, plus the
-  working arrays of each thread's draw.
+  depend on it.  numpy runs a scan along the last axis without the GIL
+  only over more than 500 rows, so the reduction stacks both paths of a
+  pair and both halves of each path into blocks of more than 500 scan
+  rows, and the two threads reduce at once.  Two batches of paths are
+  held, one per thread, plus the working arrays of each thread's draw and
+  of its reduction.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -43,7 +47,7 @@ from .covmodels import DriftFunction, LimitFieldSpec, ModelError, VarianceFuncti
 from .functionals import FunctionalSpec, apply_functional
 from .mc import Estimate, ExtrapolationSchedule, PathPairs, batch_map, plateau_status
 from .rng import RngStream
-from .simkit import ROW_BLOCK, GridSpec, LimitFieldSampler, StatIncrSampler
+from .simkit import GridSpec, LimitFieldSampler, StatIncrSampler
 
 __all__ = [
     "estimate_generalized_constant",
@@ -143,51 +147,99 @@ def estimate_joint_constant(
 # the tilted sliding-window identity
 
 
+# numpy runs a scan (ufunc.accumulate: cumsum, fmax.accumulate) along the
+# last axis without the GIL only over more than this many rows
+GIL_FREE_SCAN_ROWS = 500
+
+
+def _scan_blocks(batch: int, n_signs: int) -> list[int]:
+    """Bounds of the row blocks of the window pass over ``batch`` rows.
+
+    They are the most near-equal blocks whose scans, over 2 * n_signs rows
+    a row, cover more than ``GIL_FREE_SCAN_ROWS`` rows; a smaller batch is
+    one block.
+    """
+    n = max(1, batch // (GIL_FREE_SCAN_ROWS // (2 * n_signs) + 1))
+    return [batch * b // n for b in range(n + 1)]
+
+
 # an underflowed window divides 0 by 0: the estimator counts the NaN as an
 # overflow, so numpy's warning would only repeat it
 @np.errstate(invalid="ignore")
 def _window_ratio_levels(
-    w: np.ndarray, var: np.ndarray, counts: Sequence[int], refine: int
+    w: np.ndarray,
+    var: np.ndarray,
+    counts: Sequence[int],
+    refine: int,
+    signs: Sequence[float] = (1.0,),
 ) -> np.ndarray:
-    """The window ratio sums of W = w - var, (levels, refine, batch).
+    """The window ratio sums of W = sign * w - var, (levels, refine, batch * signs).
 
     ``w`` is (batch, 2N+1), N = max(counts), and ``var`` is Var eta on its
-    grid; level n at stride s reads W[:, N-n : N+n+1 : s].  W is formed per
-    block of ``ROW_BLOCK`` rows, and each block stays in cache.
+    grid; level n at stride s reads W[:, N-n : N+n+1 : s].  ``signs`` is
+    (1.0,) or (1.0, -1.0), and path i * len(signs) + k is row i under
+    ``signs[k]``.
+
+    A block of rows is one array (2, signs, rows, N+1): the left and the
+    right half of each row, both read outward from the center, which each
+    half holds.  So every scan covers 2 * signs * rows rows, and the blocks
+    are the most near-equal ones that make that more than
+    ``GIL_FREE_SCAN_ROWS``.  Each path's values, and the order in which its
+    sums add them, are those of a pass over the row in grid order, so the
+    results do not depend on the blocks or the signs.
     """
-    batch, n_max = w.shape[0], max(counts)
-    rows = min(batch, ROW_BLOCK)
-    e = np.empty((rows, 2 * n_max + 1))
-    lmax, rmax, lsum, rsum, num, den = np.empty((6, rows, n_max + 1))
-    out = np.empty((len(counts), refine, batch))
-    for lo in range(0, batch, ROW_BLOCK):
-        wb = w[lo : lo + ROW_BLOCK]
-        k = wb.shape[0]
-        eb = e[:k]
-        np.subtract(wb, var, out=eb)
-        eb -= eb.max(axis=1, keepdims=True)
-        np.exp(eb, out=eb)
-        for lv in range(refine):
+    batch, n_max, n_signs = w.shape[0], max(counts), len(signs)
+    bounds = _scan_blocks(batch, n_signs)
+    rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    # the scratch buffer holds both scans of a coarser stride or the finest sums
+    width = n_max + 1 if refine == 1 else 2 * (n_max // 2 + 1)
+    # a largest level reduces last, in place in the scans; every other one in win_buf
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    second = counts[order[-2]] if len(counts) > 1 else 0
+    e_buf, scratch, win_buf = (
+        np.empty(2 * n_signs * rows * c) for c in (n_max + 1, width, second + 1)
+    )
+    var_halves = (var[n_max::-1], var[n_max:])
+    out = np.empty((len(counts), refine, batch, n_signs))
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = hi - lo
+        e = e_buf[: 2 * n_signs * k * (n_max + 1)].reshape(2, n_signs, k, n_max + 1)
+        w_halves = (w[lo:hi, n_max::-1], w[lo:hi, n_max:])
+        for e_half, w_half, var_half in zip(e, w_halves, var_halves):
+            for e_sign, sign in zip(e_half, signs):
+                np.multiply(w_half, sign, out=e_sign)
+            e_half -= var_half
+        e -= np.maximum(*e.max(axis=3))[:, :, None]
+        np.exp(e, out=e)
+        for lv in reversed(range(refine)):
             s = 2**lv
             top = n_max // s
-            lm, rm, ls, rs = (a[:k, : top + 1] for a in (lmax, rmax, lsum, rsum))
-            # left scans run outward, stored in grid order: Lmax[m-j] = lm[:, top-m+j].
+            if lv:
+                scans = scratch[: 4 * n_signs * k * (top + 1)]
+                scan_max, scan_sum = scans.reshape(2, 2, n_signs, k, top + 1)
+                scan_max[...] = e[..., ::s]
+                scan_sum[...] = scan_max
+            else:  # the exp is read for the last time: its maxima scan in place
+                scan_max, scan_sum = e, scratch[: e.size].reshape(e.shape)
+                scan_sum[...] = e
+            # the left sums leave out the center: 0 + a == a
+            scan_sum[0, ..., 0] = 0.0
+            np.add.accumulate(scan_sum, axis=3, out=scan_sum)
             # fmax (faster than maximum) may skip a NaN, but any window holding
             # one has a NaN sum, and the scans of other windows never see it
-            left, right = eb[:, n_max::-s], eb[:, n_max::s]
-            np.fmax.accumulate(left, axis=1, out=lm[:, ::-1])
-            np.fmax.accumulate(right, axis=1, out=rm)
-            ls[:, top] = 0.0
-            np.cumsum(left[:, 1:], axis=1, out=ls[:, :top][:, ::-1])
-            np.cumsum(right, axis=1, out=rs)
-            for li, n in enumerate(counts):
-                m = n // s
-                nb, db = num[:k, : m + 1], den[:k, : m + 1]
-                np.maximum(lm[:, top - m :], rm[:, : m + 1], out=nb)
-                np.add(ls[:, top - m :], rs[:, : m + 1], out=db)
-                np.divide(nb, db, out=nb)
-                out[li, lv, lo : lo + k] = nb.sum(axis=1)
-    return out
+            np.fmax.accumulate(scan_max, axis=3, out=scan_max)
+            for li in order:
+                m = counts[li] // s
+                if li == order[-1]:
+                    num, den = scan_max[1], scan_sum[1]
+                else:
+                    num, den = win_buf[: 2 * n_signs * k * (m + 1)].reshape(2, n_signs, k, m + 1)
+                # window j of level m: the left scans at distance m - j, the right at j
+                np.maximum(scan_max[0, ..., m::-1], scan_max[1, ..., : m + 1], out=num)
+                np.add(scan_sum[0, ..., m::-1], scan_sum[1, ..., : m + 1], out=den)
+                np.divide(num, den, out=num)
+                out[li, lv, lo:hi] = num.sum(axis=2).T
+    return out.reshape(len(counts), refine, batch * n_signs)
 
 
 def window_sup_levels(
@@ -217,7 +269,7 @@ def window_sup_levels(
 
     Paths come in antithetic pairs: paths 2k and 2k+1 are W = sqrt2 eta -
     Var eta and W = -sqrt2 eta - Var eta of one draw of eta, exact in law
-    since -eta has the law of eta, and reduced one after the other.  On long
+    since -eta has the law of eta, and reduced in one call.  On long
     domains a pair's samples are negatively correlated (difference
     quotients about -0.1 at alpha = 1 and 1.5), on short ones positively
     (+0.2 at alpha = 1, S = 2).  ``n_reps`` counts paths and an odd count
@@ -229,11 +281,22 @@ def window_sup_levels(
     The batches are drawn and reduced on two pool threads
     (:func:`~gexr.mc.batch_map`); batch b still draws from substream b, so
     the results equal the serial loop bit for bit.  Each thread draws into
-    its own buffer, allocated once, and Var eta is subtracted per block of
-    rows, so two batches of paths are held, plus each draw's working
-    arrays: for an fBm path, one block of increments at alpha = 1, none at
-    alpha = 2, and at every other alpha its batch's circulant spectrum,
-    inverted one block of rows at a time.
+    its own buffer, allocated once, so two batches of paths are held, plus
+    each draw's working arrays: for an fBm path, one block of increments at
+    alpha = 1, none at alpha = 2, and at every other alpha its batch's
+    circulant spectrum, inverted one block of rows at a time.
+
+    A scan along the last axis (``cumsum``, ``fmax.accumulate``) runs
+    without the GIL only over more than ``GIL_FREE_SCAN_ROWS`` (500) rows;
+    under it, the other thread waits.  So one call reduces both paths of a
+    pair, and each path's two halves outward from the center, as one
+    array, in the smallest near-equal blocks with more than 500 scan rows:
+    142 or 143 pairs of a 2000-path batch, 285 or 286 unpaired rows.
+    Besides the paths, each thread holds one block's exp, one scratch
+    buffer of that size for the scans, and two window arrays (maxima and
+    sums) for every level but the largest, which reduces in place in its
+    scans: at the second largest level's width, half a block at the
+    ``pickands`` presets.
 
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans
@@ -258,19 +321,16 @@ def window_sup_levels(
     sampler = LimitFieldSampler(eta, grid)
     var = eta.variance(grid.axis_values(0))
     pairs = PathPairs(n_reps, paired=not sampler.rank_one)
-    stride = 2 if pairs.paired else 1
+    signs = (1.0, -1.0) if pairs.paired else (1.0,)
     out = np.empty((len(counts), refine, pairs.n_reps))
-    rows = min(BATCH_SIZE, pairs.n_reps) // stride
+    rows = min(BATCH_SIZE, pairs.n_reps) // len(signs)
     slots = (np.empty((rows, grid.size)), np.empty((rows, grid.size)))
 
     def body(gen, lo, hi, slot):
-        x = slots[slot][: (hi - lo) // stride]
+        x = slots[slot][: (hi - lo) // len(signs)]
         sampler.sample(gen, len(x), out=x)
         x *= math.sqrt(2.0)
-        out[:, :, lo:hi:stride] = _window_ratio_levels(x, var, counts, refine)
-        if pairs.paired:
-            np.negative(x, out=x)
-            out[:, :, lo + 1 : hi : 2] = _window_ratio_levels(x, var, counts, refine)
+        out[:, :, lo:hi] = _window_ratio_levels(x, var, counts, refine, signs)
 
     batch_map(body, rng, pairs.n_reps, BATCH_SIZE)
     return [list(level) for level in out], pairs

@@ -43,8 +43,7 @@ __all__ = [
 # no grid has more points than this
 GRID_POINT_BUDGET = 1 << 20
 
-# rows per block of the blockwise passes (increment draws, the window
-# reduction of gexr.constants): one block's arrays stay in cache
+# rows per block of the increment draws: one block's arrays stay in cache
 ROW_BLOCK = 128
 
 # a covariance eigenvalue below -this times the largest variance is a hard

@@ -52,7 +52,13 @@ from .covmodels import ModelError, ThresholdedFamilySpec
 from .functionals import FunctionalSpec, apply_functional
 from .mc import Estimate, PathPairs, batch_map, cell_map
 from .rng import RngStream
-from .simkit import GridSpec, ResidualSampler, _check_cholesky_points, _chol_psd
+from .simkit import (
+    GridSpec,
+    ResidualSampler,
+    SimulationError,
+    _check_cholesky_points,
+    _chol_psd,
+)
 
 __all__ = [
     "survival_psi",
@@ -450,7 +456,8 @@ def eval_mainm_formula(
     axis (i <= d1); "drifted": sequence of drifted sup constants over
     [a_i, b_i], one per finite-gamma axis; "field": the generalized
     constant of the drifted limit field on E (defaults to 1).
-    Entries may be floats or Estimates.
+    Entries may be floats or Estimates.  A product that underflows to 0
+    (Psi(m(u)) does beyond m(u) of about 38) raises SimulationError.
     """
 
     def _val(x):
@@ -480,6 +487,10 @@ def eval_mainm_formula(
         * math.prod(cells)
         * psi
     )
+    if value == 0.0:
+        raise SimulationError(
+            f"the product formula underflows to 0 at m(u) = {m:g} (Psi(m(u)) = {psi:g})"
+        )
     return FormulaResult(
         value=value,
         factors={

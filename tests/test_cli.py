@@ -177,6 +177,21 @@ def test_non_psd_variance_model_is_numerical_failure(monkeypatch, tmp_path, caps
     assert not out.exists()
 
 
+def test_underflowed_formula_is_numerical_failure(monkeypatch, tmp_path, capsys):
+    # mPower 3 puts m(u) = u^3 = 64 past the range of Psi: the formula
+    # reads 0, which the Monte Carlo check would divide by
+    cfg = json.loads(json.dumps(PRESETS["formula-product-1d"][1]))
+    cfg["setup"]["mPower"] = 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("GEXR_BUDGET", "200")
+    out = tmp_path / "out"
+    assert run(["formula", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "model rejected" in err and "underflows" in err and "m(u) = 64" in err
+    assert not out.exists()
+
+
 def test_window_draw_failure_on_the_helper_thread_is_numerical_failure(
     monkeypatch, tmp_path, capsys
 ):
@@ -269,8 +284,8 @@ _DROP = object()  # the key is removed instead of set
 # step, the sup-inf constant's b and S, and whole-step domain sizes, windows
 # and horizons, doublesum's empty lists and formula's constant counts were
 # checked only inside an estimator, and an audit uSchedule that does not
-# increase strictly and a conditioned-tail grid without its origin were
-# accepted
+# increase strictly, a conditioned-tail grid without its origin and an
+# empty grid list were accepted
 _BAD_CONFIGS = [
     ("pickands-alpha-1", ("schedule",), _DROP, "missing"),
     ("pickands-alpha-1", ("target",), "one", "wrong-type"),
@@ -345,6 +360,13 @@ _BAD_CONFIGS = [
     ("formula-product-1d", ("mcCheck", "grid", "perAxis"), [[-0.3, 1.0, 3]],
      "off-lattice-origin"),
     ("ruin-demo", ("grid", "perAxis"), [[-0.3, 1.0, 3]], "off-lattice-origin"),
+    ("short-interval-tail", ("grid", "perAxis"), [], "empty"),
+    ("short-interval-tail", ("grid", "perAxis"), {}, "empty-dict"),
+    ("uniform-audit-stationary", ("grid", "perAxis"), [], "empty"),
+    ("formula-product-1d", ("mcCheck", "grid", "perAxis"), [], "empty"),
+    ("formula-product-1d", ("mcCheck", "grid", "perAxis"), {}, "empty-dict"),
+    ("ruin-demo", ("grid", "perAxis"), [], "empty"),
+    ("ruin-demo", ("grid", "perAxis"), {}, "empty-dict"),
 ]
 
 

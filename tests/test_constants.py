@@ -31,6 +31,8 @@ from gexr.covmodels import (
 )
 from gexr.constants import (
     BATCH_SIZE,
+    GIL_FREE_SCAN_ROWS,
+    _scan_blocks,
     _window_ratio_levels,
     estimate_generalized_constant,
     estimate_generalized_piterbarg,
@@ -328,7 +330,7 @@ def test_no_helper_thread_outlives_the_window_identity(monkeypatch):
     window_sup_levels(LimitFieldSpec.fbm(1.0), [1.0], 1 / 8, 3 * BATCH_SIZE, RngStream(22))
     assert threading.active_count() == before
 
-    def failing(w, var, counts, refine):
+    def failing(w, var, counts, refine, signs):
         raise ZeroDivisionError("reduction failed")
 
     # both pool threads raise; batch 0's exception reaches the caller
@@ -404,6 +406,82 @@ def test_window_ratio_sums_bit_identical_on_strided_subgrids(n):
     # refinement levels read every other point of the same nested sub-grids
     w = _tilted_walk(200, 2 * n, 1 / 64, seed=n)
     _assert_levels_match_oracles(w, [2, n, 2 * n], refine=2)
+
+
+@np.errstate(invalid="ignore")
+def _row_block_window_levels(w, var, counts, refine):
+    """The window pass in blocks of 128 rows, one sign a call: a frozen reference.
+
+    Each block forms W = w - var over the full row and scans the left half
+    (stored in grid order) and the right half separately.
+    """
+    batch, n_max = w.shape[0], max(counts)
+    rows = min(batch, 128)
+    e = np.empty((rows, 2 * n_max + 1))
+    lmax, rmax, lsum, rsum, num, den = np.empty((6, rows, n_max + 1))
+    out = np.empty((len(counts), refine, batch))
+    for lo in range(0, batch, 128):
+        wb = w[lo : lo + 128]
+        k = wb.shape[0]
+        eb = e[:k]
+        np.subtract(wb, var, out=eb)
+        eb -= eb.max(axis=1, keepdims=True)
+        np.exp(eb, out=eb)
+        for lv in range(refine):
+            s = 2**lv
+            top = n_max // s
+            lm, rm, ls, rs = (a[:k, : top + 1] for a in (lmax, rmax, lsum, rsum))
+            left, right = eb[:, n_max::-s], eb[:, n_max::s]
+            np.fmax.accumulate(left, axis=1, out=lm[:, ::-1])
+            np.fmax.accumulate(right, axis=1, out=rm)
+            ls[:, top] = 0.0
+            np.cumsum(left[:, 1:], axis=1, out=ls[:, :top][:, ::-1])
+            np.cumsum(right, axis=1, out=rs)
+            for li, n in enumerate(counts):
+                m = n // s
+                nb, db = num[:k, : m + 1], den[:k, : m + 1]
+                np.maximum(lm[:, top - m :], rm[:, : m + 1], out=nb)
+                np.add(ls[:, top - m :], rs[:, : m + 1], out=db)
+                np.divide(nb, db, out=nb)
+                out[li, lv, lo : lo + k] = nb.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("signs", [(1.0,), (1.0, -1.0)])
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("batch", [1, 125, 126, 999, 1000])
+def test_window_pass_bit_identical_to_the_row_block_pass(batch, refine, signs):
+    # path 2i + 1 of a pair is row i negated; row 0 holds a point 1000 above
+    # its center, so under sign +1 its levels read NaN, which must match too
+    n_max = 32
+    w = _tilted_walk(batch, n_max, 1 / 16, seed=batch)
+    w[0, n_max + 24] = 1000.0
+    var = np.abs(np.arange(-n_max, n_max + 1)) / 32
+    counts = [16, 8, 32, 16]  # unsorted, one repeated
+    got = _window_ratio_levels(w, var, counts, refine, signs)
+    want = np.empty_like(got)
+    for k, sign in enumerate(signs):
+        want[:, :, k :: len(signs)] = _row_block_window_levels(
+            np.negative(w) if sign < 0 else w, var, counts, refine
+        )
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isnan(got[:, :, 0]).all()
+
+
+@pytest.mark.parametrize("n_signs,min_rows", [(2, 126), (1, 251)])
+def test_every_window_block_scans_more_than_500_rows(n_signs, min_rows):
+    assert GIL_FREE_SCAN_ROWS == 500
+    for batch in [*range(1, 4 * min_rows), BATCH_SIZE // n_signs]:
+        bounds = _scan_blocks(batch, n_signs)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == batch
+        assert sizes.max() - sizes.min() <= 1
+        if batch < min_rows:
+            assert len(sizes) == 1
+            continue
+        assert 2 * n_signs * sizes.min() > 500
+        # one block more would leave a block at or under 500 scan rows
+        assert 2 * n_signs * (batch // (len(sizes) + 1)) <= 500
 
 
 def test_far_spike_empties_windows_into_nan_and_counts_as_overflow(monkeypatch):
