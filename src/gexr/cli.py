@@ -24,6 +24,8 @@ smoke runs; results.json records it as "budget" (null when unset).  A run
 step reports its verdict and the largest overflow count of its Monte Carlo
 estimates, and main judges: any overflowed (non-finite) sample, in any
 estimate, fails the run and puts its count in the summary's "overflowCount".
+A run holds every loaded OpenBLAS at one thread (``mc.one_blas_thread``), so
+its bytes are the same whatever BLAS thread count the caller set.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .configio import (
 )
 from .covmodels import ModelError
 from .functionals import FunctionalSpec
-from .mc import Estimate, cell_map
+from .mc import Estimate, cell_map, one_blas_thread
 from .presets import list_presets, preset_config
 from .rng import RngStream
 from .simkit import SimulationError
@@ -324,10 +326,11 @@ def run_doublesum(cfg: dict):
     ppu = count(cfg.get("pointsPerUnit", 4), "pointsPerUnit")
     reps = _reps(cfg)
     configs = []  # box scale outermost, separation innermost
-    for s2, u, sep in itertools.product(
+    geometries: dict = {}  # (box scale, separation) -> its cells, lowest index first
+    for i, (s2, u, sep) in enumerate(itertools.product(
         _numbers(cfg, "boxScales"), _numbers(cfg, "uLevels", gt=0),
         _numbers(cfg, "separations", ge=0),
-    ):
+    )):
         box = ((0.0, s2),)
         dcfg = dsmod.DoubleMaximaConfig(
             correlation=corr, cell1=box, cell2=box, offset1=(0.0,),
@@ -335,14 +338,20 @@ def run_doublesum(cfg: dict):
             m2_fn=lambda v: v, c1=c1, beta=beta, s2=s2,
         )
         configs.append((dcfg, u))
+        geometries.setdefault((s2, sep), []).append(i)
 
     def run(rng):
-        def _one(i):
-            c, u = configs[i]
-            return dsmod.estimate_double_maxima(c, u, round(ppu * c.s2) + 1, reps,
-                                                rng.substream(i))
+        # the levels of one geometry share its draw, from its lowest cell's substream
+        def _one(cells):
+            c = configs[cells[0]][0]
+            return dsmod.estimate_double_maxima(c, [configs[i][1] for i in cells],
+                                                round(ppu * c.s2) + 1, reps,
+                                                rng.substream(cells[0]))
 
-        estimates = cell_map(_one, range(len(configs)))
+        groups = list(geometries.values())
+        by_cell = {i: est for cells, ests in zip(groups, cell_map(_one, groups))
+                   for i, est in zip(cells, ests)}
+        estimates = [by_cell[i] for i in range(len(configs))]
         report = dsmod.fit_bound_constant(configs, estimates)
         rows = [
             [r["separation"], r["s2"], r["u"], r["d_hat"],
@@ -524,7 +533,8 @@ def main(argv=None) -> int:
             raise ModelError("--workers is retired: runs choose their own threads")
         budget = _budget()
         _make_out(args.out, made)
-        summary, files, overflow = run(RngStream(seed))
+        with one_blas_thread():  # the run's bytes do not depend on BLAS threads
+            summary, files, overflow = run(RngStream(seed))
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,11 +7,14 @@ estimated by pivoting on box A's exceedance count (Adler, Blanchet & Liu,
 Ann. Appl. Probab. 2012): each sample conditions the field on one uniform
 point of A exceeding m_A, is bounded by n_A Psi(m_A), and so keeps a
 relative error that a hit count loses as the probability falls.  The
-constant C is existential in the theory; here it becomes a fitted quantity:
-over a family of configurations we compute the smallest C covering every
-estimate's upper confidence end, and flag families where the required C
-keeps growing with separation (which is what a violated correlation-decay
-assumption looks like numerically).
+threshold levels of one box pair share that draw: one batch of pivots,
+uniforms and residual paths serves every level, so the levels cost one
+draw and are coupled by common random numbers.  The constant C is
+existential in the theory; here it becomes a fitted quantity: over a family
+of configurations we compute the smallest C covering every estimate's upper
+confidence end, and flag families where the required C keeps growing with
+separation (which is what a violated correlation-decay assumption looks like
+numerically).
 """
 
 from __future__ import annotations
@@ -125,12 +128,13 @@ def _joint_points(box_a: Box, box_b: Box, points_per_axis: int):
 
 def estimate_double_maxima(
     cfg: DoubleMaximaConfig,
-    u: float,
+    levels: Sequence[float],
     points_per_axis: int,
     n_reps: int,
     rng: RngStream,
-) -> Estimate:
-    """P(max_A Z > m1, max_B Z > m2) by a pivot on box A's exceedance count.
+) -> list[Estimate]:
+    """P(max_A Z > m1, max_B Z > m2) at each level u, by a pivot on box A's
+    exceedance count; one :class:`~gexr.mc.Estimate` per level, in order.
 
     With N_A, N_B the boxes' exceedance counts, the exact identity
     1{N_A >= 1, N_B >= 1} = sum_{i in A} 1{Z_i > m1} 1{N_B >= 1} / N_A
@@ -147,56 +151,77 @@ def estimate_double_maxima(
     point of A equally often, to within one.  One Cholesky factor of the
     distinct points of both grids serves every pivot; joint grids are
     capped at ``simkit.CHOLESKY_POINT_BUDGET`` points.
+
+    The levels share one draw: each batch draws its pivot offset, its
+    uniforms U and its residual paths R once, and every level turns them
+    into its own x and paths.  So each level's estimate has the law of a
+    one-level call, the first level's is that call's bit for bit, and the
+    levels are coupled by common random numbers.  Every level must give the
+    first level's covariance, else ``ModelError``.
     """
     from scipy import special
 
     box_a, box_b = cfg.boxes()
     pts, n_a, n_b = _joint_points(box_a, box_b, points_per_axis)
     n = len(pts)
-    cov = np.asarray(cfg.correlation(u, pts, pts), dtype=float)
+    cov = np.asarray(cfg.correlation(levels[0], pts, pts), dtype=float)
     if not np.all(np.abs(np.diag(cov) - 1.0) <= 1e-8):  # NaN fails too
         raise ModelError("correlation family is not unit-variance on the grid")
+    for u in levels[1:]:
+        if not np.array_equal(np.asarray(cfg.correlation(u, pts, pts), dtype=float), cov):
+            raise ModelError(f"the correlation at u = {u:g} differs from the one at "
+                             f"u = {levels[0]:g}: levels share one draw only on one covariance")
     L = _chol_psd(cov)
-    m1, m2 = float(cfg.m1_fn(u)), float(cfg.m2_fn(u))
-    psi1 = survival_psi(m1)
+    thresholds = [(float(cfg.m1_fn(u)), float(cfg.m2_fn(u))) for u in levels]
+    psis = [survival_psi(m1) for m1, _ in thresholds]
     pairs = PathPairs(n_reps)
-    samples = np.empty(pairs.n_reps)
+    samples = np.empty((len(levels), pairs.n_reps))
     # one workspace per batch_map slot, sized for the largest batch's pairs:
-    # pivot levels, the residual draw z, the path (first holding the normals)
-    # and its exceedances on A
-    rows = -(-(min(BATCH_SIZE, pairs.n_reps) // 2) // n_a) * n_a
+    # the uniforms 1 - U, a level's pivot values x and its x -+ z_i, the
+    # residual draw z (then the pivot columns c), z again and the path
+    # (first holding the normals), these two point-major: one row per grid
+    # point, so that every pass below runs along the batch; and the path's
+    # exceedances on A
+    size = -(-(min(BATCH_SIZE, pairs.n_reps) // 2) // n_a) * n_a
     slots = [
-        (np.empty(rows), np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n_a), bool))
+        [np.empty(size * k) for k in (1, 1, 1, n, n, n)] + [np.empty(size * n_a, bool)]
         for _ in range(2)
     ]
 
     def body(gen, lo, hi, slot):
         half = (hi - lo) // 2
-        cycles = -(-half // n_a)
-        x, z, path, exc = (a[: cycles * n_a] for a in slots[slot])
-        pivots = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
+        rows = -(-half // n_a) * n_a
+        v, x, d = (a[:rows] for a in slots[slot][:3])
+        z, zt, path = (a[: n * rows] for a in slots[slot][3:6])
+        exc = slots[slot][6][: n_a * rows].reshape(n_a, rows)
+        z, ct, normals = z.reshape(rows, n), z.reshape(n, rows), path.reshape(rows, n)
+        zt, path = zt.reshape(n, rows), path.reshape(n, rows)
+        cycle = (int(gen.integers(n_a)) + np.arange(n_a)) % n_a
+        np.subtract(1.0, gen.random(half), out=v[:half])
+        gen.standard_normal(out=normals[:half])
+        np.matmul(normals[:half], L.T, out=z[:half])
         # rows past `half` pad the last cycle, stay finite and are dropped
-        x[:half] = -special.ndtri((1.0 - gen.random(half)) * psi1)
-        x[half:] = m1
-        gen.standard_normal(out=path[:half])
-        np.matmul(path[:half], L.T, out=z[:half])
         z[half:] = 0.0
-        x, z = x.reshape(cycles, n_a, 1), z.reshape(cycles, n_a, n)
-        path, exc = path.reshape(cycles, n_a, n), exc.reshape(cycles, n_a, n_a)
-        z_i = z[:, np.arange(n_a), pivots][..., None]
-        c = cov[pivots]  # row j is the pivot column of the rows j mod n_A
-        # rows 2k and 2k+1 are the pair x c + R and x c - R, R = z - z_i c
-        for first, to_x, to_z in ((lo, np.subtract, np.add), (lo + 1, np.add, np.subtract)):
-            np.multiply(to_x(x, z_i), c, out=path)
-            to_z(path, z, out=path)
-            # the pivot itself exceeds m1, which rounding can hide when x ~ m1
-            n_exc = np.maximum(np.greater(path[..., :n_a], m1, out=exc).sum(axis=-1), 1)
-            hit_b = path[..., n - n_b :].max(axis=-1) > m2
-            samples[first:hi:2] = (n_a * psi1 * hit_b / n_exc).reshape(-1)[:half]
+        np.copyto(zt, z.T)
+        # the pivots cycle over A from the offset: row r pivots on cycle[r % n_A]
+        z_i = z[np.arange(rows), np.tile(cycle, rows // n_a)]
+        ct.reshape(n, -1, n_a)[:] = cov[cycle].T[:, None, :]  # z's buffer, now free
+        for out, (m1, m2), psi1 in zip(samples, thresholds, psis):
+            x[:half] = -special.ndtri(v[:half] * psi1)
+            x[half:] = m1
+            # rows 2k and 2k+1 are the pair x c + R and x c - R, R = z - z_i c
+            for first, to_x, to_z in ((lo, np.subtract, np.add), (lo + 1, np.add, np.subtract)):
+                np.multiply(to_x(x, z_i, out=d), ct, out=path)
+                to_z(path, zt, out=path)
+                # the pivot itself exceeds m1, which rounding can hide when x ~ m1
+                n_exc = np.maximum(np.greater(path[:n_a], m1, out=exc).sum(axis=0), 1)
+                hit_b = path[n - n_b :].max(axis=0) > m2
+                out[first:hi:2] = (n_a * psi1 * hit_b / n_exc)[:half]
 
     batch_map(body, rng, pairs.n_reps, BATCH_SIZE)
-    meta = {"separation": separation(box_a, box_b), "thresholds": (m1, m2)}
-    return pairs.estimate(samples, meta=meta)
+    sep = separation(box_a, box_b)
+    return [pairs.estimate(out, meta={"separation": sep, "thresholds": m})
+            for out, m in zip(samples, thresholds)]
 
 
 def eval_double_bound(cfg: DoubleMaximaConfig, u: float, c: float = 1.0) -> float:

@@ -3,6 +3,9 @@
 ``cell_map`` is the one parallel map, and ``batch_map`` is the one batch
 loop, a ``cell_map`` over batches: batch b draws from substream b and
 writes only its own rows, so which thread runs it changes no result.
+``one_blas_thread`` holds every loaded OpenBLAS at one thread while a pool
+(or a whole CLI run) works, so BLAS threads neither compete with the pool
+nor change a result's bits.
 ``Estimate`` is the universal return type of the estimators: a point value
 with a batch-means or binomial standard error, replication count and 95%
 confidence interval.  ``PathPairs`` is the bookkeeping of paths drawn in
@@ -13,8 +16,11 @@ estimates agree within max(relative stop rule, twice the combined stderr).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
@@ -32,6 +38,7 @@ __all__ = [
     "batches",
     "cell_map",
     "combine_stderr",
+    "one_blas_thread",
     "plateau_status",
 ]
 
@@ -72,21 +79,65 @@ def batch_map(body: Callable, rng: RngStream, n_reps: int, batch_size: int) -> N
     cell_map(run, range(-(-n_reps // batch_size)))
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """The (set, get) thread-count functions of every OpenBLAS loaded in this
+    process, found once from ``/proc/self/maps``; none without that file."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:  # a library already loaded: RTLD_NOLOAD loads nothing new
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            names = [f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("set", "get")]
+            if all(hasattr(lib, name) for name in names):
+                found.append(tuple(getattr(lib, name) for name in names))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS on one thread inside the block; each library's
+    own thread count comes back afterwards, whatever the block raises.
+    Without an OpenBLAS found, nothing changes."""
+    blas = _openblas_threads()
+    counts = [get() for _, get in blas]
+    try:
+        for set_threads, _ in blas:
+            set_threads(1)
+        yield
+    finally:
+        for (set_threads, _), n in zip(blas, counts):
+            set_threads(n)
+
+
 def cell_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, on a pool of two threads from two items on.
 
     The pool threads run under the caller's numpy error state while the
     caller waits; a map inside a pool thread runs inline, so at most two
-    threads work.  Results keep the order of ``items``: the serial loop's,
-    if items draw only from their own substreams.  The first failing item's
-    exception is raised, and the items not yet started are cancelled.
+    threads work.  While the pool runs, every loaded OpenBLAS works on one
+    thread (:func:`one_blas_thread`), so that the pool threads' BLAS calls
+    start no threads of their own on the same CPUs.
+    Results keep the order of ``items``: the serial loop's, if items draw
+    only from their own substreams.  The first failing item's exception is
+    raised, and the items not yet started are cancelled.
     """
     if len(items) < 2 or hasattr(_POOL, "slot"):
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
 
     init = (np.geterr(), itertools.count())
-    with ThreadPoolExecutor(2, initializer=_in_pool, initargs=init) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(2, initializer=_in_pool, initargs=init) as pool:
         return list(pool.map(fn, items))
 
 

@@ -294,14 +294,19 @@ def tail_cell(
 
 
 def tail_row(u: float, tau: float, est: Estimate) -> dict:
-    """u, tau, g, p_hat, stderr, psi = Psi(g), ratio = p_hat / psi (inf if
-    psi underflows) and overflow_count of a tail estimate at threshold g."""
+    """u, tau, g, p_hat, stderr, psi = Psi(g), ratio = p_hat / psi and
+    overflow_count of a tail estimate at threshold g.  A Psi(g) that
+    underflows to 0 (g beyond about 38) raises SimulationError."""
     g = est.meta["g"]
     psi = survival_psi(g)
-    ratio = est.value / psi if psi > 0 else math.inf
+    if psi == 0.0:
+        raise SimulationError(
+            f"Psi(g) underflows to 0 at u = {u:g}, tau = {tau:g} (g = {g:g}): "
+            "the tail ratio is not defined"
+        )
     overflow = est.meta.get("overflow_count", 0)
     return dict(u=u, tau=tau, g=g, p_hat=est.value, stderr=est.stderr, psi=psi,
-                ratio=ratio, overflow_count=overflow)
+                ratio=est.value / psi, overflow_count=overflow)
 
 
 # ---------------------------------------------------------------------------

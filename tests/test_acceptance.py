@@ -266,9 +266,9 @@ def _doublesum_run(preset_name: str):
     rng = RngStream(cfg["seed"])
     estimates = [
         estimate_double_maxima(
-            c, u, int(round(cfg["pointsPerUnit"] * c.cell1[0][1])) + 1,
+            c, [u], int(round(cfg["pointsPerUnit"] * c.cell1[0][1])) + 1,
             cfg["reps"], rng.substream(i),
-        )
+        )[0]
         for i, (c, u) in enumerate(configs)
     ]
     return fit_bound_constant(configs, estimates)

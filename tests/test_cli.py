@@ -10,9 +10,10 @@ import pytest
 from gexr import cli
 from gexr import constants as constmod
 from gexr import doublesum as dsmod
+from gexr import mc
 from gexr import tailprob
 from gexr.cli import main
-from gexr.configio import ConfigView
+from gexr.configio import ConfigView, doublesum_correlation_from_config
 from gexr.covmodels import (
     DriftFunction,
     LimitFieldComponent,
@@ -189,6 +190,26 @@ def test_underflowed_formula_is_numerical_failure(monkeypatch, tmp_path, capsys)
     assert run(["formula", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "model rejected" in err and "underflows" in err and "m(u) = 64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, preset, key, value", [
+    ("tail", "short-interval-tail", "u", 40),
+    ("audit", "uniform-audit-stationary", "uSchedule", [30, 40]),
+])
+def test_underflowed_tail_psi_is_numerical_failure(kind, preset, key, value, monkeypatch,
+                                                   tmp_path, capsys):
+    # Psi(40) underflows to 0: the tail read pHat 0 and ratio inf and passed,
+    # and the audit divided the worst cell's stderr by it
+    cfg = json.loads(json.dumps(PRESETS[preset][1]))
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("GEXR_BUDGET", "200")
+    out = tmp_path / "out"
+    assert run([kind, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "model rejected" in err and "underflows" in err and "u = 40, tau = 0 (g = 40)" in err
     assert not out.exists()
 
 
@@ -663,6 +684,60 @@ def test_doublesum_worker_count_invariance(monkeypatch, tmp_path, capsys):
     assert (a / "doublesum.csv").read_bytes() == (b / "doublesum.csv").read_bytes()
 
 
+def test_doublesum_levels_of_a_geometry_share_one_draw(monkeypatch, tmp_path, capsys):
+    # the cells of one (box scale, separation) draw once, from the substream
+    # of their lowest cell: its first level keeps the rows of a one-level call
+    monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
+    cfg = PRESETS["doublesum-gaussian"][1]
+    run(["doublesum", "--preset", "doublesum-gaussian", "--out", str(tmp_path)])
+    _, *lines = (tmp_path / "doublesum.csv").read_text().splitlines()
+    rows = {(float(s2), float(u), float(sep)): (d_hat, stderr)
+            for sep, s2, u, d_hat, stderr, _, _ in (line.split(",") for line in lines)}
+    levels, seps = cfg["uLevels"], cfg["separations"]
+    rng, reps = RngStream(cfg["seed"]), int(SMOKE_BUDGET)
+    for k, (s2, sep) in enumerate((s2, sep) for s2 in cfg["boxScales"] for sep in seps):
+        lowest = k // len(seps) * len(levels) * len(seps) + k % len(seps)
+        box = ((0.0, float(s2)),)
+        dcfg = dsmod.DoubleMaximaConfig(
+            correlation=doublesum_correlation_from_config(cfg["model"]), cell1=box,
+            cell2=box, offset1=(0.0,), offset2=(s2 + sep,), m1_fn=lambda v: v,
+            m2_fn=lambda v: v, c1=cfg["c1"], beta=cfg["beta"], s2=s2,
+        )
+        ppa = round(cfg["pointsPerUnit"] * s2) + 1
+        shared = dsmod.estimate_double_maxima(dcfg, levels, ppa, reps, rng.substream(lowest))
+        alone = dsmod.estimate_double_maxima(dcfg, levels[:1], ppa, reps, rng.substream(lowest))
+        assert shared[0] == alone[0]
+        for u, est in zip(levels, shared):
+            assert rows[(s2, u, sep)] == (repr(est.value), repr(est.stderr))
+    assert len(rows) == len(cfg["boxScales"]) * len(levels) * len(seps)
+
+
+def test_run_holds_blas_at_one_thread(monkeypatch, tmp_path, capsys):
+    # work outside any pool, here every cell in a serial loop, also runs at
+    # one BLAS thread, so a run's bytes do not depend on the caller's setting
+    blas = mc._openblas_threads()
+    if not blas:
+        pytest.skip("no OpenBLAS loaded")
+    seen = []
+
+    def fake_double_maxima(cfg, levels, points_per_axis, n_reps, rng):
+        seen.append([get() for _, get in blas])
+        return [Estimate(1e-6, 1e-8, n_reps) for _ in levels]
+
+    monkeypatch.setattr(dsmod, "estimate_double_maxima", fake_double_maxima)
+    monkeypatch.setattr(cli, "cell_map", _serial_cell_map)
+    before = [get() for _, get in blas]
+    try:
+        for set_threads, _ in blas:
+            set_threads(2)
+        run(["doublesum", "--preset", "doublesum-flat", "--out", str(tmp_path)])
+        assert seen == [[1] * len(blas)] * 4
+        assert [get() for _, get in blas] == [2] * len(blas)
+    finally:
+        for (set_threads, _), n in zip(blas, before):
+            set_threads(n)
+
+
 def test_ruin_demo_cells_split_as_the_serial_loop(monkeypatch, tmp_path, capsys):
     # the three u cells go through the two-thread cell pool
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)
@@ -849,9 +924,9 @@ def test_overflowed_conditioned_estimate_fails_the_run(
 
 @pytest.mark.parametrize("overflow", [0, 3])
 def test_overflowed_double_maxima_fails_the_run(overflow, monkeypatch, tmp_path, capsys):
-    def fake_double_maxima(cfg, u, points_per_axis, n_reps, rng):
+    def fake_double_maxima(cfg, levels, points_per_axis, n_reps, rng):
         meta = {"overflow_count": overflow} if overflow else {}
-        return Estimate(1e-6, 1e-8, n_reps, meta)
+        return [Estimate(1e-6, 1e-8, n_reps, meta) for _ in levels]
 
     monkeypatch.setattr(dsmod, "estimate_double_maxima", fake_double_maxima)
     monkeypatch.setenv("GEXR_BUDGET", SMOKE_BUDGET)

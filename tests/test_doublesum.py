@@ -121,7 +121,7 @@ def exact_sep_one():
 
 def test_double_maxima_matches_exact_oracle(exact_sep_one):
     cfg = make_config((2.0,))
-    est = estimate_double_maxima(cfg, 0.0, 3, 200_000, RngStream(81))
+    est = estimate_double_maxima(cfg, [0.0], 3, 200_000, RngStream(81))[0]
     assert abs(est.value - exact_sep_one) < 4 * est.stderr + 5e-4
     assert est.meta["separation"] == 1.0
 
@@ -130,8 +130,30 @@ def test_pivot_offset_keeps_short_batches_unbiased(exact_sep_one, monkeypatch):
     # 5 pairs a batch on 3 pivots: a fixed offset would give the point of A
     # farthest from B two rows in five and bias the estimate low by ~20 sd
     monkeypatch.setattr(doublesum, "BATCH_SIZE", 10)
-    est = estimate_double_maxima(make_config((2.0,)), 0.0, 3, 20_000, RngStream(85))
+    est = estimate_double_maxima(make_config((2.0,)), [0.0], 3, 20_000, RngStream(85))[0]
     assert abs(est.value - exact_sep_one) < 3 * est.stderr
+
+
+def test_levels_share_one_draw(exact_sep_one):
+    # the first level of a multi-level call is the one-level call, bit for
+    # bit, and every level keeps its own law: each agrees with its oracle
+    cfg = make_config((2.0,))
+    cfg = DoubleMaximaConfig(**{**cfg.__dict__, "m1_fn": lambda u: u, "m2_fn": lambda u: u})
+    levels = [1.2, 1.6]
+    shared = estimate_double_maxima(cfg, levels, 3, 100_000, RngStream(91))
+    alone = estimate_double_maxima(cfg, levels[:1], 3, 100_000, RngStream(91))
+    assert shared[0] == alone[0]
+    assert [est.meta["thresholds"] for est in shared] == [(1.2, 1.2), (1.6, 1.6)]
+    exact = [exact_sep_one, _exact_joint(cfg, 1.6, 3)]
+    for est, p in zip(shared, exact):
+        assert abs(est.value - p) < 3 * est.stderr
+
+
+def test_levels_with_different_covariances_are_rejected():
+    scaled = lambda u, s, t: gauss_corr(2.0 + u)(u, s, t)  # noqa: E731
+    with pytest.raises(ModelError, match="differs"):
+        estimate_double_maxima(make_config((2.0,), corr=scaled), [0.0, 1.0], 3, 100,
+                               RngStream(1))
 
 
 def test_double_maxima_never_binding_second_box():
@@ -142,14 +164,14 @@ def test_double_maxima_never_binding_second_box():
     cov = cfg.correlation(0.0, pts, pts)
     mvn = multivariate_normal(mean=np.zeros(3), cov=cov, allow_singular=True, seed=1)
     exact = 1.0 - float(mvn.cdf(np.full(3, 1.2)))
-    est = estimate_double_maxima(cfg, 0.0, 3, 200_000, RngStream(82))
+    est = estimate_double_maxima(cfg, [0.0], 3, 200_000, RngStream(82))[0]
     assert abs(est.value - exact) < 4 * est.stderr + 5e-4
 
 
 def test_odd_reps_round_up_to_whole_pairs():
     cfg = make_config((2.0,))
-    odd = estimate_double_maxima(cfg, 0.0, 3, 1001, RngStream(86))
-    even = estimate_double_maxima(cfg, 0.0, 3, 1002, RngStream(86))
+    odd = estimate_double_maxima(cfg, [0.0], 3, 1001, RngStream(86))[0]
+    even = estimate_double_maxima(cfg, [0.0], 3, 1002, RngStream(86))[0]
     assert odd.n_reps == even.n_reps == 1002
     assert (odd.value, odd.stderr) == (even.value, even.stderr)
 
@@ -161,7 +183,7 @@ def test_identical_boxes_give_the_single_box_tail():
     cov = cfg.correlation(0.0, pts, pts)
     mvn = multivariate_normal(mean=np.zeros(3), cov=cov, allow_singular=True, seed=1)
     exact = 1.0 - float(mvn.cdf(np.full(3, 1.2)))
-    est = estimate_double_maxima(cfg, 0.0, 3, 20_000, RngStream(87))
+    est = estimate_double_maxima(cfg, [0.0], 3, 20_000, RngStream(87))[0]
     assert abs(est.value - exact) < 3 * est.stderr
 
 
@@ -195,7 +217,7 @@ def test_flat_model_matches_one_factor_oracle(m, sep, monkeypatch):
     exact = refs.flat_double_maxima(
         0.9, m, np.linspace(*box_a[0], 9), np.linspace(*box_b[0], 9)
     )
-    est = estimate_double_maxima(cfg, 0.0, 9, 20_000, RngStream(88, (int(m), int(sep))))
+    est = estimate_double_maxima(cfg, [0.0], 9, 20_000, RngStream(88, (int(m), int(sep))))[0]
     assert abs(est.value - exact) < 3 * est.stderr
     assert est.stderr < 0.02 * exact
 
@@ -208,7 +230,7 @@ def test_gaussian_model_inside_pair_bounds(sep, monkeypatch):
     lo, hi = refs.gaussian_double_maxima_bounds(
         2.5, np.linspace(*box_a[0], 9), np.linspace(*box_b[0], 9)
     )
-    est = estimate_double_maxima(cfg, 0.0, 9, 20_000, RngStream(89, (int(sep),)))
+    est = estimate_double_maxima(cfg, [0.0], 9, 20_000, RngStream(89, (int(sep),)))[0]
     assert lo - 3 * est.stderr < est.value < hi + 3 * est.stderr
 
 
@@ -219,20 +241,20 @@ def test_separation_zero_factor_needs_no_jitter(model, monkeypatch):
     monkeypatch.setattr(doublesum, "_chol_psd", np.linalg.cholesky)
     for s2, ppa in ((2.0, 9), (4.0, 17)):
         cfg = _preset_config(model, 0.0, 2.5, s2)
-        est = estimate_double_maxima(cfg, 0.0, ppa, 200, RngStream(90))
+        est = estimate_double_maxima(cfg, [0.0], ppa, 200, RngStream(90))[0]
         assert math.isfinite(est.value)
 
 
 def test_nan_correlation_diagonal_is_rejected():
     nan_corr = lambda u, s, t: np.full((len(s), len(t)), np.nan)  # noqa: E731
     with pytest.raises(ModelError, match="unit-variance"):
-        estimate_double_maxima(make_config((3.0,), corr=nan_corr), 0.0, 5, 100, RngStream(1))
+        estimate_double_maxima(make_config((3.0,), corr=nan_corr), [0.0], 5, 100, RngStream(1))
 
 
 def test_double_maxima_point_cap():
     cfg = make_config((0.0, 0.0), dim=2)
     with pytest.raises(ModelError):
-        estimate_double_maxima(cfg, 0.0, 64, 100, RngStream(1))
+        estimate_double_maxima(cfg, [0.0], 64, 100, RngStream(1))
 
 
 def test_config_validation():
@@ -295,7 +317,7 @@ def test_fit_gaussian_family_passes():
         for f in (0.0, 1.0, 2.0)
     ]
     estimates = [
-        estimate_double_maxima(cfg, u, 4, 60_000, RngStream(83, (i,)))
+        estimate_double_maxima(cfg, [u], 4, 60_000, RngStream(83, (i,)))[0]
         for i, (cfg, u) in enumerate(configs)
     ]
     report = fit_bound_constant(configs, estimates)
@@ -318,7 +340,7 @@ def test_fit_flags_non_decaying_correlation():
         for f in (0.0, 2.0, 4.0)
     ]
     estimates = [
-        estimate_double_maxima(cfg, u, 3, 40_000, RngStream(84, (i,)))
+        estimate_double_maxima(cfg, [u], 3, 40_000, RngStream(84, (i,)))[0]
         for i, (cfg, u) in enumerate(configs)
     ]
     report = fit_bound_constant(configs, estimates)

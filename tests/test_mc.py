@@ -295,15 +295,15 @@ def test_double_maxima_equal_its_serial_loop(monkeypatch):
     cell = ((0.0, 1.0),)
     cfg = doublesum.DoubleMaximaConfig(
         correlation=corr, cell1=cell, cell2=cell, offset1=(0.0,), offset2=(2.0,),
-        m1_fn=lambda u: 1.2, m2_fn=lambda u: 1.2, c1=1.0, beta=2.0, s2=2.0,
+        m1_fn=lambda u: u, m2_fn=lambda u: u, c1=1.0, beta=2.0, s2=2.0,
     )
     threaded, serial = _two_threads_then_serial(
         monkeypatch, doublesum,
         lambda: doublesum.estimate_double_maxima(
-            cfg, 0.0, 3, 2 * doublesum.BATCH_SIZE + 101, RngStream(30)
+            cfg, [1.2, 1.5, 1.8], 3, 2 * doublesum.BATCH_SIZE + 101, RngStream(30)
         ),
     )
-    assert threaded == serial
+    assert len(threaded) == 3 and threaded == serial
 
 
 def test_joint_constant_equals_its_serial_loop(monkeypatch):
@@ -368,6 +368,36 @@ def test_cell_map_order_independent_of_workers():
         return float(rng.substream(i).generator().standard_normal(50).sum())
 
     assert cell_map(cell, range(12)) == [cell(i) for i in range(12)]
+
+
+def test_cell_map_runs_blas_on_one_thread():
+    # each pool thread's BLAS calls stay on that thread; the count comes back
+    from gexr import mc
+
+    blas = mc._openblas_threads()
+    if not blas:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for _, get in blas]
+
+    def counts(_):
+        return [get() for _, get in blas]
+
+    def fail(i):
+        if i:
+            raise RuntimeError("item failed")
+        return counts(i)
+
+    try:
+        for set_threads, _ in blas:
+            set_threads(2)
+        assert cell_map(counts, range(2)) == [[1] * len(blas)] * 2
+        assert counts(0) == [2] * len(blas)
+        with pytest.raises(RuntimeError, match="item failed"):
+            cell_map(fail, range(2))
+        assert counts(0) == [2] * len(blas)
+    finally:
+        for (set_threads, _), n in zip(blas, before):
+            set_threads(n)
 
 
 def test_combine_stderr():

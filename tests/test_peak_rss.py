@@ -40,3 +40,24 @@ def test_a_process_that_dies_ends_the_script(monkeypatch, capsys):
     assert "no-such-preset: the process exited 1" in str(info.value)
     assert "KeyError" in str(info.value)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags, threads", [([], "1"), (["--default-blas"], "2")])
+def test_default_blas_keeps_the_callers_thread_variables(flags, threads, monkeypatch, capsys):
+    monkeypatch.setenv("GEXR_BUDGET", "200")
+    monkeypatch.setenv("PYTHONPATH", str(Path(gexr.__file__).resolve().parents[1]))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    envs = []
+    real = peak_rss.subprocess.run
+
+    def spy(*args, env, **kwargs):
+        envs.append(env)
+        return real(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(peak_rss.subprocess, "run", spy)
+    assert peak_rss.run(["piterbarg-gamma", *flags]) == 0
+    (env,) = envs
+    assert env["OPENBLAS_NUM_THREADS"] == threads
+    assert env.get("OMP_NUM_THREADS") == (None if flags else "1")
+    assert capsys.readouterr().out.split()[-1] == "0"  # the run's exit code

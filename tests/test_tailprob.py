@@ -20,7 +20,7 @@ from gexr import tailprob
 from gexr.functionals import FunctionalSpec
 from gexr.mc import Estimate
 from gexr.rng import RngStream
-from gexr.simkit import GridSpec
+from gexr.simkit import GridSpec, SimulationError
 from gexr.tailprob import (
     AsymptoticSetup,
     ConditionalSampler,
@@ -58,6 +58,14 @@ def test_psi_mills_ratio_sandwich():
     # far tail stays within 1% of the Mill's bracket
     x = 10.0
     assert survival_psi(x) == pytest.approx(norm.pdf(x) / x, rel=0.011)
+
+
+def test_tail_row_rejects_an_underflowed_psi():
+    row = tailprob.tail_row(5.0, 0.5, Estimate(1e-6, 1e-8, 100, {"g": 5.0}))
+    assert row["ratio"] == 1e-6 / row["psi"]
+    # Psi(40) is below the smallest double: no ratio to report
+    with pytest.raises(SimulationError, match=r"u = 40, tau = 0.5 \(g = 40\)"):
+        tailprob.tail_row(40.0, 0.5, Estimate(0.0, 0.0, 100, {"g": 40.0}))
 
 
 # ---------------------------------------------------------------------------
