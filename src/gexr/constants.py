@@ -19,11 +19,12 @@ Four estimators live here:
   would repeat one sample; ``n_reps`` counts paths either way.  The
   batches are drawn and reduced on two pool threads; the results never
   depend on it.  numpy runs a scan along the last axis without the GIL
-  only over more than 500 rows, so the reduction stacks both paths of a
-  pair and both halves of each path into blocks of more than 500 scan
-  rows, and the two threads reduce at once.  Two batches of paths are
-  held, one per thread, plus the working arrays of each thread's draw and
-  of its reduction.
+  only over more than 500 rows, so an fBm draw scans its whole batch in
+  one call, and the reduction stacks both paths of a pair and both halves
+  of each path into blocks of more than 500 scan rows, scanning the exp
+  without copying it; the two threads draw and reduce at once.  Two
+  batches of paths are held, one per thread, plus the working arrays of
+  each thread's draw and of its reduction.
 * ``estimate_piterbarg`` — the growing-domain limit with an unbounded drift,
   by direct Monte Carlo per level plus plateau detection.
 * ``estimate_generalized_piterbarg`` — the sup-inf constant of a
@@ -199,35 +200,39 @@ def _window_ratio_levels(
     e_buf, scratch, win_buf = (
         np.empty(2 * n_signs * rows * c) for c in (n_max + 1, width, second + 1)
     )
-    var_halves = (var[n_max::-1], var[n_max:])
+    # var's halves, contiguous and read outward from the center, and their negatives
+    var_halves = [(v, np.negative(v)) for v in (var[n_max::-1].copy(), var[n_max:].copy())]
     out = np.empty((len(counts), refine, batch, n_signs))
     for lo, hi in zip(bounds, bounds[1:]):
         k = hi - lo
         e = e_buf[: 2 * n_signs * k * (n_max + 1)].reshape(2, n_signs, k, n_max + 1)
         w_halves = (w[lo:hi, n_max::-1], w[lo:hi, n_max:])
-        for e_half, w_half, var_half in zip(e, w_halves, var_halves):
+        for e_half, w_half, (v, neg_v) in zip(e, w_halves, var_halves):
             for e_sign, sign in zip(e_half, signs):
-                np.multiply(w_half, sign, out=e_sign)
-            e_half -= var_half
+                # -w - var == -var - w bit for bit: negation is exact, addition commutes
+                if sign > 0:
+                    np.subtract(w_half, v, out=e_sign)
+                else:
+                    np.subtract(neg_v, w_half, out=e_sign)
         e -= np.maximum(*e.max(axis=3))[:, :, None]
         np.exp(e, out=e)
+        # the left scans leave out the center: its sums, since 0 + a == a, and
+        # its maxima, since the right half of every window holds the center
+        # and e >= 0 (a NaN center makes every window's sum NaN either way)
+        e[0, ..., 0] = 0.0
         for lv in reversed(range(refine)):
             s = 2**lv
             top = n_max // s
             if lv:
                 scans = scratch[: 4 * n_signs * k * (top + 1)]
                 scan_max, scan_sum = scans.reshape(2, 2, n_signs, k, top + 1)
-                scan_max[...] = e[..., ::s]
-                scan_sum[...] = scan_max
             else:  # the exp is read for the last time: its maxima scan in place
                 scan_max, scan_sum = e, scratch[: e.size].reshape(e.shape)
-                scan_sum[...] = e
-            # the left sums leave out the center: 0 + a == a
-            scan_sum[0, ..., 0] = 0.0
-            np.add.accumulate(scan_sum, axis=3, out=scan_sum)
+            # the sums scan first: at stride 1 the maxima overwrite the exp
+            np.add.accumulate(e[..., ::s], axis=3, out=scan_sum)
             # fmax (faster than maximum) may skip a NaN, but any window holding
             # one has a NaN sum, and the scans of other windows never see it
-            np.fmax.accumulate(scan_max, axis=3, out=scan_max)
+            np.fmax.accumulate(e[..., ::s], axis=3, out=scan_max)
             for li in order:
                 m = counts[li] // s
                 if li == order[-1]:
@@ -282,21 +287,25 @@ def window_sup_levels(
     (:func:`~gexr.mc.batch_map`); batch b still draws from substream b, so
     the results equal the serial loop bit for bit.  Each thread draws into
     its own buffer, allocated once, so two batches of paths are held, plus
-    each draw's working arrays: for an fBm path, one block of increments at
-    alpha = 1, none at alpha = 2, and at every other alpha its batch's
-    circulant spectrum, inverted one block of rows at a time.
+    each draw's working arrays: for an fBm path, one ``ROW_BLOCK`` block
+    of increments at alpha = 1, none at alpha = 2, and at every other
+    alpha its batch's circulant spectrum and one inverted block.
 
     A scan along the last axis (``cumsum``, ``fmax.accumulate``) runs
     without the GIL only over more than ``GIL_FREE_SCAN_ROWS`` (500) rows;
-    under it, the other thread waits.  So one call reduces both paths of a
+    under it, the other thread waits.  So an fBm draw writes its blocks of
+    increments into the paths and scans the whole batch in one ``cumsum``
+    (1000 rows a paired batch), and one call reduces both paths of a
     pair, and each path's two halves outward from the center, as one
     array, in the smallest near-equal blocks with more than 500 scan rows:
     142 or 143 pairs of a 2000-path batch, 285 or 286 unpaired rows.
     Besides the paths, each thread holds one block's exp, one scratch
-    buffer of that size for the scans, and two window arrays (maxima and
-    sums) for every level but the largest, which reduces in place in its
-    scans: at the second largest level's width, half a block at the
-    ``pickands`` presets.
+    buffer of that size, and two window arrays (maxima and sums) for every
+    level but the largest, which reduces in place in its scans: at the
+    second largest level's width, half a block at the ``pickands``
+    presets.  The scans read the exp directly: a coarser stride's two
+    scans go to the scratch buffer, the finest sums too, and the finest
+    maxima scan in place in the exp, which no pass copies.
 
     Every window contains the center, so one exp per path (of w minus the
     row's maximum over the full grid) and, per stride, four running scans

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -182,9 +182,11 @@ class FbmSampler:
     """Paths with Var X(t) = |t|**alpha on a uniform grid containing 0.
 
     The grid runs from -n_left*step to n_right*step; X(0) = 0 exactly.
-    The increments over the whole span are drawn at once and the path is
+    The increments over the whole span are drawn, summed and the path
     recentered at the origin (increment stationarity makes this exact in
-    law).  The draw is picked from the fGn autocovariance gamma itself.
+    law); they are written into the paths ``ROW_BLOCK`` rows at a time, so
+    no batch-sized array of increments is held besides the paths.  The
+    draw is picked from the fGn autocovariance gamma itself.
     White increments (gamma[1:] == 0, alpha = 1) are sqrt(gamma[0]) times
     independent normals.  Equal increments (gamma[k] == gamma[0], alpha = 2)
     have a rank-one covariance: ``rank_one`` is set and the path is t * Z,
@@ -216,34 +218,38 @@ class FbmSampler:
     def sample(
         self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """(size, n_points) paths, written into ``out`` when it is given."""
+        """(size, n_points) paths, written into ``out`` when it is given.
+
+        The increments are written into columns 1: of the paths, then one
+        ``cumsum`` scans the whole batch in place (numpy runs it without the
+        GIL over more than 500 rows) and one subtraction recenters it.  Each
+        row adds its increments in grid order, as a scan of the row alone.
+        """
         path = np.empty((size, self.n_points)) if out is None else out
         if self.rank_one:
             return np.multiply(rng.standard_normal((size, 1)), self.grid_values(), out=path)
         path[:, 0] = 0.0
-        lo = 0
-        for incr in self._increment_blocks(rng, size):
-            block = path[lo : lo + len(incr)]
-            lo += len(incr)
-            np.cumsum(incr, axis=1, out=block[:, 1:])
-            # recenter so that the value at the origin (index n_left) is 0
-            block -= block[:, self.n_left : self.n_left + 1].copy()
+        incr = path[:, 1:]
+        self._write_increments(rng, incr)
+        np.cumsum(incr, axis=1, out=incr)
+        # recenter so that the value at the origin (index n_left) is 0
+        path -= path[:, self.n_left : self.n_left + 1].copy()
         return path
 
-    def _increment_blocks(self, rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
-        """``size`` rows of stationary increments, in blocks of ROW_BLOCK rows.
+    def _write_increments(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Stationary increments into ``out`` (size, n_points - 1), by ROW_BLOCK rows.
 
         White rows are drawn one after another, so each block draws its own
         normals.  The embedding takes every row's real parts before any
         imaginary part, so its spectrum is built for the whole batch and only
         the inverse transform, a row at a time either way, goes by blocks.
+        Either way the temporary block holds at most ROW_BLOCK rows.
         """
-        n_incr = self.n_points - 1
+        size, n_incr = out.shape
         if self.white:
             for lo in range(0, size, ROW_BLOCK):
                 noise = rng.standard_normal((min(ROW_BLOCK, size - lo), n_incr))
-                noise *= self._sd
-                yield noise
+                np.multiply(noise, self._sd, out=out[lo : lo + ROW_BLOCK])
             return
         m = self.m
         half = m // 2
@@ -261,9 +267,8 @@ class FbmSampler:
         parts[:, 0, 1] = 0.0
         parts[:, half, 1] = 0.0
         for lo in range(0, size, ROW_BLOCK):
-            noise = np.fft.irfft(spec[lo : lo + ROW_BLOCK], n=m, axis=1)[:, :n_incr]
-            noise *= root_m
-            yield noise
+            noise = np.fft.irfft(spec[lo : lo + ROW_BLOCK], n=m, axis=1)
+            np.multiply(noise[:, :n_incr], root_m, out=out[lo : lo + ROW_BLOCK])
 
     def grid_values(self) -> np.ndarray:
         return np.arange(-self.n_left, self.n_right + 1) * self.step
@@ -349,7 +354,8 @@ class LimitFieldSampler:
                 w = sampler.sample(rng, size, out=out)
             else:
                 w = sampler.sample(rng, size)
-            w *= math.sqrt(comp.scale)
+            if comp.scale != 1.0:  # w * 1.0 == w: skip a pass over the batch
+                w *= math.sqrt(comp.scale)
             shape = [size] + [1] * self.grid.dim
             shape[1 + comp.axis] = self.grid.shape[comp.axis]
             w = w.reshape(shape)

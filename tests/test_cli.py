@@ -391,13 +391,37 @@ _BAD_CONFIGS = [
 ]
 
 
-def _numeric_leaves(doc, path=()):
-    """The key path of every number in a config, list indices included."""
+def _key_paths(doc, path=()):
+    """The key path of every entry of a config, containers first, list indices included."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*path, key)
         if isinstance(value, (dict, list)):
-            yield from _numeric_leaves(value, (*path, key))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield (*path, key)
+            yield from _key_paths(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(cfg, path, value):
+    """A copy of ``cfg`` with the entry at ``path`` set to ``value``, or removed (_DROP)."""
+    cfg = json.loads(json.dumps(cfg))
+    doc = _at(cfg, path[:-1])
+    if value is _DROP:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+    return cfg
+
+
+def _numeric_leaves(doc):
+    """The key path of every number in a config, list indices included."""
+    for path in _key_paths(doc):
+        value = _at(doc, path)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
 
 
 # every number of every preset, one at a time, made non-finite or a boolean
@@ -436,14 +460,7 @@ def test_bad_config_is_rejected_before_any_estimator(
     name, path, value, what, monkeypatch, tmp_path, capsys
 ):
     _no_estimator_may_run(monkeypatch)
-    cfg = json.loads(json.dumps(PRESETS[name][1]))
-    doc = cfg
-    for key in path[:-1]:
-        doc = doc[key]
-    if value is _DROP:
-        del doc[path[-1]]
-    else:
-        doc[path[-1]] = value
+    cfg = _mutated(PRESETS[name][1], path, value)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -453,6 +470,42 @@ def test_bad_config_is_rejected_before_any_estimator(
     if what == "unread":
         assert ".".join(path) in err
     assert not out.exists()
+
+
+# the values a fuzzed key is set to (_DROP deletes it): none is large, so no
+# mutant allocates or runs for long
+_FUZZ_VALUES = (0, -1, 0.5, 2, 3, "x", [], {}, None, [1, 2, 3], _DROP)
+
+
+def _config_mutants(cfg):
+    """Half of a config's one-key mutants, picked deterministically.
+
+    Key j takes value k of ``_FUZZ_VALUES`` when j + k is even, so every key
+    and every value is tried; every list is also made one shorter and one
+    longer (its last entry repeated).
+    """
+    for j, path in enumerate(_key_paths(cfg)):
+        for k, value in enumerate(_FUZZ_VALUES):
+            if (j + k) % 2 == 0:
+                yield path, value
+    for path in _key_paths(cfg):
+        entry = _at(cfg, path)
+        if isinstance(entry, list) and entry:
+            yield path, entry[:-1]
+            yield path, [*entry, entry[-1]]
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_mutated_presets_exit_with_a_documented_code(name, monkeypatch, tmp_path):
+    # no mutant may escape main with an exception: each run exits 0 to 3
+    monkeypatch.setenv("GEXR_BUDGET", "60")
+    preset = PRESETS[name][1]
+    config = tmp_path / "cfg.json"
+    codes = []
+    for i, (path, value) in enumerate(_config_mutants(preset)):
+        config.write_text(json.dumps(_mutated(preset, path, value)))
+        codes.append(run([preset["kind"], "--config", str(config), "--out", str(tmp_path / str(i))]))
+    assert set(codes) <= {0, 1, 2, 3}
 
 
 def test_negative_seed_flag_is_config_error(monkeypatch, tmp_path, capsys):

@@ -452,10 +452,14 @@ def _row_block_window_levels(w, var, counts, refine):
 @pytest.mark.parametrize("batch", [1, 125, 126, 999, 1000])
 def test_window_pass_bit_identical_to_the_row_block_pass(batch, refine, signs):
     # path 2i + 1 of a pair is row i negated; row 0 holds a point 1000 above
-    # its center, so under sign +1 its levels read NaN, which must match too
+    # its center, so under sign +1 its levels read NaN, which must match too;
+    # row 1 holds one left of its center: the center's exp underflows there,
+    # so the zeroed left center and the scans of the exp meet underflowed
+    # and NaN rows in both halves
     n_max = 32
     w = _tilted_walk(batch, n_max, 1 / 16, seed=batch)
     w[0, n_max + 24] = 1000.0
+    w[1:2, n_max - 24] = 1000.0
     var = np.abs(np.arange(-n_max, n_max + 1)) / 32
     counts = [16, 8, 32, 16]  # unsorted, one repeated
     got = _window_ratio_levels(w, var, counts, refine, signs)
@@ -466,6 +470,7 @@ def test_window_pass_bit_identical_to_the_row_block_pass(batch, refine, signs):
         )
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.isnan(got[:, :, 0]).all()
+    assert batch == 1 or np.isnan(got[:, :, len(signs)]).all()
 
 
 @pytest.mark.parametrize("n_signs,min_rows", [(2, 126), (1, 251)])

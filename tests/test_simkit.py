@@ -20,6 +20,7 @@ from gexr.covmodels import (
 )
 from gexr.configio import family_from_config
 from gexr import simkit
+from gexr.constants import BATCH_SIZE, GIL_FREE_SCAN_ROWS
 from gexr.rng import RngStream
 from gexr.simkit import (
     CHOLESKY_POINT_BUDGET,
@@ -148,6 +149,16 @@ def _reference_fbm_sample(sampler, rng, size):
 
 
 GRID_SHAPES = [(1, 0), (0, 1), (4, 3), (63, 0), (512, 512)]
+# batch sizes: one row, a few, under and just over the 500 rows past which
+# numpy scans without the GIL, and a paired Pickands batch
+FBM_SIZES = (1, 7, 300, 501, 1000)
+
+
+def _sample_into_buffer(sampler, stream, size):
+    """A draw into a caller's buffer, filled with NaN first: every entry is written."""
+    buf = np.full((size, sampler.n_points), np.nan)
+    assert sampler.sample(stream.generator(), size, out=buf) is buf
+    return buf
 
 
 # alpha = 1 and 2 are drawn without the embedding; 1 + 1e-6 and 1.99 lie next
@@ -156,34 +167,72 @@ GRID_SHAPES = [(1, 0), (0, 1), (4, 3), (63, 0), (512, 512)]
 @pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
 def test_fbm_sampler_bit_identical_to_complex_spectrum(alpha, n_right, n_left):
     sampler = FbmSampler(alpha, 1 / 64, n_right, n_left)
-    for size in (1, 7, 300):
+    for size in FBM_SIZES:
         stream = RngStream(17, (size,))
         got = sampler.sample(stream.generator(), size)
         ref = _reference_fbm_sample(sampler, stream.generator(), size)
         assert np.array_equal(got, ref)
+        assert np.array_equal(_sample_into_buffer(sampler, stream, size), ref)
+
+
+class _RowSpy:
+    """Calls ``fn``, recording ``rows_of`` of each call's arguments."""
+
+    def __init__(self, fn, rows_of):
+        self.fn, self.rows_of, self.rows = fn, rows_of, []
+
+    def __call__(self, *args, **kwargs):
+        self.rows.append(self.rows_of(*args, **kwargs))
+        return self.fn(*args, **kwargs)
+
+
+class _SpiedGenerator:
+    """A generator whose ``standard_normal`` draws record their row counts."""
+
+    def __init__(self, gen):
+        self.standard_normal = _RowSpy(gen.standard_normal, lambda shape: shape[0])
 
 
 # the batch's increments are never held whole: white rows are drawn, and the
-# embedding's spectrum inverted, one block of rows at a time
+# embedding's spectrum inverted, one block of rows at a time, each block
+# written straight into the paths
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
-def test_fbm_increments_come_in_row_blocks(alpha):
-    blocks = FbmSampler(alpha, 1 / 64, n_right=63, n_left=64)._increment_blocks
-    sizes = [len(b) for b in blocks(RngStream(3).generator(), 2 * ROW_BLOCK + 44)]
-    assert sizes == [ROW_BLOCK, ROW_BLOCK, 44]
-    assert [len(b) for b in blocks(RngStream(3).generator(), 0)] == []
+def test_fbm_increments_come_in_row_blocks(alpha, monkeypatch):
+    sampler = FbmSampler(alpha, 1 / 64, n_right=63, n_left=64)
+    for size, blocks in [(0, []), (2 * ROW_BLOCK + 44, [ROW_BLOCK, ROW_BLOCK, 44])]:
+        want = sampler.sample(RngStream(3).generator(), size)
+        gen = _SpiedGenerator(RngStream(3).generator())
+        irfft = _RowSpy(np.fft.irfft, lambda spec, **kw: len(spec))
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert np.array_equal(sampler.sample(gen, size), want)
+        assert (gen.standard_normal.rows if alpha == 1.0 else irfft.rows) == blocks
+
+
+# a paired Pickands batch: the draw scans its increments in one call over all
+# its rows, more than the 500 over which numpy scans without the GIL
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_fbm_draw_scans_its_batch_in_one_cumsum(alpha, monkeypatch):
+    rows = BATCH_SIZE // 2
+    assert rows > GIL_FREE_SCAN_ROWS
+    sampler = FbmSampler(alpha, 1 / 64, n_right=512, n_left=512)
+    cumsum = _RowSpy(np.cumsum, lambda a, **kw: a.shape)
+    monkeypatch.setattr(np, "cumsum", cumsum)
+    sampler.sample(RngStream(3).generator(), rows)
+    assert cumsum.rows == [(rows, 1024)]
 
 
 @pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
 def test_fbm_alpha1_is_cumsum_of_white_noise(n_right, n_left):
     step = 1 / 64
     sampler = FbmSampler(1.0, step, n_right, n_left)
-    for size in (1, 7, 300):
+    for size in FBM_SIZES:
         stream = RngStream(17, (size,))
         got = sampler.sample(stream.generator(), size)
         z = stream.generator().standard_normal((size, n_right + n_left))
         path = np.zeros((size, n_right + n_left + 1))
         path[:, 1:] = np.cumsum(math.sqrt(step) * z, axis=1)
         assert np.array_equal(got, path - path[:, n_left : n_left + 1])
+        assert np.array_equal(_sample_into_buffer(sampler, stream, size), got)
 
 
 @pytest.mark.parametrize("n_right,n_left", GRID_SHAPES)
